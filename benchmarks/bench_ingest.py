@@ -3,8 +3,8 @@
 Simulates a table under steady insert load (the DMS setting of the
 paper's Section V-G): a base prefix is profiled once, then batches of
 new rows stream into :class:`~repro.core.IncrementalEulerFD`, whose
-delta execution engine (DESIGN.md §12) extends the preprocessed matrix,
-columnar encoding and partition store in place.  After every append the
+delta execution engine (DESIGN.md §12) extends the preprocessed label
+matrix and partition store in place.  After every append the
 simulator reports the append latency next to the cost of re-discovering
 the grown prefix from scratch, and at the end estimates the crossover —
 the batch size past which re-running stops being slower.
@@ -13,7 +13,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_ingest.py \
         [--dataset fd-reduced-30] [--rows 2000] [--base-rows 1500] \
-        [--batch-size 64] [--batches 6] [--backend columnar] \
+        [--batch-size 64] [--batches 6] [--backend python] \
         [--jobs process:4] [--quick] [--check-equivalence] [--json out.json]
 
 ``--check-equivalence`` runs the stream with an exhaustive base profile

@@ -33,18 +33,19 @@ dataflow rules (RPR107/RPR108) into the sanitized tree:
   and not accidentally completion-order dependent.  Only the
   deterministic kernels are replayed (wall-time payloads would differ by
   construction), and only on a non-serial pool with 2+ chunks.
-* ``fold_overflow`` (on ``fold_labels``) — recomputes the fold's
-  distinct-group count with unbounded Python ints and asserts the int64
-  result kept every ``(key, label)`` pair distinct: a silent 2^64 wrap
+* ``fold_overflow`` (on ``fold_column``) — recomputes the fold's
+  distinct-group count with unbounded Python ints and asserts the folded
+  keys kept every ``(key, label)`` pair distinct: a silent 2^64 wrap
   shows up as collided groups.
 * ``live_resources`` (on ``WorkerPool.close``) — the runtime half of the
   typestate rules (RPR109–RPR111).  Per call it asserts the closed pool
   really released everything (no surviving publications or executor) and
-  that no ``repro_shm_<pid>_*`` segment of this process lingers in
-  ``/dev/shm`` without a live owning pool; installing the probe also
-  registers a process-exit check (running after ``close_all_pools``)
-  that asserts zero surviving own-pid segments and a balanced
-  ``use_context`` stack, exiting non-zero on violation so CI fails.
+  that no ``repro_mmap_<pid>_*`` matrix file of this process lingers in
+  the temp directory without a live owning pool; installing the probe
+  also registers a process-exit check (running after
+  ``close_all_pools``) that asserts zero surviving own-pid files and a
+  balanced ``use_context`` stack, exiting non-zero on violation so CI
+  fails.
 
 Probes budget separately (``REPRO_PROBES_MAX_CHECKS``, default 32 — they
 re-run kernels, so they are costlier than snapshots) and can be disabled
@@ -154,48 +155,53 @@ def _check_shard_permutation(
 def _check_fold_overflow(
     func: Callable, args: tuple, kwargs: dict, result: object
 ) -> None:
-    """Recompute the fold's distinct-group count with unbounded ints."""
+    """Recompute the fold's distinct-group count with unbounded ints.
+
+    The folded ``(keys, labels, ...)`` come first; the result is the key
+    array, or a ``(keys, domain)`` pair.
+    """
     import numpy  # lazy: the shim must import with the stdlib alone
 
     values = [*args, *kwargs.values()]
-    if len(values) != 2:
+    if len(values) < 2:
         return
-    keys, labels = values
+    keys, labels = values[:2]
+    folded = result[0] if isinstance(result, tuple) else result
     try:
         pairs = len(set(zip(keys.tolist(), labels.tolist())))
-        distinct = int(numpy.unique(numpy.asarray(result)).size)
+        distinct = int(numpy.unique(numpy.asarray(folded)).size)
     except (AttributeError, TypeError, ValueError):
         return
     if distinct != pairs:
         raise ProbeViolation(
-            f"fold_labels: int64 fold produced {distinct} distinct keys "
+            f"{func.__name__}: fold produced {distinct} distinct keys "
             f"for {pairs} distinct (key, label) pairs — the fold wrapped "
             "and collided groups"
         )
 
 
 def _segment_prefix(package: str) -> str:
-    """The engine's shared-memory name prefix, read from its shm module."""
+    """The engine's matrix-file name prefix, read from its shm module."""
     import sys
 
     shm = sys.modules.get(package + ".shm")
-    return getattr(shm, "SEGMENT_PREFIX", "repro_shm_")
+    return getattr(shm, "MMAP_PREFIX", "repro_mmap_")
 
 
 def _own_segments(prefix: str) -> set[str]:
-    """``/dev/shm`` entries this process created (empty off-Linux)."""
-    directory = "/dev/shm"
-    if not os.path.isdir(directory):
-        return set()
+    """Temp-directory matrix files this process created."""
+    import tempfile
+
     marker = f"{prefix}{os.getpid()}_"
     try:
-        return {name for name in os.listdir(directory) if name.startswith(marker)}
+        names = os.listdir(tempfile.gettempdir())
     except OSError:  # pragma: no cover - directory vanished mid-scan
         return set()
+    return {name for name in names if name.startswith(marker)}
 
 
 def _pool_owned_segments(pool_type: type) -> set[str]:
-    """Segment names some live pool still legitimately owns."""
+    """Matrix file names some live pool still legitimately owns."""
     import gc
 
     owned: set[str] = set()
@@ -203,9 +209,9 @@ def _pool_owned_segments(pool_type: type) -> set[str]:
         if not isinstance(candidate, pool_type):
             continue
         for entry in list(getattr(candidate, "_published", {}).values()):
-            name = getattr(entry[1], "name", None)
-            if name:
-                owned.add(name)
+            path = getattr(entry[1], "path", None)
+            if path:
+                owned.add(os.path.basename(path))
     return owned
 
 
@@ -213,13 +219,13 @@ def _check_live_resources(
     func: Callable, args: tuple, kwargs: dict, result: object
 ) -> None:
     """After ``close()``: the pool holds nothing, and every surviving
-    own-pid segment belongs to some other still-open pool."""
+    own-pid matrix file belongs to some other still-open pool."""
     if kwargs or len(args) != 1:
         return
     pool = args[0]
     if getattr(pool, "_published", None):
         raise ProbeViolation(
-            "WorkerPool.close: shared-memory publications survived close()"
+            "WorkerPool.close: matrix publications survived close()"
         )
     if getattr(pool, "_executor", None) is not None:
         raise ProbeViolation("WorkerPool.close: the executor survived close()")
@@ -230,8 +236,8 @@ def _check_live_resources(
     orphans = leftovers - _pool_owned_segments(type(pool))
     if orphans:
         raise ProbeViolation(
-            "WorkerPool.close: shared-memory segment(s) with no live "
-            f"owning pool remain in /dev/shm: {sorted(orphans)}"
+            "WorkerPool.close: matrix file(s) with no live owning pool "
+            f"remain in the temp directory: {sorted(orphans)}"
         )
 
 
@@ -239,7 +245,7 @@ _EXIT_CHECK = {"registered": False}
 
 
 def _exit_live_resources_check(module_name: str) -> None:
-    """Process-exit assertion: no own-pid segments, balanced contexts.
+    """Process-exit assertion: no own-pid matrix files, balanced contexts.
 
     Runs after ``close_all_pools`` (registered earlier, so LIFO ordering
     runs it first).  A violation prints the probe failure and exits
@@ -254,7 +260,7 @@ def _exit_live_resources_check(module_name: str) -> None:
     leftovers = _own_segments(_segment_prefix(package))
     if leftovers:
         problems.append(
-            f"shared-memory segment(s) leaked past interpreter exit: "
+            f"matrix file(s) leaked past interpreter exit: "
             f"{sorted(leftovers)}"
         )
     context = sys.modules.get(package + ".context")

@@ -426,20 +426,6 @@ def explain_rule(code: str) -> str:
                     "the call site.",
                 ]
             )
-        if rule.code == "RPR113":
-            lines.extend(
-                [
-                    "",
-                    "sanctioned wideners: relation/validate.py (the int64 "
-                    "fold kernel and",
-                    "rhs_labels) and engine/columnar.py (the encoded "
-                    "kernels' uint64",
-                    "accumulators).  Buffer construction with "
-                    "dtype=np.int64 and",
-                    "astype(np.int64, copy=False) normalization are not "
-                    "flagged.",
-                ]
-            )
         return "\n".join(lines)
     known = ", ".join(rule.code for rule in default_rules())
     raise ValueError(f"unknown rule code: {code!r} (known: {known})")

@@ -23,7 +23,7 @@ silently:
     promise of the negative cover (Algorithm 2/3: inversion may consult
     but never shrink it between cycles).
 
-``Owns: return via call`` / ``Owns: self`` / ``Owns: segment via shm-segment``
+``Owns: return via call`` / ``Owns: self`` / ``Owns: segment via mmap-matrix``
     Ownership-transfer declarations for the typestate rules
     (RPR109–RPR111, :mod:`repro.analysis.lifecycle`).  ``Owns: return``
     says the caller receives a resource it must release (``via call``

@@ -22,7 +22,7 @@ RPR108    numeric-width overflow — an abstract bit-width domain bounds
           every group-key fold (``keys * cardinality + labels``); a
           multiply whose worst case reaches 2^64 without a dominating
           fold-limit guard is the historical silently-wrapping RHS
-          fold (fixed in ``relation/validate.fold_labels``)
+          fold (fixed in ``relation/validate.fold_column``)
 ========  ============================================================
 
 The RPR107 taint and RPR108 width domains are documented in DESIGN.md
@@ -1089,7 +1089,7 @@ class NumericWidthRule(ProjectRule):
     The width domain bounds every multiply; a fold whose worst case
     reaches 2^64 is flagged unless a fold-limit guard dominates it or
     the keys were just re-densified (both recognized flow-sensitively,
-    so ``relation/validate.fold_labels`` itself is clean).
+    so ``relation/validate.fold_column`` itself is clean).
     """
 
     code = "RPR108"
@@ -1213,7 +1213,7 @@ class NumericWidthRule(ProjectRule):
                 f"label cardinality with worst case {magnitude} — this "
                 "can wrap int64 and collide distinct groups; guard with "
                 "a fold limit and re-densify via np.unique "
-                "(cf. relation/validate.fold_labels)"
+                "(cf. relation/validate.fold_column)"
             ),
         )
 

@@ -1,11 +1,11 @@
 """The typestate (resource-lifecycle) rules: RPR109–RPR111.
 
 The engine manages half a dozen acquire/release protocols by convention:
-a published shared-memory segment must be closed *and then* unlinked, a
+a published matrix file must be closed *and then* unlinked, a
 :class:`WorkerPool` must be closed, ``obs`` spans and ``use_context``
 frames must exit as many times as they enter.  Once the engine serves
 long-lived processes those conventions stop being self-healing — a
-leaked segment no longer dies with the interpreter — so this module
+leaked temp file no longer dies with the interpreter — so this module
 checks them statically on PR 6's CFG/dataflow layer:
 
 ========  ============================================================
@@ -34,7 +34,7 @@ those).  Ownership transfer is declared, not guessed, with the
 to the arguments it is handed.
 
 The runtime mirror of RPR109 is the ``live_resources`` probe installed
-by ``--sanitize`` (zero live ``repro_shm_*`` segments and a balanced
+by ``--sanitize`` (zero live ``repro_mmap_*`` files and a balanced
 context stack at exit); the state machines and grammar are documented
 in DESIGN.md ("Typestate layer").
 """
@@ -77,22 +77,17 @@ class Protocol:
 
 #: The declarative protocol registry (DESIGN.md "Typestate layer").
 PROTOCOLS: dict[str, Protocol] = {
-    "shm-segment": Protocol(
-        "shm-segment",
-        ("close", "unlink"),
-        "shared-memory segment: close the mapping, then unlink the name",
-    ),
     "mmap-matrix": Protocol(
         "mmap-matrix",
         ("close", "unlink"),
-        "mmap-backed encoded-matrix file: close the write handle, then "
+        "mmap-backed label-matrix file: close the write handle, then "
         "unlink the temp file",
     ),
     "worker-pool": Protocol(
         "worker-pool",
         ("close",),
         "engine WorkerPool: close() shuts the executor down and unlinks "
-        "published segments",
+        "published matrix files",
     ),
     "executor": Protocol(
         "executor", ("shutdown",), "concurrent.futures executor"
@@ -158,15 +153,6 @@ def acquired_protocol(call: ast.Call) -> str | None:
         name, root = func.attr, _root_name(func.value)
     else:
         return None
-    if name == "SharedMemory":
-        for keyword in call.keywords:
-            if (
-                keyword.arg == "create"
-                and isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is True
-            ):
-                return "shm-segment"
-        return None  # attach-only: the creator owns the segment
     if name == "open":
         # os.open returns a raw fd managed elsewhere (dup2 piping etc.)
         return None if root == "os" else "file"
@@ -1117,7 +1103,7 @@ class ResourceLeakRule(_LifecycleRule):
     code = "RPR109"
     name = "resource-leak-on-path"
     rationale = (
-        "an owned resource (shm segment, WorkerPool, executor, file, "
+        "an owned resource (mmap matrix file, WorkerPool, executor, file, "
         "span/context frame, cleanup callable) must be released or have "
         "its ownership transfer declared (`Owns:`/`Borrows:`) on every "
         "path — including exception edges, early returns, and "
@@ -1125,10 +1111,10 @@ class ResourceLeakRule(_LifecycleRule):
         "gets the interpreter-exit amnesty"
     )
     example = (
-        "    segment = SharedMemory(create=True, size=n)\n"
-        "    view = np.ndarray(shape, dtype, buffer=segment.buf)  # RPR109\n"
-        "    view[:] = matrix   # a raise above leaks the segment\n"
-        "fix: wrap the fill in try/except that closes+unlinks and\n"
+        "    segment = MmapSegment(path)\n"
+        "    segment.write(matrix.tobytes())   # RPR109\n"
+        "    # a raise above leaks the temp file\n"
+        "fix: wrap the write in try/except that closes+unlinks and\n"
         "re-raises, or hand the segment to a declared `Owns:` sink"
     )
 
@@ -1138,7 +1124,7 @@ class UseAfterReleaseRule(_LifecycleRule):
     name = "use-after-release"
     rationale = (
         "attribute access or re-dispatch on a resource that every path "
-        "has already fully released (closed pool, unlinked segment, "
+        "has already fully released (closed pool, unlinked file, "
         "called cleanup) raises at best and touches recycled state at "
         "worst; the check fires only on must-released facts, never on "
         "may-paths"
@@ -1154,7 +1140,7 @@ class ReleaseProtocolRule(_LifecycleRule):
     code = "RPR111"
     name = "release-protocol-violation"
     rationale = (
-        "release steps are ordered state machines: a shm segment is "
+        "release steps are ordered state machines: a matrix file is "
         "close-then-unlink, never unlink-first and never twice; a "
         "`Borrows:` parameter must not be released at all — the caller "
         "still owns it"

@@ -21,15 +21,9 @@ RPR105    parallelism encapsulation — ``multiprocessing`` and
           ``concurrent.futures`` are imported only by
           ``engine/parallel.py`` and ``engine/shm.py``; everyone
           else goes through the :class:`WorkerPool` API
-RPR113    encoded-width discipline — no ``astype(np.int64)`` /
-          ``np.int64(...)`` widening of label data on the hot
-          path (``relation``/``engine``/``core``) outside the
-          fold kernel (``relation/validate.py``) and the columnar
-          kernels (``engine/columnar.py``)
 RPR114    streaming-encode discipline — no full ``preprocess()``
-          / ``encode_matrix()`` re-encodes in ``core``/``engine``
-          outside the cold-start sites (``engine/context.py``,
-          ``engine/columnar.py``); append paths stay O(batch)
+          re-encodes in ``core``/``engine`` outside the cold-start
+          site (``engine/context.py``); append paths stay O(batch)
 ========  =====================================================
 
 The whole-program rules (RPR101 import layering, RPR102 purity
@@ -590,10 +584,11 @@ class ParallelismEncapsulationRule(Rule):
     merge by chunk index, stateful merges on the coordinator) only holds
     because every fan-out goes through :class:`repro.engine.WorkerPool`.
     A stray ``ProcessPoolExecutor`` in an algorithm would reintroduce
-    completion-order nondeterminism and dodge the pool's shared-memory
+    completion-order nondeterminism and dodge the pool's matrix-transport
     lifecycle and telemetry, so raw ``multiprocessing`` /
     ``concurrent.futures`` imports are confined to the two modules that
-    implement the pool: ``engine/parallel.py`` and ``engine/shm.py``.
+    implement the pool and its transport: ``engine/parallel.py`` and
+    ``engine/shm.py``.
     """
 
     code = "RPR105"
@@ -601,7 +596,7 @@ class ParallelismEncapsulationRule(Rule):
     rationale = (
         "raw multiprocessing/concurrent.futures imports outside "
         "engine/parallel.py and engine/shm.py bypass the worker pool's "
-        "determinism and shared-memory lifecycle guarantees"
+        "determinism and matrix-transport lifecycle guarantees"
     )
     interests = (ast.Import, ast.ImportFrom)
 
@@ -629,118 +624,28 @@ class ParallelismEncapsulationRule(Rule):
                 )
 
 
-class EncodedWidthDisciplineRule(Rule):
-    """RPR113 — label data stays narrow on the hot path.
-
-    The columnar layer's whole premise is that labels travel at their
-    dictionary width (u8/u16/u32, :func:`repro.relation.preprocess.
-    dtype_for_cardinality`); one stray ``astype(np.int64)`` on a label
-    column allocates an 8-byte-per-row copy and silently undoes the
-    memory and bandwidth win.  Widening is sanctioned in exactly two
-    places — ``relation/validate.py`` (the int64 fold kernel and its
-    ``rhs_labels`` accessor) and ``engine/columnar.py`` (the encoded
-    kernels' own uint64 accumulators) — so everywhere else in the
-    ``relation``/``engine``/``core`` packages, ``.astype(np.int64)``
-    and ``np.int64(...)`` scalar/array construction are flagged.
-    Constructing *buffers* with ``dtype=np.int64`` keywords stays
-    legal (that is RPR006's territory, and buffers are not label
-    copies), as does ``astype(np.int64, copy=False)``: a no-op
-    normalization of data that is already int64, the re-densify idiom
-    inside the guarded fold.
-    """
-
-    code = "RPR113"
-    name = "encoded-width-discipline"
-    rationale = (
-        "astype(np.int64)/np.int64(...) widening of label data outside "
-        "relation/validate.py and engine/columnar.py allocates 8-byte "
-        "label copies on the hot path and silently undoes the columnar "
-        "encoding's memory and bandwidth win"
-    )
-    example = (
-        "labels = encoded.column(rhs).astype(np.int64)   # RPR113: widened copy\n"
-        "labels = rhs_labels(data, rhs)                  # sanctioned accessor\n"
-        "keys = keys.astype(np.int64, copy=False)        # no-op normalize: fine"
-    )
-    interests = (ast.Call,)
-
-    _PACKAGES = ("relation", "engine", "core")
-    _EXEMPT_FILES = ("relation/validate.py", "engine/columnar.py")
-
-    def visit(self, node: ast.AST, module: Module) -> Iterator[Finding]:
-        assert isinstance(node, ast.Call)
-        if not module.in_packages(*self._PACKAGES):
-            return
-        if module.relpath.endswith(self._EXEMPT_FILES):
-            return
-        func = node.func
-        # np.int64(...) — an int64 scalar/array minted from label data.
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "int64"
-            and _is_module(func.value, "np", "numpy")
-        ):
-            yield self.finding(
-                module,
-                node,
-                "np.int64(...) mints widened label data; keep labels at "
-                "their dictionary width or go through "
-                "relation.validate.rhs_labels",
-            )
-            return
-        # X.astype(np.int64) — an 8-byte-per-row widened copy.
-        if not (isinstance(func, ast.Attribute) and func.attr == "astype"):
-            return
-        target = node.args[0] if node.args else None
-        if target is None:
-            for keyword in node.keywords:
-                if keyword.arg == "dtype":
-                    target = keyword.value
-        if not (
-            isinstance(target, ast.Attribute)
-            and target.attr == "int64"
-            and _is_module(target.value, "np", "numpy")
-        ):
-            return
-        for keyword in node.keywords:
-            if (
-                keyword.arg == "copy"
-                and isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is False
-            ):
-                return  # no-op normalization, never an allocation
-        yield self.finding(
-            module,
-            node,
-            "astype(np.int64) widens label data to 8 bytes per row on "
-            "the hot path; keep the dictionary width, or widen inside "
-            "relation/validate.py / engine/columnar.py",
-        )
-
-
 class StreamingEncodeDisciplineRule(Rule):
     """RPR114 — streaming paths never re-encode the whole relation.
 
     The delta execution engine (DESIGN.md §12) makes appends O(batch):
     ``PreprocessedRelation.append_rows`` extends the label dictionaries,
-    the encoded columns and the stripped partitions in place, and
+    the label matrix and the stripped partitions in place, and
     ``PartitionStore.apply_delta`` keeps cached partitions warm.  One
-    stray ``preprocess(...)`` or ``encode_matrix(...)`` call on an
-    append path silently reinstates the O(N) full re-encode the engine
-    exists to avoid — and keeps working, so nothing but a profiler
-    would notice.  Full encodes are sanctioned at exactly two cold-start
-    sites — ``engine/context.py`` (the context constructor) and
-    ``engine/columnar.py`` (the bare-matrix correctness fallback of
-    ``encoded_of``) — so everywhere else in the ``core``/``engine``
-    packages the calls are flagged.  The ``relation`` package, which
-    *implements* both entry points, is out of scope by construction.
+    stray ``preprocess(...)`` call on an append path silently
+    reinstates the O(N) full re-encode the engine exists to avoid — and
+    keeps working, so nothing but a profiler would notice.  Full encodes
+    are sanctioned at exactly one cold-start site —
+    ``engine/context.py`` (the context constructor) — so everywhere else
+    in the ``core``/``engine`` packages the call is flagged.  The
+    ``relation`` package, which *implements* the entry point, is out of
+    scope by construction.
     """
 
     code = "RPR114"
     name = "streaming-encode-discipline"
     rationale = (
-        "preprocess(...)/encode_matrix(...) outside the sanctioned "
-        "cold-start sites re-encodes the whole relation, turning the "
+        "preprocess(...) outside the sanctioned cold-start site "
+        "re-encodes the whole relation, turning the "
         "delta engine's O(batch) append into O(N) without failing any "
         "correctness test"
     )
@@ -752,8 +657,8 @@ class StreamingEncodeDisciplineRule(Rule):
     interests = (ast.Call,)
 
     _PACKAGES = ("core", "engine")
-    _EXEMPT_FILES = ("engine/context.py", "engine/columnar.py")
-    _FULL_ENCODERS = frozenset({"preprocess", "encode_matrix"})
+    _EXEMPT_FILES = ("engine/context.py",)
+    _FULL_ENCODERS = frozenset({"preprocess"})
 
     def visit(self, node: ast.AST, module: Module) -> Iterator[Finding]:
         assert isinstance(node, ast.Call)
@@ -903,7 +808,6 @@ def default_rules() -> list[Rule]:
         ClockDisciplineRule(),
         MetricNameDisciplineRule(),
         ParallelismEncapsulationRule(),
-        EncodedWidthDisciplineRule(),
         StreamingEncodeDisciplineRule(),
         *default_project_rules(),
         *default_dataflow_rules(),

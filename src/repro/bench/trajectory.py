@@ -117,10 +117,7 @@ def _hit_rate(partition_cache: dict[str, int]) -> float | None:
 
 
 def _profiled_pass(
-    algorithm: str,
-    relation: Any,
-    jobs: str | None,
-    backend: str | None = None,
+    algorithm: str, relation: Any, jobs: str | None
 ) -> dict[str, Any]:
     """One traced + memory-profiled run supplying attribution fields.
 
@@ -135,7 +132,6 @@ def _profiled_pass(
             relation,
             trace=True,
             jobs=jobs,
-            backend=backend,
         )
     phases: dict[str, float] = {}
     if traced.telemetry is not None:
@@ -156,14 +152,12 @@ def _record_cell(
     repeats: int,
     jobs: str | None,
     memory: bool,
-    backend: str | None = None,
 ) -> dict[str, Any]:
     run: AlgorithmRun = run_algorithm(
         create(algorithm).__class__,
         relation,
         repeats=repeats,
         jobs=jobs,
-        backend=backend,
     )
     if not run.ok or run.seconds is None:
         return {"skipped": run.skipped}
@@ -180,7 +174,7 @@ def _record_cell(
         "cache_hit_rate": _hit_rate(run.partition_cache),
     }
     if memory:
-        entry.update(_profiled_pass(algorithm, relation, jobs, backend))
+        entry.update(_profiled_pass(algorithm, relation, jobs))
     return entry
 
 
@@ -192,41 +186,26 @@ def record_trajectory(
     jobs: str | None = None,
     memory: bool = True,
     description: str = "",
-    backends: list[str] | None = None,
 ) -> dict[str, Any]:
     """Measure the workload matrix and return the trajectory document.
 
     Each cell runs ``repeats`` untraced wall-clock repeats (median and
     min are both kept) and, with ``memory`` on, one extra traced +
     tracemalloc'd pass for phase and memory attribution.
-
-    ``backends`` adds extra per-backend cells: the entry ``"default"``
-    (or ``None``) records under the session-default backend with the
-    historical workload labels — the ones the regression gate matches
-    against earlier snapshots — while any named backend (``"columnar"``)
-    records the same matrix under ``label@backend``.  Named-backend cells
-    only ever appear as 'added' against a snapshot that lacks them, so
-    introducing a backend never breaks comparability.
     """
     workloads = workloads if workloads is not None else WORKLOADS
     algorithms = algorithms if algorithms is not None else ALGORITHMS
-    backend_list: list[str | None] = [
-        None if name in (None, "default") else name
-        for name in (backends if backends else [None])
-    ]
     entries: dict[str, dict[str, Any]] = {}
     try:
         for name, rows, seed in workloads:
             relation = registry.make(name, rows=rows, seed=seed)
             for algorithm in algorithms:
-                base = f"{name}[{rows}x{relation.num_columns}]/{algorithm}"
-                for backend in backend_list:
-                    label = base if backend is None else f"{base}@{backend}"
-                    entries[label] = _record_cell(
-                        algorithm, relation, repeats, jobs, memory, backend
-                    )
+                label = f"{name}[{rows}x{relation.num_columns}]/{algorithm}"
+                entries[label] = _record_cell(
+                    algorithm, relation, repeats, jobs, memory
+                )
     finally:
-        # A crashed workload must still unlink published segments; only
+        # A crashed workload must still unlink published files; only
         # the atexit hook would otherwise stand between us and orphans.
         close_all_pools()
     return {
@@ -236,7 +215,6 @@ def record_trajectory(
         "host": host_fingerprint(),
         "jobs": jobs or "serial",
         "repeats": repeats,
-        "backends": [name or "default" for name in backend_list],
         "workloads": entries,
     }
 
@@ -249,7 +227,6 @@ def _append_cell(
     batch_rows: int,
     repeats: int,
     jobs: str | None,
-    backend: str | None,
 ) -> dict[str, Any]:
     """Time one delta append of the withheld last ``batch_rows`` rows.
 
@@ -270,7 +247,7 @@ def _append_cell(
     walls: list[float] = []
     fd_count = None
     for _ in range(repeats):
-        session = IncrementalEulerFD(base, jobs=jobs, backend=backend)
+        session = IncrementalEulerFD(base, jobs=jobs)
         start = monotonic()
         result = session.append(batch)
         walls.append(monotonic() - start)
@@ -281,7 +258,6 @@ def _append_cell(
         relation,
         repeats=repeats,
         jobs=jobs,
-        backend=backend,
     )
     entry: dict[str, Any] = {
         "wall_seconds": spread.seconds,
@@ -291,7 +267,7 @@ def _append_cell(
         "repeats": repeats,
         "fd_count": fd_count,
         "jobs": jobs or 1,
-        "backend": backend,
+        "backend": full.backend,
         "cache_hit_rate": None,
         "batch_rows": batch_rows,
         "base_rows": len(rows) - batch_rows,
@@ -309,7 +285,6 @@ def record_append_series(
     batch_sizes: list[int] | None = None,
     repeats: int = DEFAULT_REPEATS,
     jobs: str | None = None,
-    backends: list[str] | None = None,
 ) -> dict[str, dict[str, Any]]:
     """The append-latency cells: ``label/append[B]`` per batch size.
 
@@ -323,23 +298,15 @@ def record_append_series(
     """
     workloads = workloads if workloads is not None else APPEND_WORKLOADS
     batch_sizes = batch_sizes if batch_sizes is not None else APPEND_BATCHES
-    backend_list: list[str | None] = [
-        None if name in (None, "default") else name
-        for name in (backends if backends else [None])
-    ]
     entries: dict[str, dict[str, Any]] = {}
     try:
         for name, rows, seed in workloads:
             relation = registry.make(name, rows=rows, seed=seed)
             base = f"{name}[{rows}x{relation.num_columns}]"
-            for backend in backend_list:
-                for batch_rows in batch_sizes:
-                    label = f"{base}/append[{batch_rows}]"
-                    if backend is not None:
-                        label = f"{label}@{backend}"
-                    entries[label] = _append_cell(
-                        relation, batch_rows, repeats, jobs, backend
-                    )
+            for batch_rows in batch_sizes:
+                entries[f"{base}/append[{batch_rows}]"] = _append_cell(
+                    relation, batch_rows, repeats, jobs
+                )
     finally:
         close_all_pools()
     return entries
@@ -519,11 +486,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
     bench_name = args.bench_name or output.stem
     workloads = QUICK_WORKLOADS if args.quick else WORKLOADS
     algorithms = QUICK_ALGORITHMS if args.quick else ALGORITHMS
-    backends = (
-        [token.strip() for token in args.backends.split(",") if token.strip()]
-        if args.backends
-        else None
-    )
     document = record_trajectory(
         bench_name,
         workloads=workloads,
@@ -532,7 +494,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         memory=not args.no_memory,
         description=args.description,
-        backends=backends,
     )
     if args.append_series:
         batch_sizes = (
@@ -546,7 +507,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
                 batch_sizes=batch_sizes,
                 repeats=args.repeats,
                 jobs=args.jobs,
-                backends=backends,
             )
         )
     output.parent.mkdir(parents=True, exist_ok=True)
@@ -612,15 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
     record.add_argument(
         "--jobs", default=None, help="pool spec for the cells (default serial)"
-    )
-    record.add_argument(
-        "--backends",
-        default=None,
-        help=(
-            "comma-separated backend cells, e.g. 'default,columnar'; "
-            "'default' keeps the historical labels, named backends record "
-            "as label@backend"
-        ),
     )
     record.add_argument(
         "--quick",

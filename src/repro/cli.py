@@ -263,7 +263,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         context = ExecutionContext(relation, backend=args.backend, jobs=args.jobs)
         with use_context(context):
             result = create(args.algorithm).discover(relation)
-        # Snapshot before closing the pool: cleanup decrements the shm
+        # Snapshot before closing the pool: cleanup decrements the mmap
         # gauges, and the scrape should show the run's live state.
         text = (
             prometheus_text(registry_)

@@ -72,7 +72,6 @@ class EulerFD:
             config,
             clusters=context.sampling_clusters(config.dedupe_clusters),
             pool=context.pool,
-            backend=context.backend,
         )
         cycles = 0
         rounds = 0

@@ -13,9 +13,9 @@ inversion machinery can absorb batches of new rows without starting over.
   tuple pair, exact) or with EulerFD's sampling (approximate);
 * each **append** flows through the delta execution engine
   (DESIGN.md §12): the owned :class:`~repro.engine.ExecutionContext`
-  extends its preprocessed matrix, columnar encoding and partition
-  store in place, and the returned
-  :class:`~repro.relation.preprocess.AppendDelta` names exactly the
+  extends its preprocessed label matrix and partition store in place,
+  and the returned :class:`~repro.relation.preprocess.AppendDelta`
+  names exactly the
   clusters the new rows landed in.  Pairs are read off those touched
   clusters — every pair involving a new tuple that could violate
   anything, deduplicated across attributes in one vectorized
@@ -68,7 +68,7 @@ class IncrementalEulerFD:
         self.config = config if config is not None else EulerFDConfig()
         self.exhaustive_base = exhaustive_base
         # The engine owns a private delta-enabled context: appends extend
-        # the label dictionaries, encoded columns and cached partitions
+        # the label dictionaries, label matrix and cached partitions
         # in place instead of re-preprocessing the grown relation.
         self.context = ExecutionContext(
             relation,
@@ -158,7 +158,6 @@ class IncrementalEulerFD:
                         self.config.dedupe_clusters
                     ),
                     pool=self.pool,
-                    backend=self.context.backend,
                 )
                 while sampler.has_more():
                     violations, stats = sampler.run_pass()
@@ -220,9 +219,7 @@ class IncrementalEulerFD:
         counter(INCREMENTAL_PAIRS_COMPARED, int(rows_a.size))
         metric_inc(INCREMENTAL_PAIRS_COMPARED, float(rows_a.size))
         if rows_a.size:
-            masks = agree_masks_sharded(
-                self.pool, data, rows_a, rows_b, backend=self.context.backend
-            )
+            masks = agree_masks_sharded(self.pool, data, rows_a, rows_b)
             for agree in masks:
                 self._admit(agree, self._universe & ~agree, pending)
         return pending

@@ -69,7 +69,7 @@ class ClusterState:
         self.rows = rows
         self.row_index = np.asarray(rows, dtype=np.intp)
         """``rows`` as an index array: window pair endpoints are plain
-        slices of it, so each sample hands the backend kernels zero-copy
+        slices of it, so each sample hands the agree-mask kernel zero-copy
         views instead of rebuilding two Python lists."""
         self.window = initial_window
         self.history: deque[float] = deque(maxlen=history)
@@ -152,18 +152,12 @@ class SamplingModule:
         config: EulerFDConfig,
         clusters: list[tuple[int, ...]] | None = None,
         pool: WorkerPool | None = None,
-        backend: object | None = None,
     ) -> None:
         self.data = data
         self.config = config
         # The execution context's worker pool; None (standalone use)
         # means the serial agree-mask kernel, exactly as before.
         self._pool = pool
-        # The execution context's validation backend; when set, its
-        # agree-mask kernel replaces the relation's generic one (the
-        # columnar backend decodes bit-packed masks without a Python
-        # per-pair loop).  None keeps the historical matrix path.
-        self._backend = backend
         self._universe = attrset.universe(data.num_columns)
         # The driver passes the execution context's shared (deduplicated)
         # cluster list; standalone use falls back to collecting it here.
@@ -371,11 +365,7 @@ class SamplingModule:
         new_count = 0
         seen = self._seen
         if self._pool is not None:
-            masks = agree_masks_sharded(
-                self._pool, self.data, rows_a, rows_b, backend=self._backend
-            )
-        elif self._backend is not None:
-            masks = self._backend.agree_masks(self.data, rows_a, rows_b)
+            masks = agree_masks_sharded(self._pool, self.data, rows_a, rows_b)
         else:
             masks = self.data.agree_masks_bulk(rows_a, rows_b)
         for agree in masks:

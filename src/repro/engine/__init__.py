@@ -9,21 +9,17 @@ validation work behind a pluggable :class:`Backend`:
 * :meth:`ExecutionContext.validate_many` — batched candidate validation
   that folds group keys once per distinct LHS and reuses them across
   RHSs;
-* :class:`NumpyBackend` / :class:`PythonBackend` /
-  :class:`ColumnarBackend` — the vectorized kernels, a pure-Python
-  fallback, and fused kernels over the dictionary-encoded columnar
-  matrix (:mod:`repro.engine.columnar`), selectable per call, via
-  ``--backend`` on the CLIs, or the ``REPRO_BACKEND`` environment
-  variable;
+* :class:`NumpyBackend` / :class:`PythonBackend` — the vectorized
+  kernels over the narrow row-major label matrix and a dict-based
+  pure-Python oracle, selectable per call, via ``--backend`` on the CLIs,
+  or the ``REPRO_BACKEND`` environment variable;
 * :class:`WorkerPool` (:mod:`repro.engine.parallel`) — sharded
   pair-sampling and validation across serial/thread/process executors,
   selected via ``--jobs`` on the CLIs or the ``REPRO_JOBS`` environment
-  variable, with the label matrix shipped to process workers once over
-  shared memory (:mod:`repro.engine.shm`) — or, for the columnar
-  backend, the encoded matrix written once to a memory-mapped temp
-  file that workers attach to without any copy; chunk plans are fixed
-  and merges happen by chunk index, so results are byte-identical at
-  any worker count.
+  variable, with the label matrix written once to a memory-mapped temp
+  file that process workers attach to without any copy
+  (:mod:`repro.engine.shm`); chunk plans are fixed and merges happen by
+  chunk index, so results are byte-identical at any worker count.
 
 Callers running several algorithms over one dataset install a shared
 context with :func:`use_context`; ``discover(relation)`` implementations
@@ -33,7 +29,6 @@ resolve it through :func:`acquire_context` and keep their signature.
 from .backends import (
     BACKEND_ENV,
     Backend,
-    ColumnarBackend,
     NumpyBackend,
     PythonBackend,
     backend_names,
@@ -62,7 +57,6 @@ from .store import DEFAULT_CACHE_SIZE, PartitionStore
 __all__ = [
     "BACKEND_ENV",
     "Backend",
-    "ColumnarBackend",
     "DEFAULT_CACHE_SIZE",
     "ExecutionContext",
     "JOBS_ENV",

@@ -6,25 +6,21 @@ groups, and extract a witnessing row pair — so the *strategy* (vectorized
 numpy vs pure Python) is swappable underneath an unchanged
 :class:`~repro.engine.context.ExecutionContext` API.
 
-Three implementations ship:
+Two implementations ship:
 
-* :class:`NumpyBackend` — today's vectorized kernels from
-  :mod:`repro.relation.validate`, moved behind the protocol.  The
-  default.
-* :class:`PythonBackend` — a dict-based pure-Python fallback with no
-  numpy fast path.  Slower but dependency-light on the hot kernels, and
-  the cross-check that keeps the vectorized code honest (the CI engine
-  job runs the whole suite under ``REPRO_BACKEND=python``).
-* :class:`ColumnarBackend` — fused kernels over the columnar
-  :class:`~repro.relation.preprocess.EncodedMatrix`
-  (:mod:`repro.engine.columnar`): radix group-key folds over narrow
-  dtypes, sort-free constancy checks, and bit-packed agree masks.
-  Declares ``needs_encoded`` so the execution layer materializes the
-  encoding once (``prepare``) and ships it to process workers over an
-  mmap-backed file instead of the shared-memory matrix copy.
+* :class:`NumpyBackend` — the vectorized kernels of
+  :mod:`repro.relation.validate` (radix group-key fold, scatter
+  constancy check, stable-sort witness) over the narrow row-major label
+  matrix.  The default.
+* :class:`PythonBackend` — a dict-based pure-Python oracle with no
+  numpy fast path.  Slower, but it shares no code with the vectorized
+  kernels, which is what makes it the cross-check that keeps them honest
+  (the CI engine job runs the whole suite under ``REPRO_BACKEND=python``).
 
-Selection order: explicit argument, then the ``REPRO_BACKEND``
-environment variable, then numpy.
+Both read only ``matrix`` and ``cardinalities`` of the relation, so
+worker processes run them against a bare
+:class:`~repro.engine.shm.MatrixView`.  Selection order: explicit
+argument, then the ``REPRO_BACKEND`` environment variable, then numpy.
 """
 
 from __future__ import annotations
@@ -33,23 +29,8 @@ import os
 from typing import Protocol, runtime_checkable
 
 from ..fd import attrset
-from ..relation.preprocess import (
-    PreprocessedRelation,
-    agree_masks_from_matrix,
-)
-from ..relation.validate import (
-    constant_within_groups,
-    group_keys,
-    rhs_labels,
-    violation_within_groups,
-)
-from .columnar import (
-    agree_masks_from_encoded,
-    encoded_constant_on,
-    encoded_group_keys,
-    encoded_of,
-    encoded_witness,
-)
+from ..relation.preprocess import PreprocessedRelation
+from ..relation.validate import constant_on, fold_group_keys, witness
 
 BACKEND_ENV = "REPRO_BACKEND"
 """Environment variable naming the default backend."""
@@ -64,14 +45,7 @@ class Backend(Protocol):
     ``group_keys`` returns an opaque per-row grouping (rows share a key
     iff they agree on every LHS attribute); ``constant_on`` and
     ``witness`` consume that object, so a backend may pick whatever
-    representation folds fastest for it.  ``agree_masks`` is the
-    sampling-side kernel: bitmasks of agreeing attributes for a batch of
-    tuple pairs, bit-identical across backends.
-
-    Backends that validate over a representation other than the int64
-    label matrix additionally set ``needs_encoded = True`` and implement
-    ``prepare(data)`` to materialize it; the execution layer resolves
-    both via ``getattr`` so plain matrix backends need neither.
+    representation folds fastest for it.
     """
 
     name: str
@@ -89,11 +63,6 @@ class Backend(Protocol):
     ) -> tuple[int, int] | None:
         """A row pair sharing a key but differing on ``rhs``, or None."""
 
-    def agree_masks(
-        self, data: PreprocessedRelation, rows_a: object, rows_b: object
-    ) -> list[int]:
-        """Agree bitmasks of many tuple pairs, in pair order."""
-
 
 class NumpyBackend:
     """The vectorized kernels of :mod:`repro.relation.validate`."""
@@ -101,38 +70,29 @@ class NumpyBackend:
     name = "numpy"
 
     def group_keys(self, data: PreprocessedRelation, lhs: int) -> object:
-        """Guarded positional fold into dense int64 keys.
+        """Guarded radix fold into dense group keys.
 
         Pure: delegates to the read-only numpy kernel.
         """
-        return group_keys(data, lhs)
+        return fold_group_keys(data, lhs)
 
     def constant_on(
         self, data: PreprocessedRelation, keys: object, rhs: int
     ) -> bool:
-        """Two ``np.unique`` counts after the guarded RHS fold.
+        """Sort-free scatter/gather representative check.
 
         Pure: a read-only comparison.
         """
-        return constant_within_groups(keys, rhs_labels(data, rhs))
+        return constant_on(data, keys, rhs)
 
     def witness(
         self, data: PreprocessedRelation, keys: object, rhs: int
     ) -> tuple[int, int] | None:
-        """Stable-sort scan for an adjacent conflicting pair.
+        """Stable-sort scan, entered only for violated candidates.
 
         Pure: a read-only scan.
         """
-        return violation_within_groups(keys, rhs_labels(data, rhs))
-
-    def agree_masks(
-        self, data: PreprocessedRelation, rows_a: object, rows_b: object
-    ) -> list[int]:
-        """Vectorized row comparison over the int64 label matrix.
-
-        Pure: delegates to the read-only matrix kernel.
-        """
-        return agree_masks_from_matrix(data.matrix, rows_a, rows_b)
+        return witness(data, keys, rhs)
 
 
 class PythonBackend:
@@ -186,76 +146,8 @@ class PythonBackend:
                 return seen[0], row
         return None
 
-    def agree_masks(
-        self, data: PreprocessedRelation, rows_a: object, rows_b: object
-    ) -> list[int]:
-        """Delegates to the shared matrix kernel.
-
-        Agree masks are defined representation-independently, so the
-        pure-Python backend keeps the one vectorized sampling kernel all
-        matrix backends share rather than degrading the samplers.
-
-        Pure: delegates to the read-only matrix kernel.
-        """
-        return agree_masks_from_matrix(data.matrix, rows_a, rows_b)
-
-
-class ColumnarBackend:
-    """Fused kernels over the columnar :class:`EncodedMatrix` encoding.
-
-    Group keys fold radix-style over the narrow encoded columns,
-    constancy is a sort-free scatter/gather check, witnesses fall back
-    to a stable-sort scan only for genuinely violated candidates, and
-    agree masks compare contiguous narrow columns with a bit-packed
-    decode (:mod:`repro.engine.columnar`).  FD sets are bit-identical to
-    the numpy backend's; only witness pairs may differ (as they already
-    do between numpy and python), which the algorithms tolerate.
-    """
-
-    name = "columnar"
-
-    needs_encoded = True
-    """The execution layer materializes (and, for process pools,
-    mmap-publishes) the encoded matrix for this backend."""
-
-    def prepare(self, data: PreprocessedRelation) -> None:
-        """Materialize the columnar encoding once, ahead of the kernels.
-
-        Called by :class:`~repro.engine.context.ExecutionContext` inside
-        the preprocess span so the encode cost lands in the preprocessing
-        phase's memory attribution rather than the first validation.
-        """
-        encoded_of(data)
-
-    def group_keys(self, data: PreprocessedRelation, lhs: int) -> object:
-        """Guarded radix fold into dense uint64 keys.
-
-        May materialize the cached encoding on first use (prepare
-        normally did already); the relation's labels are never mutated.
-        """
-        return encoded_group_keys(encoded_of(data), list(attrset.to_indices(lhs)))
-
-    def constant_on(
-        self, data: PreprocessedRelation, keys: object, rhs: int
-    ) -> bool:
-        """Sort-free scatter/gather representative check."""
-        return encoded_constant_on(encoded_of(data), keys, rhs)
-
-    def witness(
-        self, data: PreprocessedRelation, keys: object, rhs: int
-    ) -> tuple[int, int] | None:
-        """Stable-sort scan, entered only for violated candidates."""
-        return encoded_witness(encoded_of(data), keys, rhs)
-
-    def agree_masks(
-        self, data: PreprocessedRelation, rows_a: object, rows_b: object
-    ) -> list[int]:
-        """Column-at-a-time comparison with bit-packed mask decode."""
-        return agree_masks_from_encoded(encoded_of(data), rows_a, rows_b)
-
 
 _BACKENDS: dict[str, type] = {
-    "columnar": ColumnarBackend,
     "numpy": NumpyBackend,
     "python": PythonBackend,
 }

@@ -86,13 +86,6 @@ class ExecutionContext:
             self.data: PreprocessedRelation = preprocess(
                 relation, null_equals_null, delta=delta
             )
-            # Representation-specific preparation (the columnar backend
-            # materializes its EncodedMatrix here) is preprocessing:
-            # inside the span, its cost lands in this phase's time and
-            # memory attribution.
-            prepare = getattr(self.backend, "prepare", None)
-            if prepare is not None:
-                prepare(self.data)
         self.partitions = PartitionStore(
             self.data, cache_size=cache_size, max_bytes=max_cache_bytes
         )
@@ -125,13 +118,13 @@ class ExecutionContext:
         """Ingest a batch of new rows, keeping every derived layer warm.
 
         The change-batch API of the delta engine (DESIGN.md §12): the
-        preprocessed relation, the columnar encoding (when the backend
-        materialized one) and the partition store are all extended in
-        place — O(batch) work, no re-encoding, no partition rebuilds —
-        and the returned :class:`AppendDelta` tells callers exactly which
-        clusters the new rows landed in.  Sampling-cluster lists are
-        re-listed lazily from the delta-maintained partitions on next
-        use (pointer-level work; the partitions themselves stay warm).
+        preprocessed relation (label matrix included) and the partition
+        store are both extended in place — O(batch) work, no re-encoding,
+        no partition rebuilds — and the returned :class:`AppendDelta`
+        tells callers exactly which clusters the new rows landed in.
+        Sampling-cluster lists are re-listed lazily from the
+        delta-maintained partitions on next use (pointer-level work; the
+        partitions themselves stay warm).
 
         Mutates: self
         """

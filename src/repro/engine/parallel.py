@@ -28,7 +28,7 @@ Execution modes, selected via ``--jobs`` on the CLIs or ``$REPRO_JOBS``:
                             (including traces) is bit-for-bit the pre-parallel
                             code path
 ``N`` / ``process:N``       ``ProcessPoolExecutor`` with N workers; the label
-                            matrix ships once via shared memory
+                            matrix ships once via a memory-mapped file
                             (:mod:`repro.engine.shm`), tasks carry only row
                             indices
 ``thread:N``                ``ThreadPoolExecutor`` with N workers; no matrix
@@ -38,7 +38,7 @@ Execution modes, selected via ``--jobs`` on the CLIs or ``$REPRO_JOBS``:
 
 Pools are cached per spec (:func:`get_pool`) so repeated contexts reuse
 one executor, and every pool is closed at interpreter exit — shutting
-down executors and unlinking published shared-memory segments.
+down executors and unlinking published matrix files.
 """
 
 from __future__ import annotations
@@ -70,14 +70,7 @@ from ..relation.preprocess import (
     agree_masks_from_matrix,
     distinct_agree_masks_range,
 )
-from .columnar import agree_masks_from_encoded, encoded_of
-from .shm import (
-    publish_encoded,
-    publish_matrix,
-    resolve_encoded,
-    resolve_matrix,
-    resolve_view,
-)
+from .shm import InlineMatrix, MatrixView, publish_matrix, resolve_matrix
 
 JOBS_ENV = "REPRO_JOBS"
 """Environment variable supplying the default worker-pool spec."""
@@ -220,14 +213,6 @@ def _agree_masks_task(
     return _timed(agree_masks_from_matrix, matrix, list(rows_a), list(rows_b))
 
 
-def _agree_masks_encoded_task(
-    handle: object, rows_a: Sequence[int], rows_b: Sequence[int]
-) -> tuple[list[int], float]:
-    """Worker: agree masks of one pair chunk over the columnar encoding."""
-    encoded = resolve_encoded(handle)
-    return _timed(agree_masks_from_encoded, encoded, list(rows_a), list(rows_b))
-
-
 def _distinct_masks_task(
     handle: object, start: int, stop: int
 ) -> tuple[list[int], float]:
@@ -238,6 +223,7 @@ def _distinct_masks_task(
 
 def _validate_task(
     handle: object,
+    cardinalities: tuple[int, ...],
     backend_name: str,
     groups: list[tuple[int, list[tuple[int, int]]]],
     witnesses: bool,
@@ -253,7 +239,7 @@ def _validate_task(
     from .backends import get_backend
 
     start = monotonic()
-    data = resolve_view(handle)
+    data = MatrixView(resolve_matrix(handle), cardinalities)
     backend = get_backend(backend_name)
     out: list[tuple[int, bool, tuple[int, int] | None]] = []
     for lhs, members in groups:
@@ -281,8 +267,8 @@ class WorkerPool:
     """A deterministic chunk executor with a published-matrix cache.
 
     The pool owns three things: the (lazily created) executor, the
-    shared-memory publications of label matrices it has shipped to
-    process workers, and the busy-time/task accounting surfaced as
+    mmap publications of label matrices it has shipped to process
+    workers, and the busy-time/task accounting surfaced as
     ``engine.parallel.*`` telemetry and ``parallel_efficiency``.
     """
 
@@ -291,7 +277,7 @@ class WorkerPool:
         self._executor: Executor | None = None
         # id(matrix) -> (weakref to the matrix, handle, cleanup); the id
         # is re-validated through the weakref so a recycled id can never
-        # alias a dead matrix's segment.
+        # alias a dead matrix's file.
         self._published: dict[int, tuple[weakref.ref, object, Callable[[], None]]] = {}
         self.tasks_dispatched = 0
         self.chunks_dispatched = 0
@@ -393,62 +379,34 @@ class WorkerPool:
         """The transport handle workers resolve the matrix through.
 
         Serial and thread pools hand the array over in-process; process
-        pools publish it into shared memory once (pickle fallback when
-        the platform lacks it) and reuse the publication for the
-        matrix's lifetime.
+        pools publish it once to an mmap-backed temp file (inline
+        fallback when the temp dir is unwritable) and reuse the
+        publication for the matrix's lifetime.
         """
-        from .shm import InlineMatrix
-
         if self.kind != PROCESS:
             return InlineMatrix(matrix)
-        return self._publish_once(matrix, publish_matrix)
-
-    def encoded_handle(self, encoded: Any) -> object:
-        """The transport handle workers resolve an encoded matrix through.
-
-        The columnar counterpart of :meth:`matrix_handle`: serial and
-        thread pools hand the encoding over in-process; process pools
-        write it once to an mmap-backed temp file (inline fallback when
-        the temp dir is unwritable) and reuse the publication for the
-        encoding's lifetime.
-        """
-        from .shm import InlineEncoded
-
-        if self.kind != PROCESS:
-            return InlineEncoded(encoded)
-        return self._publish_once(encoded, publish_encoded)
-
-    def _publish_once(
-        self, payload: Any, publish: Callable[[Any], tuple[object, Callable[[], None]]]
-    ) -> object:
-        """Publish ``payload`` once and reuse the handle until it dies."""
         if self._closed:
             # A closed pool must fail loudly here: publishing would
-            # orphan the segment/file (close() already ran and never
-            # reruns), turning a stale-context bug into a resource leak.
+            # orphan the file (close() already ran and never reruns),
+            # turning a stale-context bug into a resource leak.
             raise RuntimeError("worker pool is closed")
-        key = id(payload)
+        key = id(matrix)
         entry = self._published.get(key)
-        if entry is not None and entry[0]() is payload:
+        if entry is not None and entry[0]() is matrix:
             return entry[1]
-        handle, cleanup = publish(payload)
+        handle, cleanup = publish_matrix(matrix)
 
         def _forget(_ref: weakref.ref, key: int = key) -> None:
             self._published.pop(key, None)
             cleanup()
 
-        try:
-            ref = weakref.ref(payload, _forget)
-        except TypeError:  # pragma: no cover - non-weakrefable buffers
-            ref = (lambda m: (lambda: m))(payload)  # keep alive instead
-        self._published[key] = (ref, handle, cleanup)
+        self._published[key] = (weakref.ref(matrix, _forget), handle, cleanup)
         return handle
 
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the executor down and unlink every publication — shm
-        segments and mmap-backed encoded files alike.
+        """Shut the executor down and unlink every published matrix file.
 
         Mutates: self
         """
@@ -458,9 +416,9 @@ class WorkerPool:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        # Every segment must get its unlink attempt: close() never reruns
+        # Every file must get its unlink attempt: close() never reruns
         # (_closed is already set), so aborting this loop on the first
-        # failing cleanup would orphan every segment after it.
+        # failing cleanup would orphan every file after it.
         error: Exception | None = None
         for _, _, cleanup in list(self._published.values()):
             try:
@@ -515,7 +473,7 @@ def get_pool(jobs: "int | str | PoolSpec | None" = None) -> WorkerPool:
 
 
 def close_all_pools() -> None:
-    """Close every cached pool (executors down, shm segments unlinked)."""
+    """Close every cached pool (executors down, matrix files unlinked)."""
     error: Exception | None = None
     for pool in list(_POOLS.values()):
         try:
@@ -538,7 +496,6 @@ def agree_masks_sharded(
     data: Any,
     rows_a: Sequence[int],
     rows_b: Sequence[int],
-    backend: Any = None,
 ) -> list[int]:
     """Agree masks of a tuple-pair list, fanned out across the pool.
 
@@ -548,23 +505,11 @@ def agree_masks_sharded(
     :data:`MIN_PAIRS_PER_WORKER` pairs — run inline: the comparison is
     one vectorized numpy call and not worth a dispatch.
 
-    ``backend`` selects the mask kernel: ``None`` keeps the historical
-    matrix path bit-for-bit; a backend with ``needs_encoded`` (columnar)
-    computes masks over the encoding, shipping it to process workers via
-    the mmap path instead of the shared-memory matrix copy.  Mask values
-    are identical either way.
-
     Borrows: pool
     """
     if pool.is_serial or len(rows_a) < pool.jobs * MIN_PAIRS_PER_WORKER:
-        if backend is not None:
-            return backend.agree_masks(data, rows_a, rows_b)
         return data.agree_masks_bulk(rows_a, rows_b)
     chunks = chunk_pairs(list(rows_a), list(rows_b), pool.jobs * CHUNKS_PER_WORKER)
-    if backend is not None and getattr(backend, "needs_encoded", False):
-        handle = pool.encoded_handle(encoded_of(data))
-        tasks = [(handle, chunk_a, chunk_b) for chunk_a, chunk_b in chunks]
-        return merge_chunked(pool.map_chunks(_agree_masks_encoded_task, tasks))
     handle = pool.matrix_handle(data.matrix)
     tasks = [(handle, chunk_a, chunk_b) for chunk_a, chunk_b in chunks]
     return merge_chunked(pool.map_chunks(_agree_masks_task, tasks))
@@ -617,20 +562,14 @@ def validate_groups_sharded(
     Groups are chunked contiguously in sorted-LHS order and merged by
     chunk index; each group's keys are folded exactly once inside one
     worker (a group never straddles chunks), preserving the serial
-    fold-per-distinct-LHS accounting.  Backends that validate over the
-    columnar encoding receive it via the mmap path; matrix backends keep
-    the shared-memory copy.
+    fold-per-distinct-LHS accounting.  Workers get the matrix through
+    the pool's transport and the per-column cardinalities in the task.
 
     Borrows: pool
     """
-    from .backends import get_backend
-
-    if getattr(get_backend(backend_name), "needs_encoded", False):
-        handle = pool.encoded_handle(encoded_of(data))
-    else:
-        handle = pool.matrix_handle(data.matrix)
+    handle = pool.matrix_handle(data.matrix)
     tasks = [
-        (handle, backend_name, groups[start:stop], witnesses)
+        (handle, data.cardinalities, backend_name, groups[start:stop], witnesses)
         for start, stop in chunk_ranges(len(groups), pool.jobs * CHUNKS_PER_WORKER)
     ]
     return merge_chunked(pool.map_chunks(_validate_task, tasks))

@@ -1,40 +1,28 @@
-"""Shared-memory transport for the preprocessed label matrix (DESIGN.md §9).
+"""The worker transport for the preprocessed label matrix (DESIGN.md §9).
 
 Process workers of :mod:`repro.engine.parallel` need read access to the
 label matrix every kernel runs against.  Pickling the matrix into every
-task would ship ``rows × columns × 8`` bytes per chunk; instead the
-coordinator *publishes* the matrix once into a POSIX shared-memory
-segment (``multiprocessing.shared_memory``) and tasks carry only a tiny
-:class:`SharedMatrixRef` descriptor.  Workers attach lazily and cache the
-attachment per process, so after the first task the matrix costs nothing
-to reach.
+task would ship ``rows × columns × itemsize`` bytes per chunk; instead
+the coordinator *publishes* the matrix once to a memory-mapped file
+under the temp directory (``repro_mmap_<pid>_<n>``) and tasks carry only
+a tiny :class:`MmapMatrixRef` descriptor.  Workers map the file
+read-only and cache the attachment per process: the kernel shares the
+page cache across every worker, so there is no per-worker copy, just a
+zero-copy ``np.frombuffer`` view.
 
-Three handle flavors cover every execution mode:
+Two handle flavors cover every execution mode:
 
 * :class:`InlineMatrix` — the array itself, for serial and thread pools
-  (same address space, nothing to ship);
-* :class:`SharedMatrixRef` — name + shape + dtype of a published
-  segment, for process pools;
-* :class:`PickledMatrix` — the raw bytes, the fallback when
-  ``shared_memory`` is unavailable on the platform (or disabled for
-  tests); the executor's own pickling ships it once per task.
+  (same address space, nothing to ship), and the degradation path for
+  process pools when the temp dir is unwritable (the executor's own
+  pickling then ships it once per task);
+* :class:`MmapMatrixRef` — path + shape + dtype of a published file.
 
-The columnar :class:`~repro.relation.preprocess.EncodedMatrix` travels a
-second, cheaper road: :func:`publish_encoded` writes the encoded columns
-once to a memory-mapped file under the temp directory
-(``repro_mmap_*``), and workers attach with ``mmap`` — the kernel shares
-the page cache across every worker, so there is no per-segment copy at
-all, just zero-copy ``np.frombuffer`` views.  Handles mirror the matrix
-flavors: :class:`InlineEncoded` (serial/thread, and the degradation path
-when the temp dir is unwritable — the executor's pickling ships it per
-task) and :class:`MmapEncodedRef`.
-
-Lifecycle: :func:`publish_matrix` / :func:`publish_encoded` return the
-handle plus a cleanup callable that closes *and unlinks* the segment or
-file.  The worker pool owning the publication runs the cleanup when it
-shuts down (and registers it with ``atexit``), so a clean interpreter
-exit leaves neither a ``/dev/shm`` segment nor a ``repro_mmap_*`` temp
-file behind — the properties the CI no-leak checks assert.
+Lifecycle: :func:`publish_matrix` returns the handle plus a cleanup
+callable that closes *and unlinks* the file.  The worker pool owning the
+publication runs the cleanup when it shuts down (and at interpreter
+exit), so a clean exit leaves no ``repro_mmap_*`` temp file behind — the
+property the CI no-leak check asserts.
 """
 
 from __future__ import annotations
@@ -48,87 +36,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs import metric_gauge_add
-from ..obs.names import MMAP_BYTES, MMAP_FILES, SHM_BYTES, SHM_SEGMENTS
-from ..relation.preprocess import EncodedMatrix
-
-try:  # pragma: no cover - import success is the normal path
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover - platforms without _posixshmem
-    resource_tracker = None  # type: ignore[assignment]
-    shared_memory = None  # type: ignore[assignment]
-
-HAVE_SHARED_MEMORY = shared_memory is not None
-"""True when ``multiprocessing.shared_memory`` imported cleanly."""
-
-SEGMENT_PREFIX = "repro_shm_"
-"""Name prefix of every segment this module creates (greppable in /dev/shm)."""
+from ..obs.names import MMAP_BYTES, MMAP_FILES
 
 MMAP_PREFIX = "repro_mmap_"
-"""Filename prefix of every mmap-backed encoded-matrix file (greppable in
-the temp directory)."""
-
-_MMAP_ALIGN = 8
-"""Column payloads start on 8-byte boundaries so every ``np.frombuffer``
-view is aligned regardless of the preceding columns' widths."""
+"""Filename prefix of every published matrix file (greppable in the temp
+directory)."""
 
 
 @dataclass(frozen=True)
 class InlineMatrix:
-    """The matrix itself — serial/thread handle, never pickled."""
+    """The matrix itself — serial/thread handle and unwritable-temp-dir
+    fallback."""
 
     matrix: np.ndarray
 
 
 @dataclass(frozen=True)
-class SharedMatrixRef:
-    """Descriptor of a published shared-memory segment."""
-
-    name: str
-    shape: tuple[int, int]
-    dtype: str
-
-
-@dataclass(frozen=True)
-class PickledMatrix:
-    """Fallback handle carrying the matrix bytes through pickle."""
-
-    payload: bytes
-    shape: tuple[int, int]
-    dtype: str
-
-
-@dataclass(frozen=True)
-class InlineEncoded:
-    """The encoded matrix itself — serial/thread handle, and the
-    degradation path for process pools without a writable temp dir (the
-    executor's own pickling then ships it once per task)."""
-
-    encoded: EncodedMatrix
-
-
-@dataclass(frozen=True)
-class MmapEncodedRef:
-    """Descriptor of a published mmap-backed encoded-matrix file."""
+class MmapMatrixRef:
+    """Descriptor of a published mmap-backed matrix file."""
 
     path: str
-    dtypes: tuple[str, ...]
-    cardinalities: tuple[int, ...]
-    num_rows: int
-    offsets: tuple[int, ...]
+    shape: tuple[int, int]
+    dtype: str
 
-
-MatrixHandle = InlineMatrix | SharedMatrixRef | PickledMatrix
-
-EncodedHandle = InlineEncoded | MmapEncodedRef
 
 _SEQUENCE = 0
-
-
-def _next_segment_name() -> str:
-    """A collision-resistant segment name, unique per (pid, counter)."""
-    global _SEQUENCE
-    _SEQUENCE += 1
-    return f"{SEGMENT_PREFIX}{os.getpid()}_{_SEQUENCE}"
 
 
 def _next_mmap_path() -> str:
@@ -140,145 +72,13 @@ def _next_mmap_path() -> str:
     )
 
 
-def _discard_segment(segment: object) -> None:
-    """Close and unlink one segment this module created.
-
-    Owns: segment via shm-segment
-    """
-    try:
-        segment.close()
-    except BufferError:  # pragma: no cover - a view still exports buf
-        # The mapping dies with the last view; unlinking below is
-        # what removes the name from /dev/shm, so never skip it.
-        pass
-    try:
-        segment.unlink()
-    except FileNotFoundError:  # pragma: no cover - already unlinked
-        pass
-
-
-def _pickled_handle(matrix: np.ndarray) -> tuple[object, Callable[[], None]]:
-    """The pickle fallback: handle carries the bytes, cleanup is a no-op."""
-    return (
-        PickledMatrix(
-            payload=matrix.tobytes(),
-            shape=(int(matrix.shape[0]), int(matrix.shape[1])),
-            dtype=str(matrix.dtype),
-        ),
-        lambda: None,
-    )
-
-
-def publish_matrix(
-    matrix: np.ndarray, *, use_shared_memory: bool | None = None
-) -> tuple[object, Callable[[], None]]:
-    """Publish ``matrix`` for process workers; return (handle, cleanup).
-
-    With shared memory available (and not explicitly disabled), the
-    matrix is copied once into a fresh segment and the returned handle is
-    a :class:`SharedMatrixRef`; the cleanup callable closes and unlinks
-    the segment and is safe to call more than once.  Otherwise the
-    fallback :class:`PickledMatrix` carries the bytes and cleanup is a
-    no-op.  A publish that fails mid-way never orphans a segment:
-    creation failures (``/dev/shm`` full, shm denied at runtime) degrade
-    to the pickle fallback, and a failure after creation discards the
-    half-built segment before re-raising.
-
-    Owns: return via call
-    """
-    if use_shared_memory is None:
-        use_shared_memory = HAVE_SHARED_MEMORY
-    if not use_shared_memory or not HAVE_SHARED_MEMORY:
-        return _pickled_handle(matrix)
-    try:
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(matrix.nbytes, 1), name=_next_segment_name()
-        )
-    except OSError:  # pragma: no cover - /dev/shm exhausted or denied
-        return _pickled_handle(matrix)
-    try:
-        view = np.ndarray(matrix.shape, dtype=matrix.dtype, buffer=segment.buf)
-        view[:] = matrix
-        handle = SharedMatrixRef(
-            name=segment.name,
-            shape=(int(matrix.shape[0]), int(matrix.shape[1])),
-            dtype=str(matrix.dtype),
-        )
-    except BaseException:
-        # e.g. a dtype/shape mismatch raised by the copy: without this
-        # the named segment would outlive the failed publish (RPR109).
-        _discard_segment(segment)
-        raise
-    done = False
-    segment_bytes = segment.size
-    metric_gauge_add(SHM_SEGMENTS, 1.0)
-    metric_gauge_add(SHM_BYTES, float(segment_bytes))
-
-    def cleanup() -> None:
-        nonlocal done
-        if done:
-            return
-        done = True
-        metric_gauge_add(SHM_SEGMENTS, -1.0)
-        metric_gauge_add(SHM_BYTES, -float(segment_bytes))
-        _discard_segment(segment)
-
-    return handle, cleanup
-
-
-# Per-process attachment cache: segment name -> (SharedMemory, ndarray).
-# Keeping the SharedMemory object referenced pins the mapping for the
-# worker's lifetime; entries die with the process.
-_ATTACHED: dict[str, tuple[object, np.ndarray]] = {}
-
-
-def _attach(ref: SharedMatrixRef) -> np.ndarray:
-    cached = _ATTACHED.get(ref.name)
-    if cached is not None:
-        return cached[1]
-    try:
-        # 3.13+: attach untracked, so no tracker ever considers unlinking
-        # a segment it does not own.
-        segment = shared_memory.SharedMemory(name=ref.name, track=False)
-    except TypeError:
-        # Pythons before 3.13 register *attachments* with the resource
-        # tracker too.  Under the fork start method (the Linux default)
-        # workers share the coordinator's tracker, so the duplicate
-        # registration is a set no-op and the coordinator's
-        # unlink+unregister on cleanup leaves the tracker clean.
-        segment = shared_memory.SharedMemory(name=ref.name)
-    array = np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=segment.buf)
-    array.setflags(write=False)
-    _ATTACHED[ref.name] = (segment, array)
-    return array
-
-
-def resolve_matrix(handle: object) -> np.ndarray:
-    """The label matrix behind any handle flavor (worker side).
-
-    Shared-memory attachments are cached per process; pickled payloads
-    are rehydrated per call (each task carries its own copy anyway).
-    """
-    if isinstance(handle, InlineMatrix):
-        return handle.matrix
-    if isinstance(handle, SharedMatrixRef):
-        return _attach(handle)
-    if isinstance(handle, PickledMatrix):
-        array = np.frombuffer(handle.payload, dtype=np.dtype(handle.dtype))
-        array = array.reshape(handle.shape)
-        array.setflags(write=False)
-        return array
-    raise TypeError(f"not a matrix handle: {handle!r}")
-
-
 class MmapSegment:
-    """One mmap-backed encoded-matrix file this process owns.
+    """One mmap-backed matrix file this process owns.
 
-    The publisher-side resource of the mmap transport.  Release protocol
+    The publisher-side resource of the transport.  Release protocol
     (RPR109 ``mmap-matrix``): ``close()`` the write handle, then
-    ``unlink()`` the temp file — mirroring the shm segment's
-    close-then-unlink order.  Workers never hold one of these; they
-    attach read-only via :func:`resolve_encoded`.
+    ``unlink()`` the temp file.  Workers never hold one of these; they
+    attach read-only via :func:`resolve_matrix`.
     """
 
     def __init__(self, path: str) -> None:
@@ -290,35 +90,21 @@ class MmapSegment:
         self.size = 0
         self._file = open(path, "wb")
 
-    def write_column(self, payload: bytes) -> int:
-        """Append one column's bytes at an 8-byte-aligned offset.
+    def write(self, payload: bytes) -> None:
+        """Write the matrix bytes and flush them down to the file.
 
-        Returns the offset the column starts at, for the handle's
-        ``offsets`` metadata.
+        The flush is required before the handle escapes to workers: a
+        small matrix fits entirely in the write handle's userspace
+        buffer, and ``mmap`` refuses the still-empty on-disk file.
 
         Mutates: self
         """
-        offset = (self.size + _MMAP_ALIGN - 1) // _MMAP_ALIGN * _MMAP_ALIGN
-        if offset > self.size:
-            self._file.write(b"\x00" * (offset - self.size))
         self._file.write(payload)
-        self.size = offset + len(payload)
-        return offset
-
-    def flush(self) -> None:
-        """Push buffered column bytes down to the file.
-
-        Required before the handle escapes to workers: a small encoding
-        fits entirely in the write handle's userspace buffer, and
-        ``mmap`` refuses the still-empty on-disk file.
-
-        Mutates: self
-        """
-        if self._file is not None:
-            self._file.flush()
+        self._file.flush()
+        self.size += len(payload)
 
     def close(self) -> None:
-        """Flush and close the write handle (idempotent).
+        """Close the write handle (idempotent).
 
         Mutates: self
         """
@@ -346,42 +132,34 @@ def _discard_mmap_segment(segment: MmapSegment) -> None:
     segment.unlink()
 
 
-def publish_encoded(
-    encoded: EncodedMatrix, *, use_mmap: bool | None = None
+def publish_matrix(
+    matrix: np.ndarray, *, use_mmap: bool = True
 ) -> tuple[object, Callable[[], None]]:
-    """Publish an encoded matrix for process workers; return (handle, cleanup).
+    """Publish ``matrix`` for process workers; return (handle, cleanup).
 
-    The encoded columns are written once to a ``repro_mmap_*`` file in
+    The matrix is written once, row-major, to a ``repro_mmap_*`` file in
     the temp directory and the returned handle is a
-    :class:`MmapEncodedRef`; workers map the file read-only, so every
-    worker shares the kernel's page cache and no per-worker copy exists.
-    The cleanup callable closes and unlinks the file and is safe to call
-    more than once.  When the temp dir is unwritable (or mmap is
-    explicitly disabled) the publish degrades to :class:`InlineEncoded`
-    — correct, just shipped per task by the executor — and a failure
-    after creation discards the half-written file before re-raising.
+    :class:`MmapMatrixRef`; the cleanup callable closes and unlinks the
+    file and is safe to call more than once.  When the temp dir is
+    unwritable (or ``use_mmap`` is False) the publish degrades to
+    :class:`InlineMatrix` — correct, just shipped per task by the
+    executor — and a failure after creation discards the half-written
+    file before re-raising.
 
     Owns: return via call
     """
-    if use_mmap is None:
-        use_mmap = True
     if not use_mmap:
-        return InlineEncoded(encoded), lambda: None
+        return InlineMatrix(matrix), lambda: None
     try:
         segment = MmapSegment(_next_mmap_path())
     except OSError:  # pragma: no cover - temp dir unwritable
-        return InlineEncoded(encoded), lambda: None
+        return InlineMatrix(matrix), lambda: None
     try:
-        offsets = tuple(
-            segment.write_column(column.tobytes()) for column in encoded.columns
-        )
-        segment.flush()
-        handle = MmapEncodedRef(
+        segment.write(np.ascontiguousarray(matrix).tobytes())
+        handle = MmapMatrixRef(
             path=segment.path,
-            dtypes=encoded.dtypes,
-            cardinalities=encoded.cardinalities,
-            num_rows=encoded.num_rows,
-            offsets=offsets,
+            shape=(int(matrix.shape[0]), int(matrix.shape[1])),
+            dtype=str(matrix.dtype),
         )
     except BaseException:
         # e.g. disk-full mid-write: without this the temp file would
@@ -405,74 +183,61 @@ def publish_encoded(
     return handle, cleanup
 
 
-# Per-process mmap attachment cache: path -> (mmap object, EncodedMatrix).
-# The mapping object pins the pages for the worker's lifetime; entries
-# die with the process (the coordinator owns the file's lifecycle).
-_MMAP_ATTACHED: dict[str, tuple[object, EncodedMatrix]] = {}
+# Per-process attachment cache: path -> (mmap object, matrix view).  The
+# mapping object pins the pages for the worker's lifetime; entries die
+# with the process (the coordinator owns the file's lifecycle).
+_ATTACHED: dict[str, tuple[object, np.ndarray]] = {}
 
 
-def _attach_encoded(ref: MmapEncodedRef) -> EncodedMatrix:
-    cached = _MMAP_ATTACHED.get(ref.path)
+def _attach(ref: MmapMatrixRef) -> np.ndarray:
+    cached = _ATTACHED.get(ref.path)
     if cached is not None:
         return cached[1]
-    if ref.num_rows == 0 or not ref.dtypes:
-        # mmap rejects empty files; zero-row columns need no backing
-        columns = tuple(
-            np.empty(0, dtype=np.dtype(name)) for name in ref.dtypes
-        )
-        encoded = EncodedMatrix(
-            columns=columns,
-            cardinalities=ref.cardinalities,
-            num_rows=ref.num_rows,
-        )
-        _MMAP_ATTACHED[ref.path] = (None, encoded)
-        return encoded
-    file = open(ref.path, "rb")
-    try:
-        mapping = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
-    finally:
-        # the mapping holds its own reference to the underlying pages
-        file.close()
-    columns = tuple(
-        np.frombuffer(
-            mapping, dtype=np.dtype(name), count=ref.num_rows, offset=offset
-        )
-        for name, offset in zip(ref.dtypes, ref.offsets)
-    )
-    encoded = EncodedMatrix(
-        columns=columns, cardinalities=ref.cardinalities, num_rows=ref.num_rows
-    )
-    _MMAP_ATTACHED[ref.path] = (mapping, encoded)
-    return encoded
+    dtype = np.dtype(ref.dtype)
+    if ref.shape[0] * ref.shape[1] == 0:
+        # mmap rejects empty files; an empty matrix needs no backing
+        mapping = None
+        array = np.empty(ref.shape, dtype=dtype)
+    else:
+        file = open(ref.path, "rb")
+        try:
+            mapping = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+        finally:
+            # the mapping holds its own reference to the underlying pages
+            file.close()
+        array = np.frombuffer(mapping, dtype=dtype).reshape(ref.shape)
+    array.setflags(write=False)
+    _ATTACHED[ref.path] = (mapping, array)
+    return array
 
 
-def resolve_encoded(handle: object) -> EncodedMatrix:
-    """The encoded matrix behind any handle flavor (worker side).
+def resolve_matrix(handle: object) -> np.ndarray:
+    """The label matrix behind any handle flavor (worker side).
 
     Mmap attachments are cached per process; inline handles hand the
-    object straight through (the executor's pickling already rebuilt it
+    array straight through (the executor's pickling already rebuilt it
     for process pools).
     """
-    if isinstance(handle, InlineEncoded):
-        return handle.encoded
-    if isinstance(handle, MmapEncodedRef):
-        return _attach_encoded(handle)
-    raise TypeError(f"not an encoded-matrix handle: {handle!r}")
+    if isinstance(handle, InlineMatrix):
+        return handle.matrix
+    if isinstance(handle, MmapMatrixRef):
+        return _attach(handle)
+    raise TypeError(f"not a matrix handle: {handle!r}")
 
 
 class MatrixView:
-    """A :class:`~repro.relation.preprocess.PreprocessedRelation` facade.
+    """What the validation kernels read of a preprocessed relation.
 
-    The validation backends only touch ``matrix`` / ``num_rows`` /
-    ``num_columns``; this minimal view lets worker processes run the
-    unchanged kernels against a resolved shared matrix without
-    reconstructing relation metadata they never read.
+    ``matrix`` plus per-column ``cardinalities`` — enough for both
+    backends, so worker processes run the unchanged kernels against a
+    resolved matrix without reconstructing relation metadata.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "cardinalities")
 
-    def __init__(self, matrix: np.ndarray) -> None:
+    def __init__(self, matrix: np.ndarray, cardinalities: tuple[int, ...]) -> None:
         self.matrix = matrix
+        self.cardinalities = cardinalities
 
     @property
     def num_rows(self) -> int:
@@ -481,42 +246,3 @@ class MatrixView:
     @property
     def num_columns(self) -> int:
         return int(self.matrix.shape[1])
-
-
-class EncodedView:
-    """The columnar counterpart of :class:`MatrixView`.
-
-    The columnar backend's kernels reach the encoding through
-    ``encoded_matrix()`` (the same accessor ``PreprocessedRelation``
-    exposes), so worker processes run them unchanged against a resolved
-    mmap attachment without relation metadata or an int64 matrix.
-    """
-
-    __slots__ = ("encoded",)
-
-    def __init__(self, encoded: EncodedMatrix) -> None:
-        self.encoded = encoded
-
-    def encoded_matrix(self) -> EncodedMatrix:
-        return self.encoded
-
-    @property
-    def num_rows(self) -> int:
-        return int(self.encoded.num_rows)
-
-    @property
-    def num_columns(self) -> int:
-        return int(self.encoded.num_columns)
-
-
-def resolve_view(handle: object) -> object:
-    """A backend-ready relation view behind any handle flavor.
-
-    Encoded handles resolve to an :class:`EncodedView` (columnar
-    kernels), matrix handles to a :class:`MatrixView` (numpy/python
-    kernels) — the dispatch worker tasks use so one task body serves
-    every backend.
-    """
-    if isinstance(handle, (InlineEncoded, MmapEncodedRef)):
-        return EncodedView(resolve_encoded(handle))
-    return MatrixView(resolve_matrix(handle))

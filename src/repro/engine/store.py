@@ -67,44 +67,19 @@ CLUSTER_OVERHEAD_BYTES = 56
 """Estimated cost per cluster tuple beyond its row references."""
 
 ROW_REF_BYTES = 8
-"""Estimated cost per row reference inside a cluster — the historical
-constant, sized for int64 label storage."""
+"""Estimated cost per row reference inside a cluster: clusters hold row
+indices (one pointer-sized slot each), never labels, so the charge is
+independent of the label matrix's width."""
 
 
-def label_width_bytes(data: object) -> int:
-    """Bytes one label occupies under ``data``'s materialized representation.
-
-    The per-grouped-row charge of the byte cost model: historically a
-    flat :data:`ROW_REF_BYTES` (an int64 word), which over-charges
-    relations served by the columnar backend — their derivation working
-    set per row is the widest *encoded* column's itemsize (1, 2, or 4
-    bytes).  Reads only an already-materialized encoding (the ``encoded``
-    property, never the encoding accessor), so matrix backends keep the
-    historical accounting to the byte.
-
-    Pure: reads representation metadata only.
-    """
-    encoded = getattr(data, "encoded", None)
-    if encoded is None:
-        return ROW_REF_BYTES
-    return max(
-        (int(column.dtype.itemsize) for column in encoded.columns),
-        default=ROW_REF_BYTES,
-    )
-
-
-def partition_cost_bytes(
-    partition: object, row_ref_bytes: int = ROW_REF_BYTES
-) -> int | None:
+def partition_cost_bytes(partition: object) -> int | None:
     """Estimated resident bytes of one cached partition, or None.
 
     A deterministic linear model over the stripped representation —
     fixed entry overhead, one tuple header per cluster,
-    ``row_ref_bytes`` per grouped row — rather than a recursive
+    :data:`ROW_REF_BYTES` per grouped row — rather than a recursive
     ``sys.getsizeof`` walk, so repeated sizing of hot partitions costs
-    two attribute reads.  ``row_ref_bytes`` is the representation-aware
-    per-row charge (:func:`label_width_bytes`); the default keeps the
-    historical int64 assumption for bare calls.  Returns None for
+    two attribute reads.  Returns None for
     objects without the stripped-partition shape (the store then falls
     back to entry-count accounting).
 
@@ -118,7 +93,7 @@ def partition_cost_bytes(
     return (
         ENTRY_OVERHEAD_BYTES
         + CLUSTER_OVERHEAD_BYTES * num_clusters
-        + row_ref_bytes * grouped
+        + ROW_REF_BYTES * grouped
     )
 
 
@@ -138,10 +113,6 @@ class PartitionStore:
         self._data = data
         self._cache_size = cache_size
         self._max_bytes = max_bytes
-        # Per-grouped-row charge under this relation's representation:
-        # 8 for the int64 matrix, the widest encoded column's itemsize
-        # (1/2/4) once the columnar backend has materialized it.
-        self._row_ref_bytes = label_width_bytes(data)
         num_rows = data.num_rows
         # π(∅): one class holding every tuple (empty when it could not
         # possibly violate anything, i.e. fewer than two rows).
@@ -152,7 +123,7 @@ class PartitionStore:
         for attribute, partition in enumerate(data.stripped):
             self._pinned[attrset.singleton(attribute)] = partition
         self._pinned_bytes = sum(
-            partition_cost_bytes(partition, self._row_ref_bytes) or 0
+            partition_cost_bytes(partition) or 0
             for partition in self._pinned.values()
         )
         self._cache: OrderedDict[int, StrippedPartition] = OrderedDict()
@@ -175,11 +146,6 @@ class PartitionStore:
     def max_bytes(self) -> int | None:
         """Byte bound on the non-pinned entries (None: entry count only)."""
         return self._max_bytes
-
-    @property
-    def row_ref_bytes(self) -> int:
-        """Per-grouped-row byte charge under the relation's representation."""
-        return self._row_ref_bytes
 
     @property
     def resident_bytes(self) -> int:
@@ -270,7 +236,6 @@ class PartitionStore:
             )
         self._data = data
         num_rows = data.num_rows
-        self._row_ref_bytes = label_width_bytes(data)
         empty = StrippedPartition.from_tuples(
             (tuple(range(num_rows)),) if num_rows > 1 else (), num_rows
         )
@@ -278,7 +243,7 @@ class PartitionStore:
         for attribute, partition in enumerate(data.stripped):
             self._pinned[attrset.singleton(attribute)] = partition
         self._pinned_bytes = sum(
-            partition_cost_bytes(partition, self._row_ref_bytes) or 0
+            partition_cost_bytes(partition) or 0
             for partition in self._pinned.values()
         )
         # new-row -> single-attribute cluster maps, built lazily per
@@ -294,7 +259,7 @@ class PartitionStore:
                 self._cache[mask] = extended
                 previous_cost = self._costs.pop(mask, 0)
                 self._cached_bytes -= previous_cost
-                cost = partition_cost_bytes(extended, self._row_ref_bytes)
+                cost = partition_cost_bytes(extended)
                 if cost is not None:
                     self._costs[mask] = cost
                     self._cached_bytes += cost
@@ -451,7 +416,7 @@ class PartitionStore:
     def _store(self, mask: int, partition: StrippedPartition) -> None:
         previous_cost = self._costs.pop(mask, 0)
         self._cached_bytes -= previous_cost
-        cost = partition_cost_bytes(partition, self._row_ref_bytes)
+        cost = partition_cost_bytes(partition)
         if cost is not None:
             self._costs[mask] = cost
             self._cached_bytes += cost

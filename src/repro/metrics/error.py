@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fd import FD
+from ..fd import FD, attrset
 from ..relation.preprocess import PreprocessedRelation
 from ..relation.validate import group_keys
 
@@ -67,14 +67,15 @@ def violation_profile(data: PreprocessedRelation, fd: FD) -> ViolationProfile:
     * ``(s^2 - Σ m_i^2) / 2``  violating pairs,
     * ``s`` violating tuples when it has >= 2 distinct values,
     * ``s - m_1`` deletions (keep the plurality value).
+
+    Both groupings — LHS groups and (LHS, RHS) cells — come from the one
+    overflow-guarded fold, so wide high-cardinality LHSs stay exact.
     """
     num_rows = data.num_rows
     if num_rows == 0:
         return ViolationProfile(fd, 0, 0, 0, 0)
     keys = group_keys(data, fd.lhs)
-    rhs = data.matrix[:, fd.rhs].astype(np.int64)
-    rhs_cardinality = int(rhs.max(initial=0)) + 1
-    combined = keys * rhs_cardinality + rhs
+    combined = group_keys(data, fd.lhs | attrset.singleton(fd.rhs))
     # Multiplicity of every (group, value) cell and of every group.
     _, cell_inverse, cell_counts = np.unique(
         combined, return_inverse=True, return_counts=True

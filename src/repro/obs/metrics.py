@@ -7,7 +7,7 @@ counters, last-value gauges and fixed-exponential-bucket histograms,
 aggregated in place and scraped on demand.  The two share the same
 contract — permanently instrumented call sites, zero overhead while
 disabled — but differ in scope: the registry is **process-global** so
-worker-pool callbacks, shm bookkeeping and store evictions on any thread
+worker-pool callbacks, transport bookkeeping and store evictions on any thread
 land in one place a Prometheus scrape can see.
 
 The front door mirrors the recorder's: module-level helpers

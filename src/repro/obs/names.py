@@ -33,15 +33,13 @@ VALIDATE_CANDIDATES = "engine.validate.candidates"
 VALIDATE_LHS_FOLDS = "engine.validate.lhs_folds"
 VALIDATE_BATCH_SECONDS = "engine.validate.batch_seconds"
 
-# -- engine: worker pool and shared memory ------------------------------------
+# -- engine: worker pool and matrix transport ---------------------------------
 
 POOL_BUSY_SECONDS = "engine.parallel.busy_seconds"
 POOL_TASKS = "engine.parallel.tasks"
 POOL_CHUNKS = "engine.parallel.chunks"
 POOL_QUEUE_DEPTH = "engine.parallel.queue_depth"
 POOL_WORKERS = "engine.parallel.workers"
-SHM_SEGMENTS = "engine.shm.segments"
-SHM_BYTES = "engine.shm.bytes"
 MMAP_FILES = "engine.mmap.files"
 MMAP_BYTES = "engine.mmap.bytes"
 
@@ -107,10 +105,8 @@ CATALOG: dict[str, str] = {
     POOL_CHUNKS: "Chunks fanned out across all dispatches",
     POOL_QUEUE_DEPTH: "Chunks awaiting completion in the current dispatch",
     POOL_WORKERS: "Workers configured on the active pool",
-    SHM_SEGMENTS: "Live shared-memory segments published by this process",
-    SHM_BYTES: "Bytes resident in live shared-memory segments",
-    MMAP_FILES: "Live mmap-backed encoded-matrix files published by this process",
-    MMAP_BYTES: "Bytes written to live mmap-backed encoded-matrix files",
+    MMAP_FILES: "Live mmap-backed label-matrix files published by this process",
+    MMAP_BYTES: "Bytes written to live mmap-backed label-matrix files",
     NCOVER_ADDED: "Non-FDs admitted to the negative cover",
     NCOVER_GENERALIZATIONS_EVICTED: "Generalizations evicted on non-FD insert",
     PCOVER_ADDED: "FDs admitted to the positive cover",

@@ -6,23 +6,15 @@ from .partition import (
     full_partition_from_labels,
     partition_from_labels,
 )
-from .preprocess import (
-    EncodedMatrix,
-    PreprocessedRelation,
-    dtype_for_cardinality,
-    encode_matrix,
-    preprocess,
-)
+from .preprocess import PreprocessedRelation, dtype_for_cardinality, preprocess
 from .relation import Relation, default_column_names
 from .validate import fd_holds, find_violation, group_keys
 
 __all__ = [
-    "EncodedMatrix",
     "PreprocessedRelation",
     "Relation",
     "StrippedPartition",
     "dtype_for_cardinality",
-    "encode_matrix",
     "default_column_names",
     "full_partition_from_labels",
     "partition_from_labels",

@@ -6,16 +6,23 @@ matters for FD discovery, never the values themselves.  The label matrix
 enables constant-time tuple-pair comparison, and the per-attribute
 stripped partitions (Definition 7) seed the sampling module.
 
+The matrix is one read-only, C-contiguous (row-major) array in the
+narrowest unsigned dtype that holds every column's labels
+(:func:`dtype_for_cardinality` of the largest column cardinality):
+pair comparison reads one contiguous row slab per tuple, and validation
+reads ``matrix[:, j]`` columns at 1, 2 or 4 bytes per cell (DESIGN.md
+§11).  NULL is ``None`` or a float NaN (any value with ``v != v``); both
+encode identically under either NULL semantics.
+
 Streaming appends (DESIGN.md §12): :meth:`PreprocessedRelation.append_rows`
-extends the label dictionaries, the label matrix, the columnar encoding
-and the per-attribute stripped partitions **in place** — O(batch) work
-per append instead of re-encoding the table.  The retained encoder state
-lives in a :class:`_DeltaState` shared by every snapshot of one append
-lineage; snapshots stay frozen and their matrix/encoded views are
-read-only prefixes of amortized-growth buffers, so an old snapshot never
-observes newer rows.  Appends are linear: only the newest snapshot may
-be appended to (a stale snapshot raises), which is what keeps the shared
-buffers single-writer.
+extends the label dictionaries, the label matrix and the per-attribute
+stripped partitions **in place** — O(batch) work per append instead of
+re-encoding the table.  The retained encoder state lives in a
+:class:`_DeltaState` shared by every snapshot of one append lineage;
+snapshots stay frozen and their matrices are read-only prefixes of one
+amortized-growth buffer, so an old snapshot never observes newer rows.
+Appends are linear: only the newest snapshot may be appended to (a stale
+snapshot raises), which is what keeps the shared buffer single-writer.
 """
 
 from __future__ import annotations
@@ -33,12 +40,12 @@ from .relation import Relation
 _NULL = object()
 """Internal sentinel distinguishing SQL NULL from the string 'None'."""
 
-_ENCODED_WIDTHS: tuple[tuple[int, "np.dtype"], ...] = (
+_LABEL_WIDTHS: tuple[tuple[int, "np.dtype"], ...] = (
     (1 << 8, np.dtype(np.uint8)),
     (1 << 16, np.dtype(np.uint16)),
     (1 << 32, np.dtype(np.uint32)),
 )
-"""Dtype ladder for dictionary-encoded columns, narrowest first."""
+"""Dtype ladder for the label matrix, narrowest first."""
 
 
 def dtype_for_cardinality(cardinality: int) -> "np.dtype":
@@ -52,111 +59,11 @@ def dtype_for_cardinality(cardinality: int) -> "np.dtype":
     """
     if cardinality < 0:
         raise ValueError(f"cardinality must be non-negative, got {cardinality}")
-    for bound, dtype in _ENCODED_WIDTHS:
+    for bound, dtype in _LABEL_WIDTHS:
         if cardinality <= bound:
             return dtype
     raise OverflowError(  # pragma: no cover - needs > 2**32 rows
         f"cardinality {cardinality} exceeds the u32 label range"
-    )
-
-
-@dataclass(frozen=True)
-class EncodedMatrix:
-    """Columnar dictionary encoding of a label matrix.
-
-    Each attribute's dense labels are stored as a contiguous 1-D array in
-    the narrowest unsigned dtype that fits the column's cardinality
-    (:func:`dtype_for_cardinality`), so kernels that walk one column at a
-    time touch 1, 2, or 4 bytes per row instead of the canonical matrix's
-    8.  Label values are identical to the matching ``matrix[:, j]`` column
-    — only the storage width changes — so equality comparisons (the only
-    operation FD discovery performs on labels) are representation-agnostic.
-    """
-
-    columns: tuple[np.ndarray, ...]
-    cardinalities: tuple[int, ...]
-    num_rows: int
-
-    @property
-    def num_columns(self) -> int:
-        return len(self.columns)
-
-    @property
-    def nbytes(self) -> int:
-        """Total resident bytes across all encoded columns."""
-        return sum(int(column.nbytes) for column in self.columns)
-
-    @property
-    def row_bytes(self) -> int:
-        """Bytes one row occupies across all encoded columns."""
-        return sum(int(column.dtype.itemsize) for column in self.columns)
-
-    @property
-    def dtypes(self) -> tuple[str, ...]:
-        """Per-column dtype names, in column order."""
-        return tuple(str(column.dtype) for column in self.columns)
-
-    def column(self, index: int) -> np.ndarray:
-        """The encoded label vector of one column."""
-        return self.columns[index]
-
-    def cardinality(self, index: int) -> int:
-        """Number of distinct labels in ``column``."""
-        return self.cardinalities[index]
-
-    def dtype_blocks(self) -> "tuple[tuple[np.ndarray, np.ndarray], ...]":
-        """Non-constant columns stacked into one 2-D block per dtype.
-
-        Each entry is ``(column_indices, block)`` where ``block[:, k]``
-        is the encoded column ``column_indices[k]``.  Pair-comparison
-        kernels gather whole blocks — one vectorized operation per
-        distinct width instead of one per column, which is what makes
-        small-batch agree-mask calls competitive with the row-slab
-        matrix kernel.  Cardinality-1 columns are excluded: their pairs
-        agree by definition.  Built lazily, cached on the instance
-        (same idiom as :attr:`PreprocessedRelation.encoded`).
-        """
-        cached = self.__dict__.get("_blocks")
-        if cached is None:
-            groups: dict[str, list[int]] = {}
-            for j, column in enumerate(self.columns):
-                if self.cardinalities[j] > 1:
-                    groups.setdefault(str(column.dtype), []).append(j)
-            cached = tuple(
-                (
-                    np.asarray(indices, dtype=np.intp),
-                    np.column_stack([self.columns[j] for j in indices]),
-                )
-                for indices in groups.values()
-            )
-            object.__setattr__(self, "_blocks", cached)
-        return cached
-
-
-def encode_matrix(matrix: np.ndarray) -> EncodedMatrix:
-    """Dictionary-encode an int64 label matrix into columnar storage.
-
-    Labels are already dense (:func:`_encode_column` assigns them in
-    first-occurrence order), so per-column cardinality is ``max + 1`` and
-    the narrowing cast is lossless by construction.  Returned columns are
-    C-contiguous and read-only.
-
-    Pure: reads the matrix only; returns a fresh encoding.
-    """
-    num_rows = int(matrix.shape[0])
-    columns = []
-    cardinalities = []
-    for j in range(int(matrix.shape[1])):
-        labels = matrix[:, j]
-        cardinality = int(labels.max()) + 1 if num_rows else 0
-        encoded = labels.astype(dtype_for_cardinality(cardinality))
-        encoded.setflags(write=False)
-        columns.append(encoded)
-        cardinalities.append(cardinality)
-    return EncodedMatrix(
-        columns=tuple(columns),
-        cardinalities=tuple(cardinalities),
-        num_rows=num_rows,
     )
 
 
@@ -171,8 +78,8 @@ class AppendDelta:
     what the partition store uses to place an appended row in its
     single-attribute cluster.  ``cardinalities`` are the post-append
     per-column distinct-label counts (labels are dense, so this is the
-    next free label).  ``promotions`` records every dtype-ladder
-    crossing as ``(column, old_dtype, new_dtype)``; ``cells_encoded``
+    next free label).  ``promotion`` is the ``(old_dtype, new_dtype)``
+    dtype-ladder crossing of the label matrix, or None; ``cells_encoded``
     counts the matrix cells dictionary-encoded by the append —
     ``num_new × columns`` by construction, the figure the no-O(N)-rebuild
     test asserts against.
@@ -183,7 +90,7 @@ class AppendDelta:
     num_rows: int
     cardinalities: tuple[int, ...]
     touched: tuple[tuple[tuple[int, ...], ...], ...]
-    promotions: tuple[tuple[int, str, str], ...]
+    promotion: tuple[str, str] | None
     cells_encoded: int
 
 
@@ -191,19 +98,18 @@ class _DeltaState:
     """Retained encoder and grouping state shared by one append lineage.
 
     One instance backs every snapshot produced by successive
-    ``append_rows`` calls: the writable amortized-growth buffers behind
-    the snapshots' read-only views, the value→label dictionaries, and
-    per-column full group membership (label → ascending member rows)
+    ``append_rows`` calls: the writable amortized-growth matrix buffer
+    behind the snapshots' read-only views, the value→label dictionaries,
+    and per-column full group membership (label → ascending member rows)
     from which stripped partitions are materialized with structural
     sharing — untouched cluster tuples are reused, never re-tupled.
     Only the newest snapshot (``size`` rows) may append, which keeps the
-    shared buffers single-writer; the state is not thread-safe.
+    shared buffer single-writer; the state is not thread-safe.
     """
 
     __slots__ = (
         "null_equals_null",
         "size",
-        "capacity",
         "matrix",
         "codes",
         "next_labels",
@@ -211,17 +117,15 @@ class _DeltaState:
         "multi",
         "grouped",
         "tuple_cache",
-        "encoded",
         "appends",
     )
 
-    def __init__(
-        self, num_rows: int, num_columns: int, null_equals_null: bool
-    ) -> None:
+    def __init__(self, matrix: np.ndarray, null_equals_null: bool) -> None:
+        num_columns = int(matrix.shape[1])
         self.null_equals_null = null_equals_null
-        self.size = 0
-        self.capacity = 0
-        self.matrix: "np.ndarray | None" = None
+        self.size = int(matrix.shape[0])
+        # capacity is the buffer's row count; rows past ``size`` are free
+        self.matrix = matrix
         self.codes: list[dict[Any, int]] = [{} for _ in range(num_columns)]
         self.next_labels: list[int] = [0] * num_columns
         # label -> member rows (ascending): the full, unstripped grouping.
@@ -236,7 +140,6 @@ class _DeltaState:
         self.tuple_cache: list[dict[int, tuple[int, ...]]] = [
             {} for _ in range(num_columns)
         ]
-        self.encoded: "list[np.ndarray] | None" = None
         self.appends = 0
 
     def adopt_column(
@@ -283,77 +186,53 @@ class _DeltaState:
             tuple(clusters), num_rows, self.grouped[j]
         )
 
-    def _reserve(self, num_rows: int, num_columns: int) -> None:
-        """Grow the amortized buffers to hold ``num_rows`` rows.
+    def _reserve(self, num_rows: int, dtype: "np.dtype") -> None:
+        """Make the buffer hold ``num_rows`` rows of ``dtype`` labels.
+
+        Reallocates on amortized growth or on a dtype-ladder crossing
+        (the whole buffer widens once); the old buffer stays intact for
+        the snapshots that still view it.
 
         Mutates: self
         """
-        if num_rows <= self.capacity:
+        capacity = int(self.matrix.shape[0])
+        if num_rows <= capacity and dtype == self.matrix.dtype:
             return
-        capacity = max(num_rows, self.capacity * 2, 16)
-        grown = np.empty((capacity, num_columns), dtype=np.int64)
+        if num_rows > capacity:
+            capacity = max(num_rows, capacity * 2, 16)
+        grown = np.empty((capacity, self.matrix.shape[1]), dtype=dtype)
         grown[: self.size] = self.matrix[: self.size]
         self.matrix = grown
-        if self.encoded is not None:
-            for j, column in enumerate(self.encoded):
-                buffer = np.empty(capacity, dtype=column.dtype)
-                buffer[: self.size] = column[: self.size]
-                self.encoded[j] = buffer
-        self.capacity = capacity
-
-    def _adopt_encoded(self, encoded: EncodedMatrix) -> None:
-        """Bootstrap growable narrow buffers from a materialized encoding.
-
-        Mutates: self
-        """
-        buffers: list[np.ndarray] = []
-        for column in encoded.columns:
-            buffer = np.empty(max(self.capacity, self.size), dtype=column.dtype)
-            buffer[: self.size] = column
-            buffers.append(buffer)
-        self.encoded = buffers
 
     def append_batch(
         self, snapshot: "PreprocessedRelation", rows: "list[tuple[Any, ...]]"
     ) -> "PreprocessedRelation":
         """Encode ``rows`` into the lineage and build the next snapshot.
 
-        Mutates: self
+        ``snapshot`` shares this state, so it turns stale here.
+
+        Mutates: self, snapshot
         """
         first_new = self.size
         num_new = len(rows)
         num_rows = first_new + num_new
         num_columns = len(self.codes)
-        if self.encoded is None:
-            encoded_prev = snapshot.encoded
-            if encoded_prev is not None:
-                self._adopt_encoded(encoded_prev)
-        self._reserve(num_rows, num_columns)
-        matrix = self.matrix
+        batch_labels: list[list[int]] = []
         touched: list[tuple[tuple[int, ...], ...]] = []
-        promotions: list[tuple[int, str, str]] = []
         partitions: list[StrippedPartition] = []
         for j in range(num_columns):
-            codes = self.codes[j]
             members = self.members[j]
             multi = self.multi[j]
             cache = self.tuple_cache[j]
-            next_label = self.next_labels[j]
+            labels, _, self.next_labels[j] = _encode_column(
+                [row[j] for row in rows],
+                self.null_equals_null,
+                self.codes[j],
+                self.next_labels[j],
+            )
+            batch_labels.append(labels)
             touched_multi: dict[int, None] = {}
-            for offset, row in enumerate(rows):
-                value = row[j]
-                if value is None and not self.null_equals_null:
-                    label = next_label
-                    next_label += 1
-                else:
-                    key = _NULL if value is None else value
-                    label = codes.get(key)
-                    if label is None:
-                        label = next_label
-                        codes[key] = label
-                        next_label += 1
-                row_index = first_new + offset
-                matrix[row_index, j] = label
+            for row_index, label in enumerate(labels, start=first_new):
                 if label == len(members):
                     members.append([row_index])
                     continue
@@ -366,23 +245,6 @@ class _DeltaState:
                     self.grouped[j] += 1
                 cache.pop(label, None)
                 touched_multi[label] = None
-            self.next_labels[j] = next_label
-            if self.encoded is not None:
-                column_buffer = self.encoded[j]
-                needed = dtype_for_cardinality(next_label)
-                if needed.itemsize > column_buffer.dtype.itemsize:
-                    # dtype-ladder crossing: the one sanctioned O(N)
-                    # moment, paid only when a column's cardinality
-                    # outgrows its width (at most twice per column ever).
-                    promoted = np.empty(self.capacity, dtype=needed)
-                    promoted[:first_new] = column_buffer[:first_new]
-                    promotions.append(
-                        (j, str(column_buffer.dtype), str(needed))
-                    )
-                    self.encoded[j] = column_buffer = promoted
-                column_buffer[first_new:num_rows] = matrix[
-                    first_new:num_rows, j
-                ]
             if touched_multi:
                 partitions.append(self.materialize(j, num_rows))
                 ordered = sorted(
@@ -399,32 +261,24 @@ class _DeltaState:
                     )
                 )
                 touched.append(())
+        previous = self.matrix.dtype
+        # dtype-ladder crossing: the one sanctioned O(N) moment, paid only
+        # when the widest column outgrows the matrix width (at most twice
+        # per lineage).
+        self._reserve(num_rows, dtype_for_cardinality(max(self.next_labels)))
+        matrix = self.matrix
+        for j, labels in enumerate(batch_labels):
+            matrix[first_new:num_rows, j] = labels
         self.size = num_rows
         self.appends += 1
-        view = matrix[:num_rows]
-        view.setflags(write=False)
-        data = PreprocessedRelation(
-            relation=snapshot.relation,
-            matrix=view,
-            stripped=tuple(partitions),
-            null_equals_null=self.null_equals_null,
+        data = _snapshot(
+            snapshot.relation,
+            matrix[:num_rows],
+            tuple(partitions),
+            tuple(self.next_labels),
+            self.null_equals_null,
         )
         object.__setattr__(data, "_delta", self)
-        if self.encoded is not None:
-            columns: list[np.ndarray] = []
-            for j in range(num_columns):
-                column_view = self.encoded[j][:num_rows]
-                column_view.setflags(write=False)
-                columns.append(column_view)
-            object.__setattr__(
-                data,
-                "_encoded",
-                EncodedMatrix(
-                    columns=tuple(columns),
-                    cardinalities=tuple(self.next_labels),
-                    num_rows=num_rows,
-                ),
-            )
         object.__setattr__(
             data,
             "_append_delta",
@@ -434,7 +288,11 @@ class _DeltaState:
                 num_rows=num_rows,
                 cardinalities=tuple(self.next_labels),
                 touched=tuple(touched),
-                promotions=tuple(promotions),
+                promotion=(
+                    None
+                    if matrix.dtype == previous
+                    else (str(previous), str(matrix.dtype))
+                ),
                 cells_encoded=num_new * num_columns,
             ),
         )
@@ -444,32 +302,19 @@ class _DeltaState:
 def _bootstrap_delta(data: "PreprocessedRelation") -> _DeltaState:
     """Reconstruct retained encoder state for a non-delta snapshot.
 
-    One O(N) pass per column — the cold-start cost that
+    One O(N) re-encode per column — the cold-start cost that
     ``preprocess(delta=True)`` avoids; every later append is O(batch)
     either way.  Only snapshots built by :func:`preprocess` ever need
     this (append-built snapshots always carry their lineage's state), so
-    ``relation.columns`` is guaranteed to match the matrix rows.
+    ``relation.columns`` is guaranteed to match the matrix rows, and the
+    deterministic encoder reproduces the matrix's labels exactly.
 
     Pure: reads the snapshot only; returns fresh state.
     """
-    num_rows = data.num_rows
-    num_columns = data.num_columns
-    state = _DeltaState(num_rows, num_columns, data.null_equals_null)
-    matrix = data.matrix
+    state = _DeltaState(data.matrix.copy(), data.null_equals_null)
     for j, column in enumerate(data.relation.columns):
-        labels = matrix[:, j].tolist()
-        codes: dict[Any, int] = {}
-        for value, label in zip(column, labels):
-            if value is None:
-                if data.null_equals_null:
-                    codes.setdefault(_NULL, label)
-                continue
-            codes.setdefault(value, label)
-        next_label = (int(max(labels)) + 1) if labels else 0
+        labels, codes, next_label = _encode_column(column, data.null_equals_null)
         state.adopt_column(j, labels, codes, next_label)
-    state.matrix = np.array(matrix, dtype=np.int64)
-    state.capacity = num_rows
-    state.size = num_rows
     return state
 
 
@@ -479,7 +324,9 @@ class PreprocessedRelation:
 
     ``matrix[i, j]`` is the dense label of tuple ``i`` on attribute ``j``;
     labels of different attributes are independent namespaces and may
-    repeat (Example 5).
+    repeat (Example 5).  ``cardinalities[j]`` is the number of distinct
+    labels of column ``j`` (labels are dense, so also its next free
+    label).
 
     Snapshots grown by :meth:`append_rows` keep ``relation`` pointing at
     the cold-start schema snapshot — row counts always come from the
@@ -489,6 +336,7 @@ class PreprocessedRelation:
     relation: Relation
     matrix: np.ndarray
     stripped: tuple[StrippedPartition, ...]
+    cardinalities: tuple[int, ...]
     null_equals_null: bool
 
     @property
@@ -505,19 +353,7 @@ class PreprocessedRelation:
 
     def cardinality(self, column: int) -> int:
         """Number of distinct labels in ``column``."""
-        if self.num_rows == 0:
-            return 0
-        encoded = self.__dict__.get("_encoded")
-        if encoded is not None:
-            # labels are dense, so the encoding's bookkeeping answers in
-            # O(1) what the matrix scan below answers in O(rows)
-            return encoded.cardinalities[column]
-        state = self.__dict__.get("_delta")
-        if state is not None and state.size == self.num_rows:
-            # newest snapshot of an append lineage: the encoder state
-            # knows the next label, i.e. the distinct count, in O(1)
-            return state.next_labels[column]
-        return int(self.matrix[:, column].max()) + 1
+        return self.cardinalities[column]
 
     def agree_mask(self, row_a: int, row_b: int) -> int:
         """Bitmask of the attributes on which two tuples share a value.
@@ -552,29 +388,6 @@ class PreprocessedRelation:
         return self.matrix[:, column]
 
     @property
-    def encoded(self) -> "EncodedMatrix | None":
-        """The columnar encoding if already materialized, else ``None``.
-
-        Side-effect-free accessor for callers (the partition-store byte
-        cost model) that must observe the representation without forcing
-        an encode.
-        """
-        return self.__dict__.get("_encoded")
-
-    def encoded_matrix(self) -> "EncodedMatrix":
-        """The columnar dictionary encoding, materialized once and cached.
-
-        Encoding is lazy so relations served by the numpy/python backends
-        never pay for (or account) the columnar copy; the columnar
-        backend materializes it via :meth:`repro.engine.backends.ColumnarBackend.prepare`.
-        """
-        cached = self.__dict__.get("_encoded")
-        if cached is None:
-            cached = encode_matrix(self.matrix)
-            object.__setattr__(self, "_encoded", cached)
-        return cached
-
-    @property
     def append_delta(self) -> "AppendDelta | None":
         """The :class:`AppendDelta` that produced this snapshot, if any.
 
@@ -585,18 +398,17 @@ class PreprocessedRelation:
     def append_rows(
         self, rows: "list[tuple[Any, ...]]"
     ) -> "PreprocessedRelation":
-        """O(batch) append: the next snapshot, sharing this one's buffers.
+        """O(batch) append: the next snapshot, sharing this one's buffer.
 
-        Extends the label dictionaries, the label matrix, the columnar
-        encoding (when already materialized on this snapshot) and the
-        stripped partitions with the new rows — never re-encoding
-        existing ones.  The returned snapshot's :attr:`append_delta`
-        describes what changed; ``self`` stays valid as a read-only view
-        of the pre-append prefix, but becomes *stale*: appends are
-        linear, and only the lineage's newest snapshot may grow again.
-        A snapshot preprocessed without ``delta=True`` pays a one-time
-        O(N) state bootstrap here; steady-state appends are O(batch)
-        plus pointer-level cluster relisting either way.
+        Extends the label dictionaries, the label matrix and the stripped
+        partitions with the new rows — never re-encoding existing ones.
+        The returned snapshot's :attr:`append_delta` describes what
+        changed; ``self`` stays valid as a read-only view of the
+        pre-append prefix, but becomes *stale*: appends are linear, and
+        only the lineage's newest snapshot may grow again.  A snapshot
+        preprocessed without ``delta=True`` pays a one-time O(N) state
+        bootstrap here; steady-state appends are O(batch) plus
+        pointer-level cluster relisting either way.
 
         Mutates: self
         """
@@ -651,10 +463,11 @@ def agree_masks_from_matrix(
 ) -> list[int]:
     """Agree masks of tuple pairs over a bare label matrix, in pair order.
 
-    The matrix-level core of :meth:`PreprocessedRelation.agree_masks_bulk`,
-    factored out so worker processes of the parallel execution engine can
-    run it against a shared-memory view of the matrix without rebuilding a
-    :class:`PreprocessedRelation`.
+    The one agree-mask kernel: it gathers the two row slabs, compares
+    them and bit-packs the result.  Factored out of
+    :meth:`PreprocessedRelation.agree_masks_bulk` so worker processes of
+    the parallel execution engine run it against their view of the
+    published matrix without rebuilding a :class:`PreprocessedRelation`.
 
     Pure: reads the matrix and row lists only; returns a fresh list.
     """
@@ -690,6 +503,28 @@ def distinct_agree_masks_range(
     return list(seen)
 
 
+def _snapshot(
+    relation: Relation,
+    matrix: np.ndarray,
+    stripped: tuple[StrippedPartition, ...],
+    cardinalities: tuple[int, ...],
+    null_equals_null: bool,
+) -> PreprocessedRelation:
+    """A frozen snapshot over a read-only view of ``matrix``.
+
+    Pure: wraps a fresh view; the caller's buffer stays writable.
+    """
+    view = matrix.view()
+    view.setflags(write=False)
+    return PreprocessedRelation(
+        relation=relation,
+        matrix=view,
+        stripped=stripped,
+        cardinalities=cardinalities,
+        null_equals_null=null_equals_null,
+    )
+
+
 def preprocess(
     relation: Relation, null_equals_null: bool = True, delta: bool = False
 ) -> PreprocessedRelation:
@@ -698,7 +533,8 @@ def preprocess(
     ``null_equals_null`` selects NULL semantics: when True (the classic
     FD-discovery convention, used by Tane and HyFD) all NULLs of a column
     share one label; when False every NULL receives a fresh label and
-    never agrees with anything, including another NULL.
+    never agrees with anything, including another NULL.  ``None`` and
+    float NaN are both NULL.
 
     ``delta=True`` retains the per-column encoder dictionaries and group
     membership lists so that :meth:`PreprocessedRelation.append_rows`
@@ -710,62 +546,70 @@ def preprocess(
     num_columns = relation.num_columns
     if num_columns == 0:
         raise ValueError("cannot preprocess a relation without columns")
-    matrix = np.empty((num_rows, num_columns), dtype=np.int64)
+    # u32 staging holds any label; the matrix narrows once all column
+    # cardinalities are known.
+    staging = np.empty((num_rows, num_columns), dtype=np.uint32)
+    state = _DeltaState(staging, null_equals_null) if delta else None
+    cardinalities = []
     partitions = []
-    state = _DeltaState(num_rows, num_columns, null_equals_null) if delta else None
     for j, column in enumerate(relation.columns):
         labels, codes, next_label = _encode_column(column, null_equals_null)
-        matrix[:, j] = labels
+        staging[:, j] = labels
+        cardinalities.append(next_label)
         if state is None:
             partitions.append(partition_from_labels(labels, num_rows))
         else:
             state.adopt_column(j, labels, codes, next_label)
             partitions.append(state.materialize(j, num_rows))
-    if state is not None:
-        state.matrix = matrix
-        state.capacity = num_rows
-        state.size = num_rows
-    view = matrix[:num_rows] if state is not None else matrix
-    view.setflags(write=False)
-    data = PreprocessedRelation(
-        relation=relation,
-        matrix=view,
-        stripped=tuple(partitions),
-        null_equals_null=null_equals_null,
+    matrix = staging.astype(
+        dtype_for_cardinality(max(cardinalities)), copy=False
+    )
+    data = _snapshot(
+        relation, matrix, tuple(partitions), tuple(cardinalities), null_equals_null
     )
     if state is not None:
+        state.matrix = matrix
         object.__setattr__(data, "_delta", state)
     return data
 
 
 def _encode_column(
-    column: tuple[Any, ...], null_equals_null: bool
+    column: "tuple[Any, ...] | list[Any]",
+    null_equals_null: bool,
+    codes: "dict[Any, int] | None" = None,
+    next_label: int = 0,
 ) -> tuple[list[int], dict[Any, int], int]:
     """Assign dense labels in first-occurrence order (deterministic).
 
+    Continues from ``codes``/``next_label`` when given (the delta path
+    encoding an appended batch), else starts a fresh dictionary.
     Returns ``(labels, codes, next_label)`` — the encoder's dictionary
     and high-water mark come back alongside the labels so the delta path
     can retain them and keep encoding future appends at O(batch).
 
-    Pure: reads the column only; returns fresh state.
+    ``None`` and NaN (``v != v``) are NULL.  A NaN never matches a
+    dictionary key (it is unequal to itself, and no NaN is ever stored),
+    so the NULL test runs only on dictionary misses.
+
+    Mutates: codes
     """
-    codes: dict[Any, int] = {}
+    if codes is None:
+        codes = {}
     labels = []
-    next_label = 0
     for value in column:
-        if value is None:
-            if null_equals_null:
-                key = _NULL
-            else:
-                labels.append(next_label)
-                next_label += 1
-                continue
-        else:
-            key = value
-        label = codes.get(key)
+        label = codes.get(value)
         if label is None:
-            label = next_label
-            codes[key] = label
-            next_label += 1
+            if value is None or value != value:
+                if null_equals_null:
+                    label = codes.get(_NULL)
+                    if label is None:
+                        label = codes[_NULL] = next_label
+                        next_label += 1
+                else:
+                    label = next_label
+                    next_label += 1
+            else:
+                label = codes[value] = next_label
+                next_label += 1
         labels.append(label)
     return labels, codes, next_label

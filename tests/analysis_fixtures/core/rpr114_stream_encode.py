@@ -1,8 +1,6 @@
 """RPR114 fixture: a streaming path that re-encodes the whole relation.
 
-Both full-encode spellings the rule guards against: a bare
-``preprocess(...)`` call rebuilding the label matrix per append, and an
-``encode_matrix(...)`` call re-dictionarizing the columns.
+A bare ``preprocess(...)`` call rebuilds the label matrix per append.
 """
 
 from __future__ import annotations
@@ -11,7 +9,3 @@ from __future__ import annotations
 def per_append_reencode(relation, encoder) -> object:
     data = encoder.preprocess(relation)
     return data
-
-
-def per_append_columnar(matrix, encode_matrix) -> object:
-    return encode_matrix(matrix)

@@ -1,13 +1,13 @@
-"""RPR111 fixture: unlink before close on a shared-memory segment.
+"""RPR111 fixture: unlink before close on an mmap-backed matrix file.
 
-``SharedMemory`` is deliberately unimported: the fixture is parsed, not
-executed, and importing ``multiprocessing`` here would trip RPR105.
+``MmapSegment`` is deliberately unimported: the fixture is parsed, not
+executed.
 """
 
 from __future__ import annotations
 
 
-def teardown(size: int) -> None:
-    segment = SharedMemory(create=True, size=size)
+def teardown(path: str) -> None:
+    segment = MmapSegment(path)
     segment.unlink()
     segment.close()

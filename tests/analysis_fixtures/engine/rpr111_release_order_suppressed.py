@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 
-def teardown(size: int) -> None:
-    segment = SharedMemory(create=True, size=size)
+def teardown(path: str) -> None:
+    segment = MmapSegment(path)
     segment.unlink()  # repro-lint: disable=RPR111
     segment.close()

@@ -1,6 +1,6 @@
 """RPR108 clean variant: fold-limit guard + np.unique re-densify.
 
-Mirrors ``relation/validate.fold_labels``: every path into the fold has
+Mirrors ``relation/validate.fold_column``: every path into the fold has
 passed the false edge of a ``bound * cardinality >= _FOLD_LIMIT`` check,
 so the width analysis proves the multiply safe.
 """

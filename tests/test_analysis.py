@@ -46,7 +46,6 @@ EXPECTED_FIXTURE_RULES = {
     "core/rpr107_unordered.py": "RPR107",
     "core/rpr112_metric_name.py": "RPR112",
     "relation/rpr108_overflow.py": "RPR108",
-    "relation/rpr113_width.py": "RPR113",
     "core/rpr114_stream_encode.py": "RPR114",
     "engine/rpr109_leak.py": "RPR109",
     "engine/rpr110_use_after_release.py": "RPR110",

@@ -1,9 +1,9 @@
-"""The columnar encoded-matrix layer: encoding, fused kernels, mmap.
+"""The narrow label matrix at its edges: the mmap transport that ships it
+to process workers, degenerate relations, and the store's cost model.
 
-Equivalence is the load-bearing property here: the columnar backend must
-produce byte-identical FD sets and agree masks to the canonical int64
-kernels on every dataset, algorithm, and worker count — the encoding
-changes storage width, never label values.
+The label matrix is stored row-major in the narrowest unsigned dtype its
+widest column needs; these cases check that every path which moves or
+reads it keeps that dtype and those labels intact.
 """
 
 from __future__ import annotations
@@ -16,43 +16,18 @@ import numpy as np
 import pytest
 
 import repro.engine.parallel as parallel
-from repro.algorithms import create
 from repro.datasets import registry
-from repro.engine import (
-    ColumnarBackend,
-    ExecutionContext,
-    close_all_pools,
-    get_backend,
-    get_pool,
-    use_context,
-)
-from repro.engine import shm
-from repro.engine.columnar import (
-    agree_masks_from_encoded,
-    encoded_constant_on,
-    encoded_group_keys,
-    encoded_of,
-    encoded_witness,
-)
+from repro.engine import close_all_pools, get_pool
 from repro.engine.shm import (
-    EncodedView,
-    InlineEncoded,
-    MmapEncodedRef,
-    publish_encoded,
-    resolve_encoded,
-    resolve_view,
+    MMAP_PREFIX,
+    InlineMatrix,
+    MmapMatrixRef,
+    publish_matrix,
+    resolve_matrix,
 )
-from repro.engine.store import (
-    ROW_REF_BYTES,
-    label_width_bytes,
-    partition_cost_bytes,
-)
+from repro.engine.store import partition_cost_bytes
 from repro.relation import Relation, preprocess
-from repro.relation.preprocess import (
-    EncodedMatrix,
-    dtype_for_cardinality,
-    encode_matrix,
-)
+from repro.relation.validate import constant_on, fold_group_keys
 
 
 @pytest.fixture(autouse=True)
@@ -62,289 +37,63 @@ def fresh_pools():
     close_all_pools()
 
 
-def _encoded_of_rows(rows, names=None):
-    data = preprocess(Relation.from_rows(rows, names), True)
-    return data, data.encoded_matrix()
+def _matrix_of_rows(rows, names=None):
+    return preprocess(Relation.from_rows(rows, names), True).matrix
 
 
-# -- dtype selection -----------------------------------------------------------
-
-
-class TestDtypeSelection:
-    @pytest.mark.parametrize(
-        "cardinality,expected",
-        [
-            (0, "uint8"),
-            (1, "uint8"),
-            (256, "uint8"),
-            (257, "uint16"),
-            (65536, "uint16"),
-            (65537, "uint32"),
-            (1 << 32, "uint32"),
-        ],
-    )
-    def test_tight_ladder(self, cardinality, expected):
-        assert dtype_for_cardinality(cardinality) == np.dtype(expected)
-
-    def test_negative_cardinality_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            dtype_for_cardinality(-1)
-
-    def test_u16_to_u32_promotion_on_real_labels(self):
-        """A column crossing 65536 distinct labels promotes to uint32."""
-        wide = np.arange(65537, dtype=np.int64).reshape(-1, 1)
-        narrow = (np.arange(65537, dtype=np.int64) % 65536).reshape(-1, 1)
-        assert encode_matrix(wide).dtypes == ("uint32",)
-        assert encode_matrix(narrow).dtypes == ("uint16",)
-        # values survive the narrowing cast bit-for-bit
-        assert np.array_equal(
-            encode_matrix(wide).column(0).astype(np.int64), wide[:, 0]
-        )
-
-    def test_single_value_and_all_distinct_columns(self):
-        rows = [("k", i) for i in range(300)]
-        _, encoded = _encoded_of_rows(rows, ["const", "key"])
-        assert encoded.cardinalities == (1, 300)
-        assert encoded.dtypes == ("uint8", "uint16")
-        assert encoded.row_bytes == 3
-        assert np.array_equal(encoded.column(0), np.zeros(300, dtype=np.uint8))
-
-    def test_encoding_matches_matrix_labels(self):
-        data, encoded = _encoded_of_rows(
-            [(i % 7, i % 3, "x") for i in range(50)]
-        )
-        assert encoded.num_rows == 50
-        assert encoded.num_columns == 3
-        for j in range(3):
-            assert np.array_equal(
-                encoded.column(j).astype(np.int64), data.matrix[:, j]
-            )
-        assert encoded.nbytes == sum(c.nbytes for c in encoded.columns)
-
-    def test_encoded_matrix_is_cached_and_read_only(self):
-        data, encoded = _encoded_of_rows([(1, 2), (3, 4)])
-        assert data.encoded is encoded
-        assert data.encoded_matrix() is encoded
-        with pytest.raises(ValueError):
-            encoded.column(0)[0] = 1
-
-    def test_lazy_until_asked(self):
-        data = preprocess(Relation.from_rows([(1, 2), (3, 4)]), True)
-        assert data.encoded is None
-        data.encoded_matrix()
-        assert data.encoded is not None
-
-
-# -- null and degenerate labels ------------------------------------------------
+def _mmap_files() -> set[str]:
+    pattern = os.path.join(tempfile.gettempdir(), f"{MMAP_PREFIX}*")
+    return set(glob.glob(pattern))
 
 
 class TestNullAndDegenerateLabels:
-    ROWS = [
-        ("a", None, ""),
-        ("a", None, "x"),
-        ("b", "", ""),
-        ("b", None, "x"),
-        (None, "", None),
-    ]
-
-    @pytest.mark.parametrize("null_equals_null", [True, False])
-    def test_nan_and_empty_string_parity(self, null_equals_null):
-        """NULL/empty-string labels validate identically on all backends."""
-        relation = Relation.from_rows(self.ROWS, ["a", "b", "c"])
-        contexts = {
-            name: ExecutionContext(
-                relation, backend=name, null_equals_null=null_equals_null
-            )
-            for name in ("numpy", "python", "columnar")
-        }
-        from repro.fd import FD, attrset
-
-        universe = attrset.universe(3)
-        for lhs in range(universe + 1):
-            for rhs in range(3):
-                fd = FD(lhs & ~attrset.singleton(rhs), rhs)
-                outcomes = {
-                    name: context.fd_holds(fd)
-                    for name, context in contexts.items()
-                }
-                assert len(set(outcomes.values())) == 1, (fd, outcomes)
-
     def test_empty_relation(self):
         data = preprocess(Relation.from_rows([], ["a", "b"]), True)
-        encoded = data.encoded_matrix()
-        assert encoded.num_rows == 0
-        assert encoded.cardinalities == (0, 0)
-        keys = encoded_group_keys(encoded, [0, 1])
-        assert keys.num_rows == 0
-        assert encoded_constant_on(encoded, keys, 1)
-
-    def test_single_row_relation(self):
-        data = preprocess(Relation.from_rows([("x", "y")]), True)
-        encoded = data.encoded_matrix()
-        keys = encoded_group_keys(encoded, [0])
-        assert encoded_constant_on(encoded, keys, 1)
-        assert encoded_witness(encoded, keys, 1) is None
-
-
-# -- kernel equivalence --------------------------------------------------------
-
-
-class TestKernelEquivalence:
-    def test_agree_masks_match_matrix_kernel(self):
-        relation = registry.make("fd-reduced-30", rows=200, seed=11)
-        data = preprocess(relation, True)
-        encoded = data.encoded_matrix()
-        rows_a = list(range(150))
-        rows_b = list(range(50, 200))
-        assert agree_masks_from_encoded(encoded, rows_a, rows_b) == (
-            data.agree_masks_bulk(rows_a, rows_b)
-        )
-
-    def test_agree_masks_beyond_64_attributes(self):
-        """> 64 columns exercises the per-pair decode fallback."""
-        rng = np.random.default_rng(5)
-        rows = [tuple(rng.integers(0, 3, size=70)) for _ in range(20)]
-        data, encoded = _encoded_of_rows(rows)
-        rows_a = list(range(10))
-        rows_b = list(range(10, 20))
-        assert agree_masks_from_encoded(encoded, rows_a, rows_b) == (
-            data.agree_masks_bulk(rows_a, rows_b)
-        )
-
-    def test_backend_agree_masks_entry_point(self):
-        data = preprocess(registry.make("bridges", rows=80, seed=1), True)
-        backend = get_backend("columnar")
-        assert isinstance(backend, ColumnarBackend)
-        assert backend.needs_encoded
-        rows_a, rows_b = [0, 1, 2, 3], [4, 5, 6, 7]
-        assert backend.agree_masks(data, rows_a, rows_b) == (
-            data.agree_masks_bulk(rows_a, rows_b)
-        )
-
-    def test_witness_is_deterministic_and_violating(self):
-        relation = registry.make("echocardiogram", rows=100, seed=3)
-        data = preprocess(relation, True)
-        encoded = data.encoded_matrix()
-        numpy_backend = get_backend("numpy")
-        columnar = get_backend("columnar")
-        from repro.fd import attrset
-
-        for lhs_bits in range(1, 2 ** min(4, data.num_columns)):
-            columns = list(attrset.to_indices(lhs_bits))
-            keys = encoded_group_keys(encoded, columns)
-            for rhs in range(data.num_columns):
-                if (lhs_bits >> rhs) & 1:
-                    continue
-                pair = encoded_witness(encoded, keys, rhs)
-                reference = numpy_backend.witness(
-                    data, numpy_backend.group_keys(data, lhs_bits), rhs
-                )
-                assert pair == columnar.witness(
-                    data, columnar.group_keys(data, lhs_bits), rhs
-                )
-                assert (pair is None) == (reference is None)
-                if pair is not None:
-                    row_a, row_b = pair
-                    agree = data.agree_mask(row_a, row_b)
-                    assert lhs_bits & ~agree == 0
-                    assert not (agree >> rhs) & 1
-
-
-# -- cross-backend end-to-end sweep --------------------------------------------
-
-
-DATASETS = (("echocardiogram", 90), ("bridges", 90), ("fd-reduced-30", 150))
-ALGORITHMS = ("tane", "hyfd", "eulerfd")
-
-
-class TestCrossBackendSweep:
-    @pytest.mark.parametrize("dataset,rows", DATASETS)
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("jobs", ["serial", "process:2"])
-    def test_fd_sets_identical_across_backends(self, dataset, rows, algorithm, jobs):
-        relation = registry.make(dataset, rows=rows, seed=7)
-        results = {}
-        for backend in ("numpy", "python", "columnar"):
-            context = ExecutionContext(relation, backend=backend, jobs=jobs)
-            with use_context(context):
-                results[backend] = create(algorithm).discover(relation).fds
-        assert results["numpy"] == results["python"]
-        assert results["numpy"] == results["columnar"]
-
-
-# -- mmap transport ------------------------------------------------------------
-
-
-def _mmap_files():
-    return set(
-        glob.glob(os.path.join(tempfile.gettempdir(), f"{shm.MMAP_PREFIX}*"))
-    )
+        assert data.matrix.shape == (0, 2)
+        assert data.cardinalities == (0, 0)
+        keys = fold_group_keys(data, 0b11)
+        assert keys.keys.size == 0
+        assert constant_on(data, keys, 1)
 
 
 class TestMmapTransport:
     def test_round_trip(self):
-        _, encoded = _encoded_of_rows([(i % 5, i, "k") for i in range(100)])
+        matrix = _matrix_of_rows([(i % 5, i, "k") for i in range(100)])
         before = _mmap_files()
-        handle, cleanup = publish_encoded(encoded)
+        handle, cleanup = publish_matrix(matrix)
         try:
-            assert isinstance(handle, MmapEncodedRef)
+            assert isinstance(handle, MmapMatrixRef)
             assert os.path.exists(handle.path)
-            attached = resolve_encoded(handle)
-            assert attached.cardinalities == encoded.cardinalities
-            assert attached.num_rows == encoded.num_rows
-            for j in range(encoded.num_columns):
-                assert np.array_equal(attached.column(j), encoded.column(j))
-                assert attached.column(j).dtype == encoded.column(j).dtype
+            attached = resolve_matrix(handle)
+            assert attached.shape == matrix.shape
+            assert attached.dtype == matrix.dtype
+            assert np.array_equal(attached, matrix)
+            assert not attached.flags.writeable
         finally:
             cleanup()
         assert _mmap_files() == before
 
     def test_cleanup_is_idempotent(self):
-        _, encoded = _encoded_of_rows([(1, 2), (3, 4)])
-        handle, cleanup = publish_encoded(encoded)
+        matrix = _matrix_of_rows([(1, 2), (3, 4)])
+        handle, cleanup = publish_matrix(matrix)
         cleanup()
         cleanup()
         assert not os.path.exists(handle.path)
 
     def test_inline_fallback(self):
-        _, encoded = _encoded_of_rows([(1, 2), (3, 4)])
-        handle, cleanup = publish_encoded(encoded, use_mmap=False)
-        assert isinstance(handle, InlineEncoded)
-        assert resolve_encoded(handle) is encoded
+        matrix = _matrix_of_rows([(1, 2), (3, 4)])
+        handle, cleanup = publish_matrix(matrix, use_mmap=False)
+        assert isinstance(handle, InlineMatrix)
+        assert resolve_matrix(handle) is matrix
         cleanup()
-
-    def test_empty_relation_round_trip(self):
-        """Zero rows must not try to mmap an empty file."""
-        data = preprocess(Relation.from_rows([], ["a", "b"]), True)
-        encoded = data.encoded_matrix()
-        handle, cleanup = publish_encoded(encoded)
-        try:
-            attached = resolve_encoded(handle)
-            assert attached.num_rows == 0
-            assert attached.num_columns == 2
-        finally:
-            cleanup()
-
-    def test_resolve_view_wraps_encoded_handles(self):
-        data, encoded = _encoded_of_rows([(1, 2), (3, 4), (1, 4)])
-        view = resolve_view(InlineEncoded(encoded))
-        assert isinstance(view, EncodedView)
-        assert view.num_rows == 3
-        assert view.num_columns == 2
-        assert view.encoded_matrix() is encoded
-        # matrix handles still resolve to the historical MatrixView
-        matrix_view = resolve_view(shm.InlineMatrix(data.matrix))
-        assert matrix_view.num_rows == 3
-        assert not isinstance(matrix_view, EncodedView)
 
     def test_no_leaked_mmap_files_after_pool_close(self, monkeypatch):
         monkeypatch.setattr(parallel, "MIN_PAIRS_PER_WORKER", 1)
         before = _mmap_files()
         data = preprocess(registry.make("fd-reduced-30", rows=200, seed=11), True)
         pool = get_pool("process:2")
-        backend = get_backend("columnar")
         masks = parallel.agree_masks_sharded(
-            pool, data, list(range(150)), list(range(50, 200)), backend=backend
+            pool, data, list(range(150)), list(range(50, 200))
         )
         assert masks == data.agree_masks_bulk(list(range(150)), list(range(50, 200)))
         close_all_pools()
@@ -354,11 +103,11 @@ class TestMmapTransport:
         from repro.obs import names
         from repro.obs.metrics import collecting_metrics
 
-        _, encoded = _encoded_of_rows([(i, i % 3) for i in range(64)])
+        matrix = _matrix_of_rows([(i, i % 3) for i in range(64)])
         with collecting_metrics() as registry_:
-            _, cleanup = publish_encoded(encoded)
+            _, cleanup = publish_matrix(matrix)
             assert registry_.gauges[names.MMAP_FILES] == 1.0
-            assert registry_.gauges[names.MMAP_BYTES] >= encoded.nbytes
+            assert registry_.gauges[names.MMAP_BYTES] >= matrix.nbytes
             cleanup()
             assert registry_.gauges[names.MMAP_FILES] == 0.0
             assert registry_.gauges[names.MMAP_BYTES] == 0.0
@@ -366,39 +115,6 @@ class TestMmapTransport:
             assert registry_.gauges[names.MMAP_FILES] == 0.0
 
 
-# -- store cost model ----------------------------------------------------------
-
-
 class TestStoreCostModel:
-    def test_label_width_defaults_to_int64(self):
-        data = preprocess(Relation.from_rows([(1, 2), (3, 4)]), True)
-        assert label_width_bytes(data) == ROW_REF_BYTES
-
-    def test_label_width_follows_widest_encoded_column(self):
-        rows = [(i % 3, i) for i in range(300)]
-        data, encoded = _encoded_of_rows(rows)
-        assert encoded.dtypes == ("uint8", "uint16")
-        assert label_width_bytes(data) == 2
-
-    def test_partition_cost_scales_with_row_ref_bytes(self):
-        data = preprocess(
-            Relation.from_rows([(1, 0), (1, 0), (2, 1), (2, 1)]), True
-        )
-        partition = data.stripped[0]
-        wide = partition_cost_bytes(partition)
-        narrow = partition_cost_bytes(partition, 1)
-        assert wide is not None and narrow is not None
-        assert wide - narrow == (ROW_REF_BYTES - 1) * partition.num_grouped_rows
-
     def test_partition_cost_none_for_foreign_objects(self):
-        assert partition_cost_bytes(object(), 1) is None
-
-    def test_columnar_context_charges_narrow_rows(self):
-        relation = registry.make("fd-reduced-30", rows=120, seed=2)
-        wide = ExecutionContext(relation, backend="numpy")
-        narrow = ExecutionContext(relation, backend="columnar")
-        assert wide.partitions.row_ref_bytes == ROW_REF_BYTES
-        assert narrow.partitions.row_ref_bytes < ROW_REF_BYTES
-        assert (
-            narrow.partitions.resident_bytes < wide.partitions.resident_bytes
-        )
+        assert partition_cost_bytes(object()) is None

@@ -431,8 +431,8 @@ class TestSanitizeProbes:
         (package / "relation" / "validate.py").write_text(
             textwrap.dedent(
                 """\
-                def fold_labels(keys, labels):
-                    return keys * 5 + labels
+                def fold_column(keys, labels, domain, cardinality):
+                    return keys * cardinality + labels, domain * cardinality
                 """
             )
         )

@@ -18,7 +18,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.store import PartitionStore
 from repro.fd import attrset
 from repro.relation import Relation
-from repro.relation.preprocess import encode_matrix, preprocess
+from repro.relation.preprocess import preprocess
 
 NAMES = ["a", "b", "c", "d"]
 
@@ -111,38 +111,26 @@ class TestAppendRowsEquivalence:
         assert not grown.matrix.flags.writeable
 
 
-class TestEncodedDeltaMaintenance:
-    def test_encoded_columns_maintained_in_place(self):
+class TestMatrixDeltaMaintenance:
+    def test_lineage_holds_one_matrix_buffer(self):
+        """Appends grow the one label matrix; no second encoded copy."""
         rng = random.Random(11)
         base = random_rows(rng, 30)
         data = preprocess(Relation.from_rows(base, NAMES), delta=True)
-        data.encoded_matrix()  # materialize: the delta path must keep it
+        state = data.__dict__["_delta"]
         batches = [random_rows(rng, 6), random_rows(rng, 3)]
         for index, batch in enumerate(batches):
             data = data.append_rows(batch)
-            encoded = data.encoded
-            assert encoded is not None, "append must maintain the encoding"
-            reference = encode_matrix(data.matrix)
-            for column, expected in zip(encoded.columns, reference.columns):
-                assert column.dtype == expected.dtype
-                assert np.array_equal(column, expected)
-            assert encoded.cardinalities == reference.cardinalities
-
-    def test_u8_to_u16_promotion(self):
-        base = [(value, 0, 0, 0) for value in range(250)]
-        data = preprocess(Relation.from_rows(base, NAMES), delta=True)
-        data.encoded_matrix()
-        assert data.encoded.columns[0].dtype == np.uint8
-        batch = [(value, 1, 1, 1) for value in range(250, 300)]
-        grown = data.append_rows(batch)
-        assert grown.append_delta.promotions == (
-            (0, "uint8", "uint16"),
-        )
-        assert grown.encoded.columns[0].dtype == np.uint16
-        # the pre-append snapshot keeps its narrow buffer untouched
-        assert data.encoded.columns[0].dtype == np.uint8
-        reference = encode_matrix(grown.matrix)
-        assert np.array_equal(grown.encoded.columns[0], reference.columns[0])
+            assert data.matrix.base is state.matrix
+            scratch = preprocess(concatenated(base, batches[: index + 1]))
+            assert data.matrix.dtype == scratch.matrix.dtype
+            assert data.cardinalities == scratch.cardinalities
+        arrays = [value for value in vars(data).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 1
+        assert [
+            slot for slot in type(state).__slots__
+            if isinstance(getattr(state, slot), np.ndarray)
+        ] == ["matrix"]
 
 
 class TestStoreDelta:

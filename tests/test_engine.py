@@ -29,7 +29,7 @@ from repro.fd import FD, attrset
 from repro.relation import Relation, group_keys, preprocess
 from repro.relation.partition import partition_from_labels
 
-BACKENDS = ("numpy", "python", "columnar")
+BACKENDS = ("numpy", "python")
 
 
 def random_relation(seed: int, rows: int = 40, columns: int = 5, card: int = 3):
@@ -72,11 +72,12 @@ class TestBackendSelection:
         assert get_backend(backend) is backend
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("cuda")
+        for name in ("cuda", "columnar"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                get_backend(name)
 
     def test_registered_names(self):
-        assert backend_names() == ["columnar", "numpy", "python"]
+        assert backend_names() == ["numpy", "python"]
         assert isinstance(NumpyBackend(), object)
 
 
@@ -252,4 +253,3 @@ class TestBackendEndToEndEquivalence:
                     default_algorithms()[algorithm]().discover(relation).fds
                 )
         assert results["numpy"] == results["python"]
-        assert results["numpy"] == results["columnar"]

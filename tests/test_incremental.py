@@ -120,13 +120,13 @@ class TestValidation:
 class TestDeltaEquivalenceAcrossBackends:
     """K appended batches == from-scratch discovery, on every engine.
 
-    The delta path (in-place encoding growth, partition-store deltas,
+    The delta path (in-place matrix growth, partition-store deltas,
     touched-cluster pair enumeration) must be invisible in the output:
     identical FD sets to a cold run over the concatenated relation, for
     every backend and for serial and process-parallel pools alike.
     """
 
-    BACKENDS = ["numpy", "python", "columnar"]
+    BACKENDS = ["numpy", "python"]
     JOBS = [None, "process:2"]
 
     @pytest.mark.parametrize("jobs", JOBS)
@@ -167,10 +167,7 @@ class TestDeltaEquivalenceAcrossBackends:
             backend=backend,
         )
         result = session.append(batch)
-        if backend == "columnar":
-            encoded = session.context.data.encoded
-            assert encoded is not None
-            assert encoded.columns[0].dtype.itemsize >= 2
+        assert session.context.data.matrix.dtype.itemsize >= 2
         scratch = BruteForce().discover(
             Relation.from_rows(base_rows + batch, ["a", "b", "c"])
         )

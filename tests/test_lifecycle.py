@@ -46,9 +46,9 @@ class TestOwnershipGrammar:
         assert parse_contract("x\n\nOwns: return via call\n").owns_return == "call"
 
     def test_owns_self_and_params(self):
-        contract = parse_contract("x\n\nOwns: self\nOwns: seg via shm-segment\n")
+        contract = parse_contract("x\n\nOwns: self\nOwns: seg via mmap-matrix\n")
         assert contract.owns_self
-        assert contract.owns_params == (("seg", "shm-segment"),)
+        assert contract.owns_params == (("seg", "mmap-matrix"),)
 
     def test_borrows_list(self):
         contract = parse_contract("x\n\nBorrows: pool, data\n")
@@ -259,13 +259,13 @@ class TestUseAfterRelease:
 # -- RPR111: release-protocol violations ---------------------------------------
 
 
-def _with_shm(source: str) -> str:
-    """Prefix a stub SharedMemory class (pre-dedented concatenation)."""
+def _with_segment(source: str) -> str:
+    """Prefix a stub MmapSegment class (pre-dedented concatenation)."""
     preamble = textwrap.dedent(
         """
-        class SharedMemory:
-            def __init__(self, create=False, size=0):
-                self.create = create
+        class MmapSegment:
+            def __init__(self, path):
+                self.path = path
             def close(self):
                 pass
             def unlink(self):
@@ -279,9 +279,9 @@ class TestReleaseProtocol:
     def test_unlink_before_close(self, tmp_path):
         findings = _scan(
             tmp_path,
-            _with_shm("""
-            def publish(size):
-                segment = SharedMemory(create=True, size=size)
+            _with_segment("""
+            def publish(path):
+                segment = MmapSegment(path)
                 segment.unlink()
                 segment.close()
             """),
@@ -336,9 +336,9 @@ class TestReleaseProtocol:
     def test_in_order_protocol_is_clean(self, tmp_path):
         findings = _scan(
             tmp_path,
-            _with_shm("""
-            def publish(size):
-                segment = SharedMemory(create=True, size=size)
+            _with_segment("""
+            def publish(path):
+                segment = MmapSegment(path)
                 segment.close()
                 segment.unlink()
             """),
@@ -355,13 +355,13 @@ class TestBrokenEngineShapes:
         # segment reaches the raise with only close applied.
         findings = _scan(
             tmp_path,
-            _with_shm("""
-            def broken_publish(matrix, size):
+            _with_segment("""
+            def broken_publish(matrix, path):
                 '''Publish one matrix.
 
                 Owns: return via call
                 '''
-                segment = SharedMemory(create=True, size=size)
+                segment = MmapSegment(path)
                 try:
                     fill(segment, matrix)
                 except BaseException:
@@ -375,11 +375,11 @@ class TestBrokenEngineShapes:
     def test_close_unlinks_before_closing(self, tmp_path):
         findings = _scan(
             tmp_path,
-            _with_shm("""
+            _with_segment("""
             def broken_close(segment):
                 '''Tear one segment down.
 
-                Owns: segment via shm-segment
+                Owns: segment via mmap-matrix
                 '''
                 segment.unlink()
                 segment.close()
@@ -390,21 +390,21 @@ class TestBrokenEngineShapes:
     def test_fixed_shapes_are_clean(self, tmp_path):
         findings = _scan(
             tmp_path,
-            _with_shm("""
+            _with_segment("""
             def discard(segment):
                 '''Tear one segment down.
 
-                Owns: segment via shm-segment
+                Owns: segment via mmap-matrix
                 '''
                 segment.close()
                 segment.unlink()
 
-            def publish(matrix, size):
+            def publish(matrix, path):
                 '''Publish one matrix.
 
                 Owns: return via call
                 '''
-                segment = SharedMemory(create=True, size=size)
+                segment = MmapSegment(path)
                 try:
                     fill(segment, matrix)
                 except BaseException:
@@ -657,7 +657,7 @@ class TestLiveResourcesProbe:
         exits: list[int] = []
         monkeypatch.setattr(runtime.os, "_exit", exits.append)
         monkeypatch.setattr(
-            runtime, "_own_segments", lambda prefix: {"repro_shm_1_leak"}
+            runtime, "_own_segments", lambda prefix: {"repro_mmap_1_leak"}
         )
         runtime._exit_live_resources_check("nosuchpkg.parallel")
         assert exits == [70]

@@ -3,7 +3,7 @@
 Three layers are covered: the registry itself (deterministic bucketing
 under a FakeClock, exporter round-trips, the zero-overhead-when-disabled
 front door), the instrumented subsystems (partition-store byte
-accounting, shm segment gauges, worker-pool queue gauges, per-phase
+accounting, mmap transport gauges, worker-pool queue gauges, per-phase
 memory attribution), and the end-to-end ``repro-fd metrics`` /
 ``repro-metrics`` CLI.  The overhead test is the committed form of the
 fast-path promise: a discover with metrics disabled must sit within 2%
@@ -235,7 +235,7 @@ class TestExporters:
     def _populated(self):
         registry_ = MetricsRegistry(buckets={"h.seconds": (0.1, 1.0)})
         registry_.inc(names.PARTITION_CACHE_HIT, 3)
-        registry_.gauge_set(names.SHM_SEGMENTS, 2.0)
+        registry_.gauge_set(names.MMAP_FILES, 2.0)
         registry_.gauge_set("uncatalogued.gauge", 1.5)
         registry_.observe("h.seconds", 0.05)
         registry_.observe("h.seconds", 0.5)
@@ -254,14 +254,14 @@ class TestExporters:
         assert text.endswith("\n")
         lines = text.splitlines()
         assert "repro_engine_partition_cache_hit 3" in lines
-        assert "repro_engine_shm_segments 2" in lines
+        assert "repro_engine_mmap_files 2" in lines
         assert "repro_uncatalogued_gauge 1.5" in lines
         assert (
             "# HELP repro_engine_partition_cache_hit "
             "Partition-store lookups served from cache" in lines
         )
         assert "# TYPE repro_engine_partition_cache_hit counter" in lines
-        assert "# TYPE repro_engine_shm_segments gauge" in lines
+        assert "# TYPE repro_engine_mmap_files gauge" in lines
         assert "# TYPE repro_h_seconds histogram" in lines
         # Uncatalogued names get TYPE but no HELP.
         assert not any("# HELP repro_uncatalogued_gauge" in l for l in lines)
@@ -410,7 +410,7 @@ class TestStoreByteAccounting:
         )
 
 
-# -- shm and pool gauges -------------------------------------------------------
+# -- transport and pool gauges----------------------------------------------------
 
 
 np = pytest.importorskip("numpy")
@@ -424,42 +424,36 @@ def fresh_pools():
 
 
 class TestShmGauges:
-    @pytest.mark.skipif(
-        not shm_module.HAVE_SHARED_MEMORY, reason="no shared memory here"
-    )
     def test_publish_and_cleanup_balance_the_gauges(self):
-        matrix = np.zeros((64, 8), dtype=np.int32)
+        matrix = np.zeros((64, 8), dtype=np.uint8)
         with collecting_metrics() as registry_:
             handle, cleanup = publish_matrix(matrix)
-            assert registry_.gauges[names.SHM_SEGMENTS] == 1.0
-            assert registry_.gauges[names.SHM_BYTES] >= matrix.nbytes
+            assert registry_.gauges[names.MMAP_FILES] == 1.0
+            assert registry_.gauges[names.MMAP_BYTES] == matrix.nbytes
             cleanup()
-            assert registry_.gauges[names.SHM_SEGMENTS] == 0.0
-            assert registry_.gauges[names.SHM_BYTES] == 0.0
+            assert registry_.gauges[names.MMAP_FILES] == 0.0
+            assert registry_.gauges[names.MMAP_BYTES] == 0.0
             cleanup()  # idempotent: a second call must not go negative
-            assert registry_.gauges[names.SHM_SEGMENTS] == 0.0
+            assert registry_.gauges[names.MMAP_FILES] == 0.0
 
-    def test_pickle_fallback_publishes_no_gauges(self):
-        matrix = np.zeros((8, 2), dtype=np.int32)
+    def test_inline_fallback_publishes_no_gauges(self):
+        matrix = np.zeros((8, 2), dtype=np.uint8)
         with collecting_metrics() as registry_:
-            _, cleanup = publish_matrix(matrix, use_shared_memory=False)
+            _, cleanup = publish_matrix(matrix, use_mmap=False)
             cleanup()
-        assert names.SHM_SEGMENTS not in registry_.gauges
+        assert names.MMAP_FILES not in registry_.gauges
 
-    @pytest.mark.skipif(
-        not shm_module.HAVE_SHARED_MEMORY, reason="no shared memory here"
-    )
     def test_process_pool_publish_and_close(self):
-        matrix = np.zeros((64, 8), dtype=np.int32)
+        matrix = np.zeros((64, 8), dtype=np.uint8)
         pool = WorkerPool("process:2")
         with collecting_metrics() as registry_:
             pool.matrix_handle(matrix)
-            pool.matrix_handle(matrix)  # cached: still one segment
-            assert registry_.gauges[names.SHM_SEGMENTS] == 1.0
-            assert registry_.gauges[names.SHM_BYTES] >= matrix.nbytes
+            pool.matrix_handle(matrix)  # cached: still one file
+            assert registry_.gauges[names.MMAP_FILES] == 1.0
+            assert registry_.gauges[names.MMAP_BYTES] == matrix.nbytes
             pool.close()
-            assert registry_.gauges[names.SHM_SEGMENTS] == 0.0
-            assert registry_.gauges[names.SHM_BYTES] == 0.0
+            assert registry_.gauges[names.MMAP_FILES] == 0.0
+            assert registry_.gauges[names.MMAP_BYTES] == 0.0
 
 
 def _echo_task(value):
@@ -521,42 +515,34 @@ class TestEndToEndDiscover:
         rebuilt = metrics_from_jsonl(metrics_jsonl(registry_))
         assert rebuilt.snapshot() == snapshot
 
-    @pytest.mark.skipif(
-        not shm_module.HAVE_SHARED_MEMORY, reason="no shared memory here"
-    )
     def test_process_pool_run_exports_all_three_gauge_families(
         self, monkeypatch
     ):
         """The acceptance shape: one metrics-enabled run, scraped live,
-        shows partition-cache bytes, shm segments and memory peaks in
+        shows partition-cache bytes, mmap matrix files and memory peaks in
         both export formats."""
         monkeypatch.setattr(parallel_module, "MIN_PAIRS_PER_WORKER", 1)
         monkeypatch.setattr(parallel_module, "MIN_GROUPS_PER_WORKER", 1)
         relation = registry.make("fd-reduced-30", rows=150, seed=5)
         with collecting_metrics() as registry_:
             with memory_profiling():
-                # Pinned to the matrix backend: the columnar backend
-                # ships its encoding over the mmap transport, whose
-                # gauge balance test_columnar.py covers.
-                context = ExecutionContext(
-                    relation, jobs="process:2", backend="numpy"
-                )
+                context = ExecutionContext(relation, jobs="process:2")
                 with use_context(context):
                     create("eulerfd").discover(relation)
-                # Scrape before close: cleanup decrements the shm gauges.
+                # Scrape before close: cleanup decrements the mmap gauges.
                 text = prometheus_text(registry_)
                 jsonl = metrics_jsonl(registry_)
                 context.pool.close()
         exported = metrics_from_jsonl(jsonl).gauges
-        assert exported[names.SHM_SEGMENTS] >= 1.0
-        assert exported[names.SHM_BYTES] > 0
+        assert exported[names.MMAP_FILES] >= 1.0
+        assert exported[names.MMAP_BYTES] > 0
         assert exported[names.PARTITION_CACHE_RESIDENT_BYTES] > 0
         assert exported[names.MEM_PHASE_SAMPLING] >= 0
-        assert "repro_engine_shm_segments" in text
+        assert "repro_engine_mmap_files" in text
         assert "repro_engine_partition_cache_resident_bytes" in text
         assert "repro_mem_phase_sampling_peak_bytes" in text
-        # After close the live registry's segment gauge drains to zero.
-        assert registry_.gauges[names.SHM_SEGMENTS] == 0.0
+        # After close the live registry's file gauge drains to zero.
+        assert registry_.gauges[names.MMAP_FILES] == 0.0
 
     def test_max_cache_bytes_flows_into_the_store(self):
         relation = registry.make("fd-reduced-30", rows=100, seed=5)

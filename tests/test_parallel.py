@@ -12,6 +12,9 @@ to the inline path and the tests would assert nothing.
 from __future__ import annotations
 
 import glob
+import os
+import pickle
+import tempfile
 
 import pytest
 
@@ -31,6 +34,9 @@ from repro.engine import (
     use_context,
 )
 from repro.engine.parallel import chunk_pairs, chunk_ranges, merge_chunked
+from repro.obs import names
+from repro.obs.metrics import collecting_metrics
+from repro.relation import Relation
 from repro.relation.preprocess import preprocess
 
 
@@ -43,7 +49,7 @@ def tiny_thresholds(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def fresh_pools():
-    """Every test starts and ends without cached pools or live segments."""
+    """Every test starts and ends without cached pools or live files."""
     close_all_pools()
     yield
     close_all_pools()
@@ -209,31 +215,87 @@ class TestCrossWorkerDeterminism:
         assert thread.stats == process.stats
 
 
-# -- shared-memory transport ---------------------------------------------------
+# -- backend equivalence under every pool ------------------------------------
+
+SWEEP_DATASETS = (("echocardiogram", 90), ("bridges", 90), ("fd-reduced-30", 150))
+SWEEP_ALGORITHMS = ("tane", "hyfd", "eulerfd")
+
+
+class TestCrossBackendSweep:
+    @pytest.mark.parametrize("dataset,rows", SWEEP_DATASETS)
+    @pytest.mark.parametrize("algorithm", SWEEP_ALGORITHMS)
+    @pytest.mark.parametrize("jobs", ["serial", "process:2"])
+    def test_fd_sets_identical_across_backends(self, dataset, rows, algorithm, jobs):
+        relation = registry.make(dataset, rows=rows, seed=7)
+        results = {}
+        for backend in ("numpy", "python"):
+            context = ExecutionContext(relation, backend=backend, jobs=jobs)
+            with use_context(context):
+                results[backend] = create(algorithm).discover(relation).fds
+        assert results["numpy"] == results["python"]
+
+
+# -- the mmap matrix transport -------------------------------------------------
+
+
+def _mmap_files() -> set[str]:
+    pattern = os.path.join(tempfile.gettempdir(), f"{shm.MMAP_PREFIX}*")
+    return set(glob.glob(pattern))
+
+
+def _failing_task(handle, chunk):
+    """Worker: resolve the published matrix, then fail."""
+    rows = shm.resolve_matrix(handle).shape[0]
+    raise KeyError(f"chunk {chunk} of {rows} rows failed")
 
 
 class TestMatrixTransport:
     def test_publish_resolve_roundtrip(self, sample_data):
+        before = _mmap_files()
         handle, cleanup = shm.publish_matrix(sample_data.matrix)
         try:
+            assert isinstance(handle, shm.MmapMatrixRef)
+            assert os.path.exists(handle.path)
             resolved = shm.resolve_matrix(handle)
+            assert resolved.dtype == sample_data.matrix.dtype
             assert (resolved == sample_data.matrix).all()
         finally:
             cleanup()
         cleanup()  # idempotent
+        assert not os.path.exists(handle.path)
+        assert _mmap_files() == before
+
+    def test_empty_relation_round_trip(self):
+        """Zero rows must not try to mmap an empty file."""
+        data = preprocess(Relation.from_rows([], ["a", "b"]))
+        handle, cleanup = shm.publish_matrix(data.matrix)
+        try:
+            assert shm.resolve_matrix(handle).shape == (0, 2)
+        finally:
+            cleanup()
+
+    def test_inline_fallback_roundtrip(self, sample_data):
+        handle, cleanup = shm.publish_matrix(sample_data.matrix, use_mmap=False)
+        assert isinstance(handle, shm.InlineMatrix)
+        assert shm.resolve_matrix(handle) is sample_data.matrix
+        cleanup()
 
     def test_pickle_fallback_roundtrip(self, sample_data):
-        handle, cleanup = shm.publish_matrix(
-            sample_data.matrix, use_shared_memory=False
-        )
-        assert isinstance(handle, shm.PickledMatrix)
-        resolved = shm.resolve_matrix(handle)
+        """Process pools ship the inline fallback by pickling it per task."""
+        handle, cleanup = shm.publish_matrix(sample_data.matrix, use_mmap=False)
+        shipped = pickle.loads(pickle.dumps(handle))
+        resolved = shm.resolve_matrix(shipped)
+        assert resolved.dtype == sample_data.matrix.dtype
         assert (resolved == sample_data.matrix).all()
         cleanup()
 
-    def test_discovery_on_pickle_fallback(self, monkeypatch, tiny_thresholds):
-        """Platforms without shared memory still parallelize correctly."""
-        monkeypatch.setattr(shm, "HAVE_SHARED_MEMORY", False)
+    def test_discovery_on_inline_fallback(self, monkeypatch, tiny_thresholds):
+        """An unwritable temp dir still parallelizes correctly."""
+        monkeypatch.setattr(
+            parallel,
+            "publish_matrix",
+            lambda matrix: shm.publish_matrix(matrix, use_mmap=False),
+        )
         relation = registry.make("fd-reduced-30", rows=300, seed=3)
         baseline = _discover("fdep", relation, "serial")
         result = _discover("fdep", relation, 2)
@@ -241,33 +303,48 @@ class TestMatrixTransport:
         assert result.stats == baseline.stats
 
     def test_no_leaked_segments_after_close(self, sample_data, tiny_thresholds):
-        # Snapshot first: only segments *this* test publishes count, so a
-        # stale segment from an unrelated crashed process cannot flake us.
-        before = set(glob.glob(f"/dev/shm/{shm.SEGMENT_PREFIX}*"))
+        # Snapshot first: only files *this* test publishes count, so a
+        # stale file from an unrelated crashed process cannot flake us.
+        before = _mmap_files()
         pool = get_pool("process:2")
         parallel.agree_masks_sharded(
             pool, sample_data, list(range(150)), list(range(50, 200))
         )
+        assert _mmap_files() - before
         close_all_pools()
-        leaked = set(glob.glob(f"/dev/shm/{shm.SEGMENT_PREFIX}*")) - before
-        assert leaked == set()
+        assert _mmap_files() - before == set()
+
+    def test_worker_failure_surfaces_and_releases(self, sample_data):
+        """A raising worker task reaches the caller as its own exception,
+        and closing the pool still unlinks the file and drains the gauges."""
+        before = _mmap_files()
+        with collecting_metrics() as registry_:
+            pool = WorkerPool("process:2")
+            handle = pool.matrix_handle(sample_data.matrix)
+            assert registry_.gauges[names.MMAP_FILES] == 1.0
+            with pytest.raises(KeyError, match="chunk 0 of 200 rows failed"):
+                pool.map_chunks(_failing_task, [(handle, 0), (handle, 1)])
+            pool.close()
+        assert _mmap_files() - before == set()
+        assert registry_.gauges[names.MMAP_FILES] == 0.0
+        assert registry_.gauges[names.MMAP_BYTES] == 0.0
 
     def test_closed_pool_refuses_to_publish(self, sample_data):
-        """A stale context must fail loudly, not orphan a fresh segment."""
+        """A stale context must fail loudly, not orphan a fresh file."""
         pool = get_pool("process:2")
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.matrix_handle(sample_data.matrix)
 
     def test_pool_is_a_context_manager(self, sample_data, tiny_thresholds):
-        before = set(glob.glob(f"/dev/shm/{shm.SEGMENT_PREFIX}*"))
+        before = _mmap_files()
         with WorkerPool(PoolSpec("process", 2)) as pool:
             assert pool.jobs == 2
             parallel.agree_masks_sharded(
                 pool, sample_data, list(range(100)), list(range(50, 150))
             )
         assert pool._published == {}
-        assert set(glob.glob(f"/dev/shm/{shm.SEGMENT_PREFIX}*")) - before == set()
+        assert _mmap_files() - before == set()
 
     def test_pool_context_manager_closes_on_error(self):
         pool = WorkerPool(PoolSpec("thread", 2))

@@ -5,8 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms import create
+from repro.core import IncrementalEulerFD
 from repro.datasets import patients
+from repro.engine import ExecutionContext
+from repro.fd import FD, attrset
 from repro.relation import Relation, preprocess
+from repro.relation.preprocess import dtype_for_cardinality
 
 
 class TestLabelMatrix:
@@ -53,6 +58,60 @@ class TestLabelMatrix:
         assert data.cardinality(0) == 0
 
 
+class TestLabelDtype:
+    @pytest.mark.parametrize(
+        "cardinality,expected",
+        [
+            (0, "uint8"),
+            (1, "uint8"),
+            (256, "uint8"),
+            (257, "uint16"),
+            (65536, "uint16"),
+            (65537, "uint32"),
+            (1 << 32, "uint32"),
+        ],
+    )
+    def test_tight_ladder(self, cardinality, expected):
+        assert dtype_for_cardinality(cardinality) == np.dtype(expected)
+
+    def test_negative_cardinality_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            dtype_for_cardinality(-1)
+
+    @pytest.mark.parametrize(
+        "distinct,expected",
+        [(256, "uint8"), (257, "uint16"), (65536, "uint16"), (65537, "uint32")],
+    )
+    def test_one_matrix_in_the_widest_columns_dtype(self, distinct, expected):
+        rows = [(i % distinct, "k") for i in range(max(distinct, 300))]
+        data = preprocess(Relation.from_rows(rows, ["wide", "const"]))
+        assert data.cardinalities == (distinct, 1)
+        assert data.matrix.dtype == np.dtype(expected)
+        assert data.matrix.flags.c_contiguous
+        assert not data.matrix.flags.writeable
+        # labels survive the narrow storage bit-for-bit
+        assert data.matrix[:, 0].tolist() == [row[0] for row in rows]
+
+    def test_mid_stream_promotion_widens_the_whole_matrix(self):
+        base = [(value, value % 7) for value in range(250)]
+        data = preprocess(Relation.from_rows(base, ["a", "b"]), delta=True)
+        assert data.matrix.dtype == np.uint8
+        grown = data.append_rows([(value, value % 7) for value in range(250, 300)])
+        assert grown.append_delta.promotion == ("uint8", "uint16")
+        assert grown.matrix.dtype == np.uint16
+        assert grown.matrix.flags.c_contiguous
+        # the pre-append snapshot keeps its own narrow buffer
+        assert data.matrix.dtype == np.uint8
+        assert not np.shares_memory(data.matrix, grown.matrix)
+        scratch = preprocess(Relation.from_rows(
+            base + [(value, value % 7) for value in range(250, 300)], ["a", "b"]
+        ))
+        assert np.array_equal(grown.matrix, scratch.matrix)
+        assert grown.matrix.dtype == scratch.matrix.dtype
+        # no crossing, no promotion
+        assert grown.append_rows([(1, 1)]).append_delta.promotion is None
+
+
 class TestNullSemantics:
     def test_null_equals_null(self):
         relation = Relation.from_rows([(None,), (None,), ("x",)], ["a"])
@@ -69,6 +128,57 @@ class TestNullSemantics:
         relation = Relation.from_rows([(None,), ("None",)], ["a"])
         data = preprocess(relation)
         assert data.matrix[0, 0] != data.matrix[1, 0]
+
+    @pytest.mark.parametrize("null_equals_null", [True, False])
+    def test_nan_encodes_like_none(self, null_equals_null):
+        nan_rows = [(float("nan"), 1), (float("nan"), 1), ("x", 2)]
+        none_rows = [(None, 1), (None, 1), ("x", 2)]
+        with_nan = preprocess(Relation.from_rows(nan_rows, ["a", "b"]), null_equals_null)
+        with_none = preprocess(Relation.from_rows(none_rows, ["a", "b"]), null_equals_null)
+        assert np.array_equal(with_nan.matrix, with_none.matrix)
+
+    @pytest.mark.parametrize("appended", [False, True])
+    def test_nan_column_is_constant(self, appended):
+        """Regression: two NaNs are one NULL value, so ``[] -> a`` holds."""
+        rows = [(float("nan"), 1), (float("nan"), 1)]
+        if appended:
+            session = IncrementalEulerFD(
+                Relation.from_rows(rows[:1], ["a", "b"]), exhaustive_base=True
+            )
+            fds = session.append(rows[1:]).fds
+            assert session.context.data.cardinalities == (1, 1)
+        else:
+            relation = Relation.from_rows(rows, ["a", "b"])
+            assert preprocess(relation).cardinalities == (1, 1)
+            fds = create("tane").discover(relation).fds
+        assert fds == {FD(0, 0), FD(0, 1)}
+
+    def test_bootstrapped_append_keeps_nan_as_null(self):
+        data = preprocess(Relation.from_rows([(float("nan"),)], ["a"]))
+        grown = data.append_rows([(float("nan"),), (None,)])
+        assert grown.matrix[:, 0].tolist() == [0, 0, 0]
+
+    ROWS = [
+        ("a", None, ""),
+        ("a", None, "x"),
+        ("b", "", ""),
+        ("b", None, "x"),
+        (None, "", None),
+    ]
+
+    @pytest.mark.parametrize("null_equals_null", [True, False])
+    def test_null_and_empty_string_parity_across_backends(self, null_equals_null):
+        """NULL and empty-string labels validate identically on both backends."""
+        relation = Relation.from_rows(self.ROWS, ["a", "b", "c"])
+        contexts = [
+            ExecutionContext(relation, backend=name, null_equals_null=null_equals_null)
+            for name in ("numpy", "python")
+        ]
+        universe = attrset.universe(3)
+        for lhs in range(universe + 1):
+            for rhs in range(3):
+                fd = FD(lhs & ~attrset.singleton(rhs), rhs)
+                assert len({context.fd_holds(fd) for context in contexts}) == 1, fd
 
 
 class TestAgreeMask:
@@ -116,6 +226,16 @@ class TestAgreeMasksBulk:
         data = preprocess(Relation.from_rows(rows))
         masks = data.agree_masks_bulk([0], [1])
         assert masks == [1]  # only column 0 agrees (0 == -0)
+
+    def test_beyond_64_attributes(self):
+        """> 64 columns exercises the per-pair decode fallback."""
+        rng = np.random.default_rng(5)
+        rows = [tuple(rng.integers(0, 3, size=70).tolist()) for _ in range(20)]
+        data = preprocess(Relation.from_rows(rows))
+        rows_a, rows_b = list(range(10)), list(range(10, 20))
+        bulk = data.agree_masks_bulk(rows_a, rows_b)
+        assert bulk == [data.agree_mask(a, b) for a, b in zip(rows_a, rows_b)]
+        assert any(mask >> 64 for mask in bulk)
 
     def test_random_agreement(self):
         import random

@@ -119,34 +119,6 @@ class TestRecord:
         assert cell["peak_tracemalloc_bytes"] > 0
         assert cell["peak_rss_bytes"] > 0
 
-    def test_named_backends_record_suffixed_nongating_cells(self):
-        doc = record_trajectory(
-            "BENCH_T",
-            workloads=TINY,
-            algorithms=["eulerfd"],
-            repeats=1,
-            memory=False,
-            backends=["default", "columnar"],
-        )
-        assert doc["backends"] == ["default", "columnar"]
-        base = "fd-reduced-30[80x30]/eulerfd"
-        assert set(doc["workloads"]) == {base, f"{base}@columnar"}
-        default_cell = doc["workloads"][base]
-        columnar_cell = doc["workloads"][f"{base}@columnar"]
-        # The historical label records the session default backend...
-        assert default_cell["backend"] == os.environ.get(
-            "REPRO_BACKEND", "numpy"
-        )
-        assert columnar_cell["backend"] == "columnar"
-        # ...and both backends discover the same FD set.
-        assert default_cell["fd_count"] == columnar_cell["fd_count"]
-        # Against an old document without the backend, the suffixed cell
-        # is an addition — reported, never gated.
-        old = document({base: entry([1.0])})
-        comparisons = compare_trajectories(old, document(doc["workloads"]))
-        statuses = {c.workload: c.status for c in comparisons}
-        assert statuses[f"{base}@columnar"] == "added"
-
     def test_round_trips_through_load(self, tmp_path):
         doc = record_trajectory(
             "BENCH_T",

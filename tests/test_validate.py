@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import registry
+from repro.engine import get_backend
 from repro.fd import FD, attrset
+from repro.metrics.error import violation_profile
 from repro.relation import Relation, fd_holds, find_violation, group_keys, preprocess
 
 
@@ -106,11 +110,12 @@ class TestFindViolation:
 
 
 class TestFoldOverflow:
-    """Regression: the RHS fold must carry the same guard as the LHS fold.
+    """Regression: every fold step, RHS included, carries the width guard.
 
     Historically ``fd_holds`` folded ``keys * rhs_cardinality + rhs``
-    without the ``_FOLD_LIMIT`` re-densify, so on wide high-cardinality
-    relations the product wrapped int64 and two distinct (key, rhs)
+    without a re-densify, and ``violation_profile`` kept doing so after
+    the validation kernels were fixed: on wide high-cardinality
+    relations the product wrapped 64 bits and two distinct (key, rhs)
     combinations could collide — making a violated FD look valid.
     """
 
@@ -138,14 +143,19 @@ class TestFoldOverflow:
 
     def test_construction_is_in_the_overflow_regime(self):
         data = self.wide_relation()
-        lhs = attrset.universe(61)
-        keys = group_keys(data, lhs)
-        assert int(keys.max()) == 2**61
-        rhs_cardinality = int(data.matrix[:, 61].max()) + 1
-        assert rhs_cardinality == 8
-        # the unguarded legacy fold really does collide: distinct counts
-        # come out equal even though the FD is violated
-        wrapped = keys * rhs_cardinality + data.matrix[:, 61]
+        # the positional fold over the 61 LHS columns needs 2**61 + 1 key
+        # values, so it crosses the width guard before the RHS fold
+        domain = 1
+        for j in range(61):
+            domain *= data.cardinality(j)
+        assert domain == 3 * 2**60
+        assert data.cardinality(61) == 8
+        # an unguarded fold really does collide: distinct counts come
+        # out equal even though the FD is violated
+        keys = np.zeros(data.num_rows, dtype=np.uint64)
+        for j in range(61):
+            keys = keys * np.uint64(data.cardinality(j)) + data.matrix[:, j]
+        wrapped = keys * np.uint64(8) + data.matrix[:, 61]
         assert np.unique(wrapped).size == np.unique(keys).size
 
     def test_fd_holds_is_exact_despite_overflow(self):
@@ -158,6 +168,32 @@ class TestFoldOverflow:
         agree = data.agree_mask(row_a, row_b)
         assert fd.lhs & ~agree == 0
         assert not (agree >> fd.rhs) & 1
+        profile = violation_profile(data, fd)
+        assert profile.violating_pairs == 1
+        assert profile.g3 == pytest.approx(1 / 9)
+
+
+class TestWitness:
+    def test_witness_is_deterministic_and_violating(self):
+        data = preprocess(registry.make("echocardiogram", rows=100, seed=3))
+        python = get_backend("python")
+        for lhs in range(1, 2 ** min(4, data.num_columns)):
+            for rhs in range(data.num_columns):
+                if (lhs >> rhs) & 1:
+                    continue
+                pair = find_violation(data, FD(lhs, rhs))
+                assert pair == find_violation(data, FD(lhs, rhs))
+                reference = python.witness(data, python.group_keys(data, lhs), rhs)
+                assert (pair is None) == (reference is None)
+                if pair is not None:
+                    agree = data.agree_mask(*pair)
+                    assert lhs & ~agree == 0
+                    assert not (agree >> rhs) & 1
+
+    def test_single_row_relation(self):
+        data = rel_of([("x", "y")])
+        assert find_violation(data, FD.of([0], 1)) is None
+        assert fd_holds(data, FD.of([0], 1))
 
 
 class TestAgainstNaive:
