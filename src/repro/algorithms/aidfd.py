@@ -17,8 +17,8 @@ from __future__ import annotations
 from ..core.inversion import Inverter
 from ..core.result import DiscoveryResult, Stopwatch, make_result
 from ..fd import FD, NegativeCover, attrset
-from ..obs import counter, point, span
-from ..obs.names import AIDFD_PAIRS_COMPARED, GR_NCOVER
+from ..obs import count, phase, point
+from ..obs.names import AIDFD_PAIRS_COMPARED, GR_NCOVER, INVERSION, SAMPLING
 from ..relation.relation import Relation
 from .base import execution_context, register
 
@@ -70,7 +70,7 @@ class AidFd:
             swept_pairs = 0
             size_before = max(len(ncover), 1)
             added = 0
-            with span("sampling", sweep=sweeps + 1):
+            with phase(SAMPLING, sweep=sweeps + 1):
                 for rows in clusters:
                     if len(rows) <= distance:
                         continue
@@ -91,7 +91,7 @@ class AidFd:
                             if ncover.add(non_fd):
                                 pending.append(non_fd)
                                 added += 1
-                counter(AIDFD_PAIRS_COMPARED, swept_pairs)
+                count(AIDFD_PAIRS_COMPARED, swept_pairs)
             sweeps += 1
             pairs_compared += swept_pairs
             point(GR_NCOVER, float(sweeps), added / size_before)
@@ -102,7 +102,7 @@ class AidFd:
             distance += 1
 
         inverter = Inverter(num_attributes)
-        with span("inversion"):
+        with phase(INVERSION):
             inversion = inverter.process(pending)
         return make_result(
             inverter.pcover,

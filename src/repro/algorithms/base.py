@@ -15,7 +15,8 @@ from typing import Protocol, runtime_checkable
 
 from ..core.result import DiscoveryResult
 from ..engine import ExecutionContext, acquire_context
-from ..obs import current_recorder, span
+from ..obs import phase
+from ..obs.names import DISCOVER
 from ..relation.relation import Relation
 
 
@@ -60,15 +61,14 @@ def execution_context(
 
 
 def instrument_discover(cls: type) -> type:
-    """The shared observability hook: trace every ``discover`` call.
+    """The shared observability hook: every ``discover`` call is a phase.
 
-    Wraps the class's ``discover`` so that, when a recorder is installed
-    (:func:`repro.obs.recording`), the whole run is enclosed in a
-    ``discover`` span carrying the algorithm and relation names — every
-    registered algorithm gets a uniform trace root without touching its
-    body.  With tracing disabled the wrapper is one thread-local read
-    and a tail call, preserving the zero-overhead promise.  Idempotent:
-    re-registering a class does not stack wrappers.
+    Wraps the class's ``discover`` in the ``discover`` phase, carrying
+    the algorithm and relation names — every registered algorithm gets a
+    uniform trace root and a ``phase.discover.seconds`` histogram without
+    touching its body.  With no obs sink installed the phase is the
+    shared null handle.  Idempotent: re-registering a class does not
+    stack wrappers.
     """
     original = cls.discover
     if getattr(original, "__repro_traced__", False):
@@ -76,10 +76,8 @@ def instrument_discover(cls: type) -> type:
 
     @functools.wraps(original)
     def discover(self: FDAlgorithm, relation: Relation) -> DiscoveryResult:
-        if current_recorder() is None:
-            return original(self, relation)
-        with span(
-            "discover",
+        with phase(
+            DISCOVER,
             algorithm=getattr(self, "name", cls.__name__),
             relation=relation.name,
         ):

@@ -20,7 +20,8 @@ from ..core.inversion import Inverter
 from ..core.result import DiscoveryResult, Stopwatch, make_result
 from ..engine.parallel import WorkerPool, distinct_agree_masks_sharded
 from ..fd import FD, NegativeCover, attrset
-from ..obs import span
+from ..obs import phase
+from ..obs.names import AGREE_SETS, INVERSION, NCOVER
 from ..relation.preprocess import PreprocessedRelation
 from ..relation.relation import Relation
 from .base import execution_context, register
@@ -41,14 +42,14 @@ class Fdep:
         context = execution_context(relation, self.null_equals_null)
         data = context.data
         num_attributes = data.num_columns
-        with span("agree_sets"):
+        with phase(AGREE_SETS):
             # sorted(): canonicalize the agree-set order so negative-cover
             # insertion never depends on set iteration order (RPR107).
             agree_masks = sorted(compute_agree_masks(data, pool=context.pool))
         ncover = NegativeCover(num_attributes)
         pending: list[FD] = []
         universe = attrset.universe(num_attributes)
-        with span("ncover"):
+        with phase(NCOVER):
             for agree in agree_masks:
                 remaining = universe & ~agree
                 while remaining:
@@ -58,7 +59,7 @@ class Fdep:
                     if ncover.add(non_fd):
                         pending.append(non_fd)
         inverter = Inverter(num_attributes)
-        with span("inversion"):
+        with phase(INVERSION):
             inversion = inverter.process(pending)
         pairs = relation.num_rows * (relation.num_rows - 1) // 2
         return make_result(

@@ -26,11 +26,14 @@ from ..core.inversion import Inverter
 from ..core.result import DiscoveryResult, Stopwatch, make_result
 from ..engine.parallel import WorkerPool, agree_masks_sharded
 from ..fd import FD, NegativeCover, attrset
-from ..obs import counter, span
+from ..obs import count, phase
 from ..obs.names import (
     HYFD_PAIRS_COMPARED,
     HYFD_VALIDATIONS,
     HYFD_VIOLATED_CANDIDATES,
+    INVERSION,
+    SAMPLING,
+    VALIDATION,
 )
 from ..relation.preprocess import PreprocessedRelation
 from ..relation.relation import Relation
@@ -85,7 +88,7 @@ class HyFD:
             # ---- phase 1: sampling while efficient -----------------------
             sampling_phases += 1
             phase_pairs = 0
-            with span("sampling", phase=sampling_phases):
+            with phase(SAMPLING, phase=sampling_phases):
                 while True:
                     swept, novel = self._sweep(data, clusters, distance, ncover,
                                                pending, seen, universe,
@@ -97,8 +100,8 @@ class HyFD:
                         break
                     if novel / swept < self.efficiency_threshold:
                         break
-                counter(HYFD_PAIRS_COMPARED, phase_pairs)
-            with span("inversion", phase=sampling_phases):
+                count(HYFD_PAIRS_COMPARED, phase_pairs)
+            with phase(INVERSION, phase=sampling_phases):
                 inverter.process(pending)
             pending.clear()
             # ---- phase 2: full validation --------------------------------
@@ -107,7 +110,7 @@ class HyFD:
             # so the per-candidate cost collapses to the RHS check.
             validation_phases += 1
             violated = 0
-            with span("validation", phase=validation_phases):
+            with phase(VALIDATION, phase=validation_phases):
                 outcomes = context.validate_many(
                     list(inverter.pcover), witnesses=True
                 )
@@ -121,8 +124,8 @@ class HyFD:
                     novel_mask = (universe & ~agree) & ~seen.get(agree, 0)
                     if novel_mask:
                         self._admit(agree, novel_mask, ncover, pending, seen)
-                counter(HYFD_VALIDATIONS, len(outcomes))
-                counter(HYFD_VIOLATED_CANDIDATES, violated)
+                count(HYFD_VALIDATIONS, len(outcomes))
+                count(HYFD_VIOLATED_CANDIDATES, violated)
             if violated == 0 and not pending:
                 break
             inverter.process(pending)

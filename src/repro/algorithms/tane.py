@@ -27,8 +27,8 @@ from itertools import combinations
 from ..core.result import DiscoveryResult, Stopwatch, make_result
 from ..engine import PartitionStore
 from ..fd import FD, attrset
-from ..obs import counter, span
-from ..obs.names import TANE_VALIDATIONS
+from ..obs import count, phase
+from ..obs.names import TANE_LEVEL, TANE_VALIDATIONS
 from ..relation.relation import Relation
 from .base import execution_context, register
 
@@ -81,7 +81,7 @@ class Tane:
                     f"lattice level {level_number} holds {len(level)} nodes, "
                     f"exceeding max_level_width={self.max_level_width}"
                 )
-            with span("level", level=level_number, width=len(level)):
+            with phase(TANE_LEVEL, level=level_number, width=len(level)):
                 level_validations = 0
                 # -- COMPUTE_DEPENDENCIES -------------------------------
                 level_cplus: dict[int, int] = {}
@@ -130,7 +130,7 @@ class Tane:
                 cplus = level_cplus
                 level_number += 1
                 validations += level_validations
-                counter(TANE_VALIDATIONS, level_validations)
+                count(TANE_VALIDATIONS, level_validations)
 
         return make_result(
             fds,

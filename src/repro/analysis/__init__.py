@@ -16,7 +16,7 @@ and three *typestate* rules (:mod:`repro.analysis.lifecycle`) checking
 the engine's must-release resource protocols — leak-on-path (RPR109),
 use-after-release (RPR110), and release-order violations (RPR111) —
 against ``Owns:``/``Borrows:`` ownership declarations, and metric-name
-discipline (RPR112) holding every recording call site to the central
+discipline (RPR112) holding every front-door call site to the central
 catalog in :mod:`repro.obs.names`.
 Results are memoized on content hashes (:mod:`repro.analysis.cache`;
 ``--no-cache`` bypasses), ``repro-lint --explain RPR107`` documents any

@@ -103,7 +103,7 @@ PROTOCOLS: dict[str, Protocol] = {
     "frame": Protocol(
         "frame",
         ("__exit__",),
-        "obs span/recording and use_context stack frames: enter/exit "
+        "obs phase/recording and use_context stack frames: enter/exit "
         "via `with`",
     ),
     "cleanup": Protocol(
@@ -127,7 +127,7 @@ _CONSTRUCTOR_PROTOCOLS = {
     "NamedTemporaryFile": "file",
     "TemporaryFile": "file",
     "TemporaryDirectory": "tempdir",
-    "span": "frame",
+    "phase": "frame",
     "recording": "frame",
     "use_context": "frame",
 }

@@ -504,46 +504,35 @@ class ClockDisciplineRule(Rule):
 
 
 class MetricNameDisciplineRule(Rule):
-    """RPR112 — metric names come from the central catalog.
+    """RPR112 — front-door names come from the central catalog.
 
-    Every counter/gauge/series/histogram name is declared once in
+    Every phase, counter, gauge and series name is declared once in
     :mod:`repro.obs.names` with its help text; exporters, dashboards and
-    the trajectory harness rely on those spellings.  A string literal at
-    a recording call site drifts silently — a typo mints a parallel
+    traces rely on those spellings, and a phase name also spells its
+    derived ``phase.<name>.seconds`` histogram.  A string literal at a
+    front-door call site drifts silently — a typo mints a parallel
     metric nobody scrapes — so instrumented code must pass the imported
     constant instead (mirroring RPR104's clock discipline).  ``obs``
-    itself (which defines the catalog and the primitives) and the
+    itself (which defines the catalog and the front door) and the
     isolated ``analysis`` package are exempt.
     """
 
     code = "RPR112"
     name = "metric-name-discipline"
     rationale = (
-        "ad-hoc metric-name string literals at counter/gauge/point/"
-        "metric_* call sites bypass the repro.obs.names catalog; a typo "
+        "ad-hoc name string literals at phase/count/gauge/gauge_add/"
+        "point call sites bypass the repro.obs.names catalog; a typo "
         "silently mints an uncatalogued metric with no help text that "
         "exporters and dashboards never see"
     )
     example = (
-        'counter("sampler.passes")       # RPR112: ad-hoc literal\n'
-        "counter(SAMPLER_PASSES)         # constant from repro.obs.names"
+        'count("sampler.passes")         # RPR112: ad-hoc literal\n'
+        "count(SAMPLER_PASSES)           # constant from repro.obs.names"
     )
     interests = (ast.Call,)
 
     _EXEMPT_PACKAGES = ("obs", "analysis")
-    _HELPERS = frozenset(
-        {
-            "counter",
-            "gauge",
-            "point",
-            "metric_inc",
-            "metric_gauge_set",
-            "metric_gauge_add",
-            "metric_gauge_max",
-            "metric_observe",
-            "metric_time",
-        }
-    )
+    _HELPERS = frozenset({"phase", "count", "gauge", "gauge_add", "point"})
 
     def visit(self, node: ast.AST, module: Module) -> Iterator[Finding]:
         assert isinstance(node, ast.Call)

@@ -4,7 +4,7 @@ See DESIGN.md §3 for the experiment index mapping each module to its
 paper artifact and `benchmarks/` target.
 """
 
-from . import ablation, dms, overall, parameters, scalability, trajectory
+from . import ablation, dms, overall, parameters, scalability
 from .runner import (
     AlgorithmRun,
     GroundTruthCache,
@@ -24,5 +24,4 @@ __all__ = [
     "print_table",
     "run_algorithm",
     "scalability",
-    "trajectory",
 ]

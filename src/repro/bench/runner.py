@@ -5,6 +5,9 @@ a workload relation, run a set of algorithms on it, time them, and score
 the approximate ones against an exact ground truth.  This module hosts
 that loop plus the ground-truth cache and the paper-style row formatting
 (TL/ML markers for budget blow-ups).
+
+These harnesses regenerate the paper's tables and figures; the
+repository's gated performance benchmark is ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ class AlgorithmRun:
 
     ``telemetry`` is populated only when the run was traced
     (``run_algorithm(..., trace=True)``); it carries the per-phase
-    breakdown, counters and convergence series recorded by ``repro.obs``
-    so benchmark tables can report *where* the seconds went.
+    breakdown, counters and convergence series the ``repro.obs`` front
+    door recorded, so tables can report *where* the seconds went.
 
     ``backend`` names the execution-engine backend the run used, and
     ``partition_cache`` holds this run's slice of the shared partition
@@ -55,16 +58,11 @@ class AlgorithmRun:
     ``wall × jobs`` — 1.0 means every worker was saturated for the whole
     run, small values mean the serial coordinator dominated.  ``None``
     on serial runs and runs whose pool never dispatched a chunk.
-
-    ``all_seconds`` preserves every repeat's wall time (``seconds`` is
-    their median) so downstream consumers — the trajectory harness's
-    noise model in particular — can compute min-of-k and spread.
     """
 
     algorithm: str
     seconds: float | None
     fds: frozenset[FD] | None
-    all_seconds: tuple[float, ...] = ()
     skipped: str | None = None
     stats: dict[str, Any] = field(default_factory=dict)
     telemetry: RunTelemetry | None = None
@@ -161,7 +159,6 @@ def _execute(
         algorithm=result.algorithm,
         seconds=run.seconds,
         fds=result.fds,
-        all_seconds=run.all_seconds,
         stats=result.stats,
         telemetry=result.telemetry,
         backend=context.backend.name,

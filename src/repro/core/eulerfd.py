@@ -23,15 +23,8 @@ from __future__ import annotations
 
 from ..engine import acquire_context
 from ..fd import FD, NegativeCover
-from ..obs import phase_memory, point, span
-from ..obs.names import (
-    GR_NCOVER,
-    GR_PCOVER,
-    MEM_PHASE_CYCLE,
-    MEM_PHASE_INVERSION,
-    MEM_PHASE_NCOVER,
-    MEM_PHASE_SAMPLING,
-)
+from ..obs import phase, point
+from ..obs.names import CYCLE, GR_NCOVER, GR_PCOVER, INVERSION, NCOVER, SAMPLING
 from ..relation.relation import Relation
 from .config import EulerFDConfig
 from .inversion import Inverter
@@ -81,23 +74,19 @@ class EulerFD:
 
         while cycles < config.max_cycles:
             cycles += 1
-            with span("cycle", cycle=cycles), phase_memory(MEM_PHASE_CYCLE):
+            with phase(CYCLE, cycle=cycles):
                 # ---- first cycle: sampling vs negative-cover growth ------
                 # Each iteration is a full Algorithm-1 drain; while the
                 # negative cover keeps growing fast, retired clusters get a
                 # fresh streak and sampling continues (Alg. 2, lines 7-8).
                 while True:
-                    with span("sampling", cycle=cycles), phase_memory(
-                        MEM_PHASE_SAMPLING
-                    ):
+                    with phase(SAMPLING, cycle=cycles):
                         violations, pass_stats = sampler.run_pass()
                     if pass_stats.pairs_compared == 0:
                         break  # the sampler is dry; hand over to inversion
                     rounds += 1
                     size_before = max(len(ncover), 1)
-                    with span("ncover", cycle=cycles), phase_memory(
-                        MEM_PHASE_NCOVER
-                    ):
+                    with phase(NCOVER, cycle=cycles):
                         added = self._grow_ncover(violations, ncover, pending)
                     final_gr_ncover = added / size_before
                     # The trajectory behind Algorithm 2's stopping rule
@@ -108,9 +97,7 @@ class EulerFD:
                     sampler.revive()
                 # ---- inversion and the second cycle ----------------------
                 pcover_before = max(len(inverter.pcover), 1)
-                with span("inversion", cycle=cycles), phase_memory(
-                    MEM_PHASE_INVERSION
-                ):
+                with phase(INVERSION, cycle=cycles):
                     inversion_stats = inverter.process(pending)
                 pending.clear()
                 inversions += 1

@@ -40,11 +40,13 @@ from ..engine.backends import Backend
 from ..engine.context import ExecutionContext
 from ..engine.parallel import WorkerPool, agree_masks_sharded
 from ..fd import FD, NegativeCover, attrset
-from ..obs import counter, metric_inc, metric_time, span
+from ..obs import count, phase
 from ..obs.names import (
+    APPEND,
     INCREMENTAL_PAIRS_COMPARED,
-    INCREMENTAL_APPEND_SECONDS,
     INCREMENTAL_ROWS_TOTAL,
+    INVERSION,
+    PROFILE_BASE,
 )
 from ..relation.preprocess import AppendDelta
 from ..relation.relation import Relation
@@ -113,17 +115,15 @@ class IncrementalEulerFD:
                     f"row arity {len(row)} != schema width {self.num_attributes}"
                 )
         self.appends += 1
-        with span("append", batch=self.appends, rows=len(rows)), metric_time(
-            INCREMENTAL_APPEND_SECONDS
-        ):
-            metric_inc(INCREMENTAL_ROWS_TOTAL, float(len(rows)))
+        with phase(APPEND, batch=self.appends, rows=len(rows)):
+            count(INCREMENTAL_ROWS_TOTAL, len(rows))
             delta = self.context.append_rows(rows)
             if self.sampler is not None:
                 self.sampler.extend_clusters(delta, self.context.data)
             pending = self._compare_new_rows(delta)
-            with span("inversion", batch=self.appends):
+            with phase(INVERSION, batch=self.appends):
                 self.inverter.process(pending)
-        return self._snapshot(watch)
+            return self._snapshot(watch)
 
     def current_result(self) -> DiscoveryResult:
         """The current cover without new work."""
@@ -132,7 +132,7 @@ class IncrementalEulerFD:
     # -- internals ----------------------------------------------------------------
 
     def _profile_base(self) -> None:
-        with span("profile_base", exhaustive=self.exhaustive_base):
+        with phase(PROFILE_BASE, exhaustive=self.exhaustive_base):
             data = self.context.data
             pending: list[FD] = []
             self._seed_empty_lhs(
@@ -216,8 +216,7 @@ class IncrementalEulerFD:
         else:
             rows_a = rows_b = np.empty(0, dtype=np.intp)
         self.pairs_compared += int(rows_a.size)
-        counter(INCREMENTAL_PAIRS_COMPARED, int(rows_a.size))
-        metric_inc(INCREMENTAL_PAIRS_COMPARED, float(rows_a.size))
+        count(INCREMENTAL_PAIRS_COMPARED, int(rows_a.size))
         if rows_a.size:
             masks = agree_masks_sharded(self.pool, data, rows_a, rows_b)
             for agree in masks:

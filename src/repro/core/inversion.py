@@ -22,7 +22,7 @@ from collections.abc import Iterable
 
 from ..fd import FD, PositiveCover, attrset
 from ..fd.fd import sort_for_cover_insertion
-from ..obs import counter
+from ..obs import count
 from ..obs.names import (
     INVERTER_CANDIDATES_ADDED,
     INVERTER_CANDIDATES_REMOVED,
@@ -60,9 +60,9 @@ class Inverter:
         for non_fd in sort_for_cover_insertion(non_fds):
             self._invert_one(non_fd, stats)
             stats.non_fds_processed += 1
-        counter(INVERTER_NON_FDS_INVERTED, stats.non_fds_processed)
-        counter(INVERTER_CANDIDATES_REMOVED, stats.candidates_removed)
-        counter(INVERTER_CANDIDATES_ADDED, stats.candidates_added)
+        count(INVERTER_NON_FDS_INVERTED, stats.non_fds_processed)
+        count(INVERTER_CANDIDATES_REMOVED, stats.candidates_removed)
+        count(INVERTER_CANDIDATES_ADDED, stats.candidates_added)
         return stats
 
     def _invert_one(self, non_fd: FD, stats: InversionStats) -> None:

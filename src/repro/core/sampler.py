@@ -32,7 +32,7 @@ import numpy as np
 
 from ..engine.parallel import WorkerPool, agree_masks_sharded
 from ..fd import attrset
-from ..obs import counter, gauge
+from ..obs import count, gauge
 from ..obs.names import (
     MLFQ_DEMOTIONS,
     MLFQ_OCCUPANCY,
@@ -222,7 +222,7 @@ class SamplingModule:
                 revived += 1
         if revived:
             self.revivals += 1
-            counter(SAMPLER_REVIVED_CLUSTERS, revived)
+            count(SAMPLER_REVIVED_CLUSTERS, revived)
         return revived
 
     def extend_clusters(
@@ -296,9 +296,9 @@ class SamplingModule:
         previous = cluster.queue_level
         if previous is not None:
             if level < previous:
-                counter(MLFQ_PROMOTIONS)
+                count(MLFQ_PROMOTIONS)
             elif level > previous:
-                counter(MLFQ_DEMOTIONS)
+                count(MLFQ_DEMOTIONS)
         cluster.queue_level = level
 
     def run_pass(self, max_samples: int | None = None) -> tuple[list[Violation], RoundStats]:
@@ -331,10 +331,10 @@ class SamplingModule:
         self.rounds_run += 1
         self.total_pairs += stats.pairs_compared
         self.total_new_non_fds += stats.new_non_fds
-        counter(SAMPLER_PASSES)
-        counter(SAMPLER_CLUSTER_VISITS, stats.cluster_samples)
-        counter(SAMPLER_PAIRS_COMPARED, stats.pairs_compared)
-        counter(SAMPLER_NEW_NON_FDS, stats.new_non_fds)
+        count(SAMPLER_PASSES)
+        count(SAMPLER_CLUSTER_VISITS, stats.cluster_samples)
+        count(SAMPLER_PAIRS_COMPARED, stats.pairs_compared)
+        count(SAMPLER_NEW_NON_FDS, stats.new_non_fds)
         gauge(MLFQ_OCCUPANCY, float(len(self._queue)), sizes=stats.queue_occupancy)
         return violations, stats
 
@@ -369,8 +369,7 @@ class SamplingModule:
         else:
             masks = self.data.agree_masks_bulk(rows_a, rows_b)
         for agree in masks:
-            # Single seen-dict lookup per mask: the update reuses the
-            # read (benchmarks/record_baseline.py times this micro-win).
+            # Single seen-dict lookup per mask: the update reuses the read.
             prior = seen.get(agree, 0)
             novel = (self._universe & ~agree) & ~prior
             if novel:
@@ -382,7 +381,7 @@ class SamplingModule:
         if new_count:
             # A window position that still yields novel violations: the
             # signal the MLFQ uses to keep a cluster hot (Fig. 3).
-            counter(SAMPLER_WINDOW_HITS)
+            count(SAMPLER_WINDOW_HITS)
         capa = new_count / num_positions if num_positions else 0.0
         cluster.record(capa)
         cluster.window += 1

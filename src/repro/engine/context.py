@@ -26,12 +26,13 @@ from collections.abc import Iterator, Sequence
 
 from ..fd import attrset
 from ..fd.fd import FD
-from ..obs import counter, metric_inc, metric_time, phase_memory, span
+from ..obs import count, phase
 from ..obs.names import (
-    MEM_PHASE_PREPROCESS,
-    VALIDATE_BATCH_SECONDS,
+    APPEND_ROWS,
+    PREPROCESS,
     VALIDATE_CANDIDATES,
     VALIDATE_LHS_FOLDS,
+    VALIDATE_MANY,
 )
 from ..relation.partition import StrippedPartition
 from ..relation.preprocess import AppendDelta, PreprocessedRelation, preprocess
@@ -78,9 +79,7 @@ class ExecutionContext:
         self.backend = get_backend(backend)
         self.pool = jobs if isinstance(jobs, WorkerPool) else get_pool(jobs)
         self.null_equals_null = null_equals_null
-        with span("preprocess", relation=relation.name), phase_memory(
-            MEM_PHASE_PREPROCESS
-        ):
+        with phase(PREPROCESS, relation=relation.name):
             # ``delta=True`` retains the encoder state so append_rows is
             # O(batch) from the first batch — the streaming cold start.
             self.data: PreprocessedRelation = preprocess(
@@ -128,7 +127,7 @@ class ExecutionContext:
 
         Mutates: self
         """
-        with span("append_rows", rows=len(rows)):
+        with phase(APPEND_ROWS, rows=len(rows)):
             data = self.data.append_rows(list(rows))
             delta = data.append_delta
             self.data = data
@@ -202,9 +201,7 @@ class ExecutionContext:
         """
         fds = list(fds)
         results: list[Validation | None] = [None] * len(fds)
-        with span("validate_many", candidates=len(fds)), metric_time(
-            VALIDATE_BATCH_SECONDS
-        ):
+        with phase(VALIDATE_MANY, candidates=len(fds)):
             if self.num_rows <= 1:
                 for index, fd in enumerate(fds):
                     results[index] = Validation(fd, True)
@@ -239,10 +236,8 @@ class ExecutionContext:
                         else:
                             holds = self.backend.constant_on(self.data, keys, rhs)
                             results[index] = Validation(fds[index], holds)
-            counter(VALIDATE_CANDIDATES, len(fds))
-            counter(VALIDATE_LHS_FOLDS, len(groups))
-            metric_inc(VALIDATE_CANDIDATES, float(len(fds)))
-            metric_inc(VALIDATE_LHS_FOLDS, float(len(groups)))
+            count(VALIDATE_CANDIDATES, len(fds))
+            count(VALIDATE_LHS_FOLDS, len(groups))
         return [v for v in results if v is not None]
 
     def __repr__(self) -> str:

@@ -51,17 +51,11 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
-from ..obs import (
-    counter,
-    metric_gauge_add,
-    metric_gauge_set,
-    metric_inc,
-    monotonic,
-    span,
-)
+from ..obs import count, gauge, gauge_add, monotonic, phase
 from ..obs.names import (
     POOL_BUSY_SECONDS,
     POOL_CHUNKS,
+    POOL_MAP,
     POOL_QUEUE_DEPTH,
     POOL_TASKS,
     POOL_WORKERS,
@@ -348,10 +342,10 @@ class WorkerPool:
                 results.append(payload)
             return results
         executor = self._ensure_executor()
-        metric_gauge_set(POOL_WORKERS, float(self.jobs))
-        metric_gauge_set(POOL_QUEUE_DEPTH, float(len(tasks)))
-        with span(
-            "engine.parallel.map",
+        gauge(POOL_WORKERS, float(self.jobs))
+        gauge(POOL_QUEUE_DEPTH, float(len(tasks)))
+        with phase(
+            POOL_MAP,
             kernel=fn.__name__.strip("_"),
             chunks=len(tasks),
             jobs=self.jobs,
@@ -361,16 +355,13 @@ class WorkerPool:
             for future in futures:
                 payload, elapsed = future.result()
                 self.busy_seconds += elapsed
-                counter(POOL_BUSY_SECONDS, elapsed)
-                metric_inc(POOL_BUSY_SECONDS, elapsed)
-                metric_gauge_add(POOL_QUEUE_DEPTH, -1.0)
+                count(POOL_BUSY_SECONDS, elapsed)
+                gauge_add(POOL_QUEUE_DEPTH, -1.0)
                 results.append(payload)
         self.tasks_dispatched += 1
         self.chunks_dispatched += len(tasks)
-        counter(POOL_TASKS)
-        counter(POOL_CHUNKS, len(tasks))
-        metric_inc(POOL_TASKS)
-        metric_inc(POOL_CHUNKS, float(len(tasks)))
+        count(POOL_TASKS)
+        count(POOL_CHUNKS, len(tasks))
         return results
 
     # -- matrix shipping --------------------------------------------------

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import metric_gauge_add
+from ..obs import gauge_add
 from ..obs.names import MMAP_BYTES, MMAP_FILES
 
 MMAP_PREFIX = "repro_mmap_"
@@ -168,16 +168,16 @@ def publish_matrix(
         raise
     done = False
     file_bytes = segment.size
-    metric_gauge_add(MMAP_FILES, 1.0)
-    metric_gauge_add(MMAP_BYTES, float(file_bytes))
+    gauge_add(MMAP_FILES, 1.0)
+    gauge_add(MMAP_BYTES, float(file_bytes))
 
     def cleanup() -> None:
         nonlocal done
         if done:
             return
         done = True
-        metric_gauge_add(MMAP_FILES, -1.0)
-        metric_gauge_add(MMAP_BYTES, -float(file_bytes))
+        gauge_add(MMAP_FILES, -1.0)
+        gauge_add(MMAP_BYTES, -float(file_bytes))
         _discard_mmap_segment(segment)
 
     return handle, cleanup

@@ -26,11 +26,10 @@ columns every time.  :class:`PartitionStore` centralizes them:
   Evicting never loses correctness: a future request re-derives the
   partition from whatever ancestors survived.
 
-Cache traffic is counted three times over: plain integers
-(:meth:`stats`, for telemetry rows with tracing off), per-run
-``engine.partition_cache.*`` counters on the active obs recorder, and
-process-wide counters plus a resident-bytes gauge on the active metrics
-registry (DESIGN.md §10).
+Cache traffic is counted twice: plain integers (:meth:`stats`, for
+telemetry rows with no sink installed) and one front-door call per event
+— ``engine.partition_cache.*`` counters plus a resident-bytes gauge —
+which reaches whichever obs sinks are installed (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from ..fd import attrset
-from ..obs import counter, metric_gauge_set, metric_inc
+from ..obs import count, gauge
 from ..obs.names import (
     INCREMENTAL_STORE_DELTA_APPLIED,
     INCREMENTAL_STORE_DELTA_REBUILT,
@@ -136,7 +135,7 @@ class PartitionStore:
         self.evicted_bytes = 0
         self.delta_applied = 0
         self.delta_rebuilt = 0
-        metric_gauge_set(PARTITION_CACHE_RESIDENT_BYTES, float(self.resident_bytes))
+        gauge(PARTITION_CACHE_RESIDENT_BYTES, float(self.resident_bytes))
 
     @property
     def cache_size(self) -> int:
@@ -181,19 +180,16 @@ class PartitionStore:
         pinned = self._pinned.get(mask)
         if pinned is not None:
             self.hits += 1
-            counter(PARTITION_CACHE_HIT)
-            metric_inc(PARTITION_CACHE_HIT)
+            count(PARTITION_CACHE_HIT)
             return pinned
         cached = self._cache.get(mask)
         if cached is not None:
             self._cache.move_to_end(mask)
             self.hits += 1
-            counter(PARTITION_CACHE_HIT)
-            metric_inc(PARTITION_CACHE_HIT)
+            count(PARTITION_CACHE_HIT)
             return cached
         self.misses += 1
-        counter(PARTITION_CACHE_MISS)
-        metric_inc(PARTITION_CACHE_MISS)
+        count(PARTITION_CACHE_MISS)
         partition = self._derive(mask)
         self._store(mask, partition)
         return partition
@@ -264,13 +260,13 @@ class PartitionStore:
                     self._costs[mask] = cost
                     self._cached_bytes += cost
                 self.delta_applied += 1
-                metric_inc(INCREMENTAL_STORE_DELTA_APPLIED)
+                count(INCREMENTAL_STORE_DELTA_APPLIED)
             else:
                 del self._cache[mask]
                 self._cached_bytes -= self._costs.pop(mask, 0)
                 self.delta_rebuilt += 1
-                metric_inc(INCREMENTAL_STORE_DELTA_REBUILT)
-        metric_gauge_set(PARTITION_CACHE_RESIDENT_BYTES, float(self.resident_bytes))
+                count(INCREMENTAL_STORE_DELTA_REBUILT)
+        gauge(PARTITION_CACHE_RESIDENT_BYTES, float(self.resident_bytes))
 
     def _extend_partition(
         self,
@@ -359,8 +355,7 @@ class PartitionStore:
     def _derive(self, mask: int) -> StrippedPartition:
         """Product of the cheapest cached parent pair covering ``mask``."""
         self.derives += 1
-        counter(PARTITION_CACHE_DERIVE)
-        metric_inc(PARTITION_CACHE_DERIVE)
+        count(PARTITION_CACHE_DERIVE)
         base_mask, base = self._largest_cached_subset(mask)
         remainder = mask & ~base_mask
         partner = self._cheapest_cover(mask, remainder)
@@ -434,7 +429,6 @@ class PartitionStore:
             self._cached_bytes -= evicted_cost
             self.evictions += 1
             self.evicted_bytes += evicted_cost
-            counter(PARTITION_CACHE_EVICT)
-            metric_inc(PARTITION_CACHE_EVICT)
-            metric_inc(PARTITION_CACHE_EVICTED_BYTES, float(evicted_cost))
-        metric_gauge_set(PARTITION_CACHE_RESIDENT_BYTES, float(self.resident_bytes))
+            count(PARTITION_CACHE_EVICT)
+            count(PARTITION_CACHE_EVICTED_BYTES, evicted_cost)
+        gauge(PARTITION_CACHE_RESIDENT_BYTES, float(self.resident_bytes))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from ..obs import counter
+from ..obs import count
 from ..obs.names import (
     NCOVER_ADDED,
     NCOVER_GENERALIZATIONS_EVICTED,
@@ -92,9 +92,9 @@ class NegativeCover:
             evicted += 1
         tree.add(non_fd.lhs)
         self._size += 1
-        counter(NCOVER_ADDED)
+        count(NCOVER_ADDED)
         if evicted:
-            counter(NCOVER_GENERALIZATIONS_EVICTED, evicted)
+            count(NCOVER_GENERALIZATIONS_EVICTED, evicted)
         return True
 
     def add_all(self, non_fds: Iterable[FD]) -> int:
@@ -189,9 +189,9 @@ class PositiveCover:
             evicted += 1
         tree.add(fd.lhs)
         self._size += 1
-        counter(PCOVER_ADDED)
+        count(PCOVER_ADDED)
         if evicted:
-            counter(PCOVER_SPECIALIZATIONS_EVICTED, evicted)
+            count(PCOVER_SPECIALIZATIONS_EVICTED, evicted)
         return True
 
     def add_minimal(self, fd: FD) -> bool:
@@ -206,7 +206,7 @@ class PositiveCover:
         """
         if self._trees[fd.rhs].add(fd.lhs):
             self._size += 1
-            counter(PCOVER_ADDED)
+            count(PCOVER_ADDED)
             return True
         return False
 
@@ -217,7 +217,7 @@ class PositiveCover:
         """
         if self._trees[fd.rhs].remove(fd.lhs):
             self._size -= 1
-            counter(PCOVER_REMOVED)
+            count(PCOVER_REMOVED)
             return True
         return False
 

@@ -1,24 +1,27 @@
-"""``repro.obs`` — tracing, metrics, and convergence telemetry.
+"""``repro.obs`` — one instrumentation front door over three sinks.
 
 The instrumentation substrate for the whole package (DESIGN.md §7).  It
 sits *below* every other layer — ``fd``, ``relation``, ``core``, the
-benchmark harness — so any module may record into it, and it imports
-nothing from the rest of the package.
+engine — so any module may record into it, and it imports nothing from
+the rest of the package.
 
-Instrumented code calls the module-level helpers (:func:`span`,
-:func:`counter`, :func:`gauge`, :func:`point`); with no recorder
-installed they are no-ops costing one thread-local read, so the
-permanently instrumented hot paths stay free in production.  Wrap a run
-in :func:`recording` to capture a full trace, then export it with
-:func:`to_jsonl`, :func:`chrome_trace` (Perfetto / ``chrome://tracing``)
-or :func:`summary_tree`, or read the typed :class:`RunTelemetry` a
-traced :class:`~repro.core.result.DiscoveryResult` carries::
+Instrumented code calls the front door and nothing else: :func:`phase`
+(a ``with`` block around one step of a run) and :func:`count`,
+:func:`gauge`, :func:`gauge_add`, :func:`point` (one observation each),
+with names from :mod:`repro.obs.names`.  Behind it sit three sinks, each
+installed for a block: :func:`recording` captures a trace,
+:func:`collecting_metrics` a Prometheus-style registry (a phase becomes
+the histogram ``phase.<name>.seconds``), and :func:`memory_profiling`
+per-phase tracemalloc peaks (``mem.phase.<name>.peak_bytes``).  With no
+sink installed every front-door call is one module-global read, so the
+permanently instrumented hot paths stay free in production::
 
     from repro import obs
 
-    with obs.recording() as recorder:
+    with obs.recording() as recorder, obs.collecting_metrics() as registry:
         result = create("eulerfd").discover(relation)
     print(obs.summary_tree(recorder))
+    print(obs.prometheus_text(registry))
     print(result.telemetry.series["gr_ncover"])
 """
 
@@ -33,50 +36,29 @@ from .exporters import (
     validate_chrome_trace,
     write_trace,
 )
-from .recorder import (
-    NULL_SPAN,
-    Event,
-    Recorder,
-    SpanHandle,
-    counter,
+from .front import (
+    NULL_PHASE,
+    collecting_metrics,
+    count,
     current_recorder,
-    enabled,
     gauge,
-    install,
+    gauge_add,
+    memory_profiling,
+    phase,
     point,
     recording,
-    span,
-    uninstall,
 )
 from .metrics import (
-    NULL_TIMER,
     Histogram,
     MetricsRegistry,
-    collecting_metrics,
-    current_metrics,
     exponential_buckets,
-    install_metrics,
-    metric_gauge_add,
-    metric_gauge_max,
-    metric_gauge_set,
-    metric_inc,
-    metric_observe,
-    metric_time,
-    metrics_enabled,
     metrics_from_jsonl,
     metrics_jsonl,
     prometheus_name,
     prometheus_text,
-    uninstall_metrics,
 )
-from .prof import (
-    NULL_PHASE,
-    MemoryProfiler,
-    current_profiler,
-    memory_profiling,
-    peak_rss_bytes,
-    phase_memory,
-)
+from .prof import MemoryProfiler
+from .recorder import Event, Recorder, SpanHandle
 from .telemetry import PhaseStat, RunTelemetry
 
 __all__ = [
@@ -87,8 +69,6 @@ __all__ = [
     "MemoryProfiler",
     "MetricsRegistry",
     "NULL_PHASE",
-    "NULL_SPAN",
-    "NULL_TIMER",
     "PhaseStat",
     "Recorder",
     "RunTelemetry",
@@ -96,41 +76,26 @@ __all__ = [
     "SystemClock",
     "chrome_trace",
     "collecting_metrics",
-    "counter",
-    "current_metrics",
-    "current_profiler",
+    "count",
     "current_recorder",
-    "enabled",
     "event_dicts",
     "events_from_jsonl",
     "exponential_buckets",
     "gauge",
-    "install",
-    "install_metrics",
+    "gauge_add",
     "memory_profiling",
-    "metric_gauge_add",
-    "metric_gauge_max",
-    "metric_gauge_set",
-    "metric_inc",
-    "metric_observe",
-    "metric_time",
-    "metrics_enabled",
     "metrics_from_jsonl",
     "metrics_jsonl",
     "monotonic",
     "names",
-    "peak_rss_bytes",
-    "phase_memory",
+    "phase",
     "point",
     "prometheus_name",
     "prometheus_text",
     "recording",
-    "span",
     "summary_tree",
     "system_clock",
     "to_jsonl",
-    "uninstall",
-    "uninstall_metrics",
     "validate_chrome_trace",
     "write_trace",
 ]

@@ -1,24 +1,19 @@
-"""The process-wide metrics registry (DESIGN.md §10).
+"""The metrics sink: a process-wide registry, and its exporters.
 
-Where :mod:`repro.obs.recorder` answers *what happened during this run*
-(an ordered event log, installed per thread, exported as a trace), this
-module answers *what is the process doing right now*: monotonic
-counters, last-value gauges and fixed-exponential-bucket histograms,
-aggregated in place and scraped on demand.  The two share the same
-contract — permanently instrumented call sites, zero overhead while
-disabled — but differ in scope: the registry is **process-global** so
-worker-pool callbacks, transport bookkeeping and store evictions on any thread
-land in one place a Prometheus scrape can see.
+Where the recorder (:mod:`repro.obs.recorder`) answers *what happened
+during this run* (an ordered event log, installed per thread, exported
+as a trace), the registry answers *what is the process doing right now*:
+monotonic counters, last-value gauges and fixed-exponential-bucket
+histograms, aggregated in place and scraped on demand.  It is installed
+**process-wide** by :func:`~repro.obs.front.collecting_metrics`, so
+worker-pool callbacks, transport bookkeeping and store evictions on any
+thread land in one place a Prometheus scrape can see.  The front door
+(:mod:`repro.obs.front`) feeds it: every ``count``/``gauge``/
+``gauge_add``/``point`` call, and one ``phase.<name>.seconds``
+observation per closed phase.
 
-The front door mirrors the recorder's: module-level helpers
-(:func:`metric_inc`, :func:`metric_gauge_set`, :func:`metric_gauge_add`,
-:func:`metric_gauge_max`, :func:`metric_observe`, :func:`metric_time`)
-reduce to one module-global read and a ``None`` check when no registry
-is installed; :func:`metric_time` returns the shared :data:`NULL_TIMER`
-handle, the registry analogue of ``NULL_SPAN``.  Install a registry for
-a block with :func:`collecting_metrics`, then export it with
-:func:`prometheus_text` (the text exposition format) or
-:func:`metrics_jsonl` / :func:`metrics_from_jsonl` (lossless
+Export a registry with :func:`prometheus_text` (the text exposition
+format) or :func:`metrics_jsonl` / :func:`metrics_from_jsonl` (lossless
 round-trip).
 """
 
@@ -27,8 +22,6 @@ from __future__ import annotations
 import json
 import threading
 from bisect import bisect_left
-from contextlib import contextmanager
-from collections.abc import Iterator
 from typing import Any
 
 from .clock import Clock, SystemClock
@@ -97,43 +90,6 @@ class Histogram:
         Pure: a bisect over the fixed bounds.
         """
         return bisect_left(self.bounds, value)
-
-
-class _Timer:
-    """Context manager observing its block's duration into a histogram."""
-
-    __slots__ = ("_registry", "_name", "_start")
-
-    def __init__(self, registry: MetricsRegistry, name: str) -> None:
-        self._registry = registry
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> _Timer:
-        self._start = self._registry.clock.now()
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        self._registry.observe(
-            self._name, self._registry.clock.now() - self._start
-        )
-        return False
-
-
-class _NullTimer:
-    """The shared do-nothing timer handle returned while metrics are off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullTimer:
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-NULL_TIMER = _NullTimer()
-"""Singleton no-op timer; identity-comparable in overhead tests."""
 
 
 class MetricsRegistry:
@@ -207,13 +163,6 @@ class MetricsRegistry:
                 self.histograms[name] = histogram
             histogram.observe(value)
 
-    def time_block(self, name: str) -> _Timer:
-        """A context manager observing its block's wall time into ``name``.
-
-        Owns: return
-        """
-        return _Timer(self, name)
-
     def snapshot(self) -> dict[str, Any]:
         """A plain-data copy of every metric, sorted by name.
 
@@ -233,127 +182,6 @@ class MetricsRegistry:
                     for name, h in sorted(self.histograms.items())
                 },
             }
-
-
-# -- the process-global front door --------------------------------------------
-
-_ACTIVE_REGISTRY: MetricsRegistry | None = None
-_INSTALL_LOCK = threading.Lock()
-
-
-def current_metrics() -> MetricsRegistry | None:
-    """The installed registry, or None while collection is off.
-
-    Pure: one module-global read.
-    """
-    return _ACTIVE_REGISTRY
-
-
-def metrics_enabled() -> bool:
-    """True when a registry is installed process-wide.
-
-    Pure: one module-global read.
-    """
-    return _ACTIVE_REGISTRY is not None
-
-
-def install_metrics(registry: MetricsRegistry) -> None:
-    """Make ``registry`` the process-wide active registry."""
-    global _ACTIVE_REGISTRY
-    with _INSTALL_LOCK:
-        _ACTIVE_REGISTRY = registry
-
-
-def uninstall_metrics() -> None:
-    """Disable metrics collection process-wide."""
-    global _ACTIVE_REGISTRY
-    with _INSTALL_LOCK:
-        _ACTIVE_REGISTRY = None
-
-
-@contextmanager
-def collecting_metrics(
-    registry: MetricsRegistry | None = None,
-) -> Iterator[MetricsRegistry]:
-    """Install a registry for the duration of the block.
-
-    Creates a fresh :class:`MetricsRegistry` when none is given; the
-    previously installed registry (usually None) is restored on exit so
-    collections nest without leaking into later code.
-    """
-    active = registry if registry is not None else MetricsRegistry()
-    global _ACTIVE_REGISTRY
-    with _INSTALL_LOCK:
-        previous = _ACTIVE_REGISTRY
-        _ACTIVE_REGISTRY = active
-    try:
-        yield active
-    finally:
-        with _INSTALL_LOCK:
-            _ACTIVE_REGISTRY = previous
-
-
-def metric_inc(name: str, amount: float = 1.0) -> None:
-    """Bump a counter on the active registry; no-op while metrics are off.
-
-    Pure: never mutates its arguments.
-    """
-    registry = _ACTIVE_REGISTRY
-    if registry is not None:
-        registry.inc(name, amount)
-
-
-def metric_gauge_set(name: str, value: float) -> None:
-    """Set a gauge on the active registry; no-op while metrics are off.
-
-    Pure: never mutates its arguments.
-    """
-    registry = _ACTIVE_REGISTRY
-    if registry is not None:
-        registry.gauge_set(name, value)
-
-
-def metric_gauge_add(name: str, delta: float) -> None:
-    """Shift a gauge on the active registry; no-op while metrics are off.
-
-    Pure: never mutates its arguments.
-    """
-    registry = _ACTIVE_REGISTRY
-    if registry is not None:
-        registry.gauge_add(name, delta)
-
-
-def metric_gauge_max(name: str, value: float) -> None:
-    """Raise a gauge on the active registry; no-op while metrics are off.
-
-    Pure: never mutates its arguments.
-    """
-    registry = _ACTIVE_REGISTRY
-    if registry is not None:
-        registry.gauge_max(name, value)
-
-
-def metric_observe(name: str, value: float) -> None:
-    """Observe into a histogram on the active registry; no-op when off.
-
-    Pure: never mutates its arguments.
-    """
-    registry = _ACTIVE_REGISTRY
-    if registry is not None:
-        registry.observe(name, value)
-
-
-def metric_time(name: str) -> _Timer | _NullTimer:
-    """Time a block into the named histogram; no-op while metrics are off.
-
-    Pure: never mutates its arguments (the fast-path promise; the write
-        goes to the process-global registry, if any).
-    Owns: return
-    """
-    registry = _ACTIVE_REGISTRY
-    if registry is None:
-        return NULL_TIMER
-    return registry.time_block(name)
 
 
 # -- exporters -----------------------------------------------------------------

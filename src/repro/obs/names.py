@@ -1,19 +1,24 @@
-"""The central metric-name catalog (DESIGN.md §10).
+"""The central name catalog (DESIGN.md §7).
 
-Every counter, gauge, series and histogram name recorded anywhere in the
-package is declared here exactly once, as a module-level constant, with
+Every name passed to a front-door call — each phase, counter, gauge and
+series — is declared here exactly once, as a module-level constant, with
 its help line in :data:`CATALOG`.  Instrumented code imports the
-constant; the lint rule RPR112 (metric-name discipline) flags call sites
-that pass ad-hoc string literals instead.  Centralizing the names buys
-three things:
+constant; the lint rule RPR112 (metric-name discipline) flags front-door
+calls that pass ad-hoc string literals instead.  Centralizing the names
+buys three things:
 
 * exporters (Prometheus, JSONL) can attach stable ``# HELP`` text;
 * renames are one-line diffs instead of greps across layers;
-* dashboards and the trajectory harness can rely on the spelling.
+* dashboards and traces can rely on the spelling.
 
-The catalog is *descriptive*, not enforced at runtime — the registry
-accepts any name so tests and third-party extensions stay free to record
-their own series.  Discipline is static (RPR112) by design.
+A phase name is not itself a metric: the front door derives the
+registry histogram :func:`phase_seconds` and the memory gauge
+:func:`phase_peak_bytes` from it, and :func:`metric_help` derives their
+help text from the phase's.
+
+The catalog is *descriptive*, not enforced at runtime — the sinks accept
+any name so tests and third-party extensions stay free to record their
+own series.  Discipline is static (RPR112) by design.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ PARTITION_CACHE_EVICTED_BYTES = "engine.partition_cache.evicted_bytes"
 
 VALIDATE_CANDIDATES = "engine.validate.candidates"
 VALIDATE_LHS_FOLDS = "engine.validate.lhs_folds"
-VALIDATE_BATCH_SECONDS = "engine.validate.batch_seconds"
 
 # -- engine: worker pool and matrix transport ---------------------------------
 
@@ -59,7 +63,6 @@ INVERTER_NON_FDS_INVERTED = "inverter.non_fds_inverted"
 INVERTER_CANDIDATES_REMOVED = "inverter.candidates_removed"
 INVERTER_CANDIDATES_ADDED = "inverter.candidates_added"
 INCREMENTAL_PAIRS_COMPARED = "incremental.pairs_compared"
-INCREMENTAL_APPEND_SECONDS = "incremental.append.latency"
 INCREMENTAL_ROWS_TOTAL = "incremental.rows.total"
 INCREMENTAL_STORE_DELTA_APPLIED = "incremental.store.delta_applied"
 INCREMENTAL_STORE_DELTA_REBUILT = "incremental.store.delta_rebuilt"
@@ -81,14 +84,22 @@ HYFD_VALIDATIONS = "hyfd.validations"
 HYFD_VIOLATED_CANDIDATES = "hyfd.violated_candidates"
 AIDFD_PAIRS_COMPARED = "aidfd.pairs_compared"
 
-# -- memory attribution (repro.obs.prof) --------------------------------------
+# -- phases: each derives phase.<name>.seconds and mem.phase.<name>.peak_bytes --
 
-MEM_PHASE_PREPROCESS = "mem.phase.preprocess.peak_bytes"
-MEM_PHASE_CYCLE = "mem.phase.cycle.peak_bytes"
-MEM_PHASE_SAMPLING = "mem.phase.sampling.peak_bytes"
-MEM_PHASE_NCOVER = "mem.phase.ncover.peak_bytes"
-MEM_PHASE_INVERSION = "mem.phase.inversion.peak_bytes"
-MEM_RUN_PEAK_TRACEMALLOC = "mem.run.peak_tracemalloc_bytes"
+DISCOVER = "discover"
+PREPROCESS = "preprocess"
+APPEND_ROWS = "append_rows"
+VALIDATE_MANY = "validate_many"
+POOL_MAP = "engine.parallel.map"
+CYCLE = "cycle"
+SAMPLING = "sampling"
+NCOVER = "ncover"
+INVERSION = "inversion"
+VALIDATION = "validation"
+AGREE_SETS = "agree_sets"
+TANE_LEVEL = "level"
+PROFILE_BASE = "profile_base"
+APPEND = "append"
 
 CATALOG: dict[str, str] = {
     PARTITION_CACHE_HIT: "Partition-store lookups served from cache",
@@ -99,7 +110,6 @@ CATALOG: dict[str, str] = {
     PARTITION_CACHE_EVICTED_BYTES: "Estimated bytes released by partition-store evictions",
     VALIDATE_CANDIDATES: "FD candidates submitted to validate_many",
     VALIDATE_LHS_FOLDS: "Candidate groups after LHS folding",
-    VALIDATE_BATCH_SECONDS: "Wall time per validate_many batch",
     POOL_BUSY_SECONDS: "Summed worker-side busy seconds",
     POOL_TASKS: "Worker-pool dispatches (one map_chunks call)",
     POOL_CHUNKS: "Chunks fanned out across all dispatches",
@@ -118,7 +128,6 @@ CATALOG: dict[str, str] = {
     INVERTER_CANDIDATES_REMOVED: "Candidates removed during inversion",
     INVERTER_CANDIDATES_ADDED: "Specialized candidates added during inversion",
     INCREMENTAL_PAIRS_COMPARED: "Row pairs compared by incremental updates",
-    INCREMENTAL_APPEND_SECONDS: "Wall time per incremental append batch",
     INCREMENTAL_ROWS_TOTAL: "Rows ingested through the incremental append path",
     INCREMENTAL_STORE_DELTA_APPLIED: "Cached partitions extended in place by a store delta",
     INCREMENTAL_STORE_DELTA_REBUILT: "Cached partitions released by a store delta for on-demand re-derivation",
@@ -136,19 +145,56 @@ CATALOG: dict[str, str] = {
     HYFD_VALIDATIONS: "Candidate validations performed by HyFD",
     HYFD_VIOLATED_CANDIDATES: "HyFD candidates refuted by validation",
     AIDFD_PAIRS_COMPARED: "Row pairs swept by AID-FD",
-    MEM_PHASE_PREPROCESS: "Peak tracemalloc delta inside the preprocess phase",
-    MEM_PHASE_CYCLE: "Peak tracemalloc delta inside one EulerFD cycle",
-    MEM_PHASE_SAMPLING: "Peak tracemalloc delta inside the sampling phase",
-    MEM_PHASE_NCOVER: "Peak tracemalloc delta inside negative-cover maintenance",
-    MEM_PHASE_INVERSION: "Peak tracemalloc delta inside cover inversion",
-    MEM_RUN_PEAK_TRACEMALLOC: "Peak traced bytes over the whole profiled run",
+    DISCOVER: "One algorithm run, from relation to FD set",
+    PREPROCESS: "Label-matrix encoding and stripped partitions of a relation",
+    APPEND_ROWS: "Encoding an appended batch and extending the partition store",
+    VALIDATE_MANY: "One batch of candidate FDs validated against the relation",
+    POOL_MAP: "One worker-pool dispatch, from submit to the last result",
+    CYCLE: "One EulerFD double cycle: sampling rounds, then one inversion",
+    SAMPLING: "One sampling pass (EulerFD) or sampling round (HyFD, AID-FD)",
+    NCOVER: "Admitting one round's sampled non-FDs to the negative cover",
+    INVERSION: "Inverting new non-FDs into the positive cover",
+    VALIDATION: "One HyFD validation round over the candidate cover",
+    AGREE_SETS: "Fdep's all-pairs agree sets",
+    TANE_LEVEL: "One Tane lattice level",
+    PROFILE_BASE: "The incremental profiler's base-relation profile",
+    APPEND: "One incremental append, up to the refreshed result",
 }
 """Every catalogued name mapped to its one-line help text."""
 
 
-def metric_help(name: str) -> str:
-    """The catalog help line for ``name`` (empty for uncatalogued names).
+def phase_seconds(phase: str) -> str:
+    """The registry histogram a phase's wall times are observed into.
 
-    Pure: a dictionary lookup.
+    Pure: string formatting only.
     """
+    return f"phase.{phase}.seconds"
+
+
+def phase_peak_bytes(phase: str) -> str:
+    """The registry max-gauge a phase's tracemalloc peak lands on.
+
+    Pure: string formatting only.
+    """
+    return f"mem.phase.{phase}.peak_bytes"
+
+
+_DERIVED = (
+    ("phase.", ".seconds", "Wall seconds per phase: "),
+    ("mem.phase.", ".peak_bytes", "Peak tracemalloc delta inside phase: "),
+)
+
+
+def metric_help(name: str) -> str:
+    """The help line for ``name`` (empty for uncatalogued names).
+
+    A derived phase metric borrows its phase's catalog line.
+
+    Pure: dictionary lookups and string slicing.
+    """
+    for prefix, suffix, lead in _DERIVED:
+        if name.startswith(prefix) and name.endswith(suffix):
+            phase = name[len(prefix) : -len(suffix)]
+            if phase in CATALOG:
+                return lead + CATALOG[phase]
     return CATALOG.get(name, "")

@@ -1,47 +1,25 @@
-"""Per-phase memory attribution via tracemalloc (DESIGN.md §10).
+"""The memory sink: per-phase peak attribution via tracemalloc.
 
 Telemetry already answers "where did the time go" (per-phase self time
 from the span tree); this module answers "where did the memory go".  A
 :class:`MemoryProfiler` keeps a stack of open *memory phases*; entering
 one snapshots the current traced size and resets tracemalloc's peak
-watermark, exiting records the phase's **peak delta** — the high-water
+watermark, exiting returns the phase's **peak delta** — the high-water
 mark reached inside the phase, minus the bytes already live when it
-began — as a max-gauge on the active metrics registry.  Nested phases
-propagate their observed peak outward, so a spike inside ``sampling``
-also counts toward the enclosing ``cycle``.
+began.  Nested phases propagate their observed peak outward, so a spike
+inside ``sampling`` also counts toward the enclosing ``cycle``.
 
-The front door mirrors the recorder's zero-overhead contract: with no
-profiler installed, :func:`phase_memory` is one module-global read and a
-``None`` check returning the shared :data:`NULL_PHASE` handle —
-tracemalloc (a real, roughly 2× interpreter slowdown) only runs inside
-:func:`memory_profiling`.  That cost is why the trajectory harness times
-its repeats *without* the profiler and runs one extra profiled pass for
-attribution.
+The front door (:mod:`repro.obs.front`) drives it: while a profiler is
+installed by :func:`~repro.obs.front.memory_profiling`, every
+``phase(name)`` is also the memory phase ``mem.phase.<name>.peak_bytes``,
+whose peak lands on the metrics registry as a max-gauge.  tracemalloc
+is a real, roughly 2× interpreter slowdown, so it runs only inside
+``memory_profiling`` and its phase timings are not wall-time figures.
 """
 
 from __future__ import annotations
 
 import tracemalloc
-from contextlib import contextmanager
-from collections.abc import Iterator
-
-from .metrics import metric_gauge_max
-
-
-class _NullPhase:
-    """The shared do-nothing phase handle returned while profiling is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullPhase:
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-NULL_PHASE = _NullPhase()
-"""Singleton no-op phase; identity-comparable in overhead tests."""
 
 
 class _PhaseFrame:
@@ -55,24 +33,6 @@ class _PhaseFrame:
         self.observed_peak = baseline
 
 
-class _PhaseHandle:
-    """Context manager closing one open memory phase on exit."""
-
-    __slots__ = ("_profiler", "_name")
-
-    def __init__(self, profiler: MemoryProfiler, name: str) -> None:
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self) -> _PhaseHandle:
-        self._profiler._enter(self._name)
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        self._profiler._exit()
-        return False
-
-
 class MemoryProfiler:
     """A stack of memory phases over one tracemalloc session.
 
@@ -81,32 +41,19 @@ class MemoryProfiler:
     the enclosing frames, so each phase's recorded value is the true
     high-water mark over its whole extent, nested phases included.
 
-    Peak deltas land on the metrics registry as max-gauges keyed by the
-    phase name (use the ``mem.phase.*`` catalog constants), so repeated
-    phases — every sampling pass of every cycle — report their worst
-    case.  :attr:`peaks` keeps the same maxima locally for callers that
-    profile without a registry installed.
+    :attr:`peaks` keeps each phase name's worst case, so repeated
+    phases — every sampling pass of every cycle — report their maximum.
     """
 
     def __init__(self) -> None:
         self._stack: list[_PhaseFrame] = []
         self.peaks: dict[str, int] = {}
 
-    def phase(self, name: str) -> _PhaseHandle:
-        """A context manager attributing the block's peak to ``name``.
+    def enter(self, name: str) -> None:
+        """Open the memory phase ``name``; close it with :meth:`exit`.
 
-        Owns: return
+        Mutates: self
         """
-        return _PhaseHandle(self, name)
-
-    def run_peak(self) -> int:
-        """The highest phase peak observed so far, in bytes.
-
-        Pure: reads the recorded maxima only.
-        """
-        return max(self.peaks.values(), default=0)
-
-    def _enter(self, name: str) -> None:
         current, running_peak = tracemalloc.get_traced_memory()
         if self._stack:
             parent = self._stack[-1]
@@ -115,87 +62,20 @@ class MemoryProfiler:
         tracemalloc.reset_peak()
         self._stack.append(_PhaseFrame(name, current))
 
-    def _exit(self) -> None:
+    def exit(self) -> int:
+        """Close the innermost open phase; its peak delta in bytes.
+
+        Mutates: self
+        """
         _, running_peak = tracemalloc.get_traced_memory()
         frame = self._stack.pop()
         absolute_peak = max(running_peak, frame.observed_peak)
         delta = max(absolute_peak - frame.baseline, 0)
         if delta > self.peaks.get(frame.name, -1):
             self.peaks[frame.name] = delta
-        metric_gauge_max(frame.name, float(delta))
         if self._stack:
             parent = self._stack[-1]
             if absolute_peak > parent.observed_peak:
                 parent.observed_peak = absolute_peak
         tracemalloc.reset_peak()
-
-
-# -- the process-global front door --------------------------------------------
-
-_ACTIVE_PROFILER: MemoryProfiler | None = None
-
-
-def current_profiler() -> MemoryProfiler | None:
-    """The installed profiler, or None while memory profiling is off.
-
-    Pure: one module-global read.
-    """
-    return _ACTIVE_PROFILER
-
-
-def phase_memory(name: str) -> _PhaseHandle | _NullPhase:
-    """Open a memory phase; no-op while memory profiling is off.
-
-    Pure: never mutates its arguments (the fast-path promise; the write
-        goes to the process-global profiler, if any).
-    Owns: return
-    """
-    profiler = _ACTIVE_PROFILER
-    if profiler is None:
-        return NULL_PHASE
-    return profiler.phase(name)
-
-
-@contextmanager
-def memory_profiling(
-    profiler: MemoryProfiler | None = None,
-) -> Iterator[MemoryProfiler]:
-    """Install a memory profiler (and tracemalloc) for the block.
-
-    Starts tracemalloc if it is not already tracing and stops it on exit
-    only if this block started it, so profiled regions nest and coexist
-    with externally managed tracing.  The previously installed profiler
-    (usually None) is restored on exit.
-    """
-    global _ACTIVE_PROFILER
-    active = profiler if profiler is not None else MemoryProfiler()
-    owns_tracing = not tracemalloc.is_tracing()
-    if owns_tracing:
-        tracemalloc.start()
-    previous = _ACTIVE_PROFILER
-    _ACTIVE_PROFILER = active
-    try:
-        yield active
-    finally:
-        _ACTIVE_PROFILER = previous
-        if owns_tracing:
-            tracemalloc.stop()
-
-
-def peak_rss_bytes() -> int:
-    """This process's lifetime peak resident set size, in bytes.
-
-    ``getrusage`` reports kilobytes on Linux and bytes on macOS; both
-    are normalized to bytes.  Returns 0 where :mod:`resource` is
-    unavailable (non-POSIX platforms).
-    """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX fallback
-        return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    import sys
-
-    if sys.platform == "darwin":  # pragma: no cover - macOS reports bytes
-        return int(peak)
-    return int(peak) * 1024
+        return delta

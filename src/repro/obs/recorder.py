@@ -1,14 +1,8 @@
-"""The event recorder and its zero-overhead-when-disabled front door.
+"""The trace sink: a per-thread, append-only event log.
 
 Instrumented code never talks to a :class:`Recorder` directly; it calls
-the module-level helpers :func:`span`, :func:`counter`, :func:`gauge`
-and :func:`point`.  When no recorder is installed (the default), those
-helpers reduce to one thread-local read and a ``None`` check — no event
-objects, no allocation, no clock reading — so permanently instrumented
-hot paths (the sampler inner loop, the cover insertions) cost nothing in
-production runs.  Installing a recorder via :func:`recording` turns the
-same call sites into a full structured trace.
-
+the front door (:mod:`repro.obs.front`), which appends to the recorder
+installed on the calling thread by :func:`~repro.obs.front.recording`.
 Four primitives cover the paper's dynamics:
 
 * **spans** — nested named intervals (preprocess, one sampling pass, one
@@ -28,10 +22,7 @@ indexing.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from collections.abc import Iterator
 from typing import Any
 
 from .clock import Clock, SystemClock
@@ -67,28 +58,6 @@ class Event:
     """Enclosing span's ``seq``, None at top level."""
     depth: int = 0
     attrs: dict[str, Any] = field(default_factory=dict)
-
-
-class _NullSpan:
-    """The shared do-nothing span handle returned while tracing is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullSpan:
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-    def set(self, **attrs: Any) -> None:
-        """Discard attributes.
-
-        Pure: by construction — the null span touches nothing.
-        """
-
-
-NULL_SPAN = _NullSpan()
-"""Singleton no-op span; identity-comparable in overhead tests."""
 
 
 class SpanHandle:
@@ -127,6 +96,7 @@ class Recorder:
         self.clock: Clock = clock if clock is not None else SystemClock()
         self.events: list[Event] = []
         self.counter_totals: dict[str, float] = {}
+        self.gauge_values: dict[str, float] = {}
         self._stack: list[Event] = []
         self.start_time = self.clock.now()
 
@@ -175,6 +145,7 @@ class Recorder:
 
         Mutates: self
         """
+        self.gauge_values[name] = value
         self.events.append(
             Event(
                 kind=GAUGE,
@@ -187,6 +158,13 @@ class Recorder:
                 attrs=attrs,
             )
         )
+
+    def gauge_add(self, name: str, delta: float) -> None:
+        """Shift the gauge by ``delta`` from its last reading (0 when unset).
+
+        Mutates: self
+        """
+        self.gauge(name, self.gauge_values.get(name, 0) + delta)
 
     def point(self, name: str, x: float, y: float, **attrs: Any) -> None:
         """Append one (x, y) point to the named series.
@@ -262,97 +240,3 @@ class Recorder:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Recorder(events={len(self.events)}, open={len(self._stack)})"
-
-
-# -- the thread-local front door ---------------------------------------------
-
-_ACTIVE = threading.local()
-
-
-def current_recorder() -> Recorder | None:
-    """The recorder installed on this thread, or None when tracing is off.
-
-    Pure: one thread-local read.
-    """
-    return getattr(_ACTIVE, "recorder", None)
-
-
-def enabled() -> bool:
-    """True when a recorder is installed on this thread.
-
-    Pure: one thread-local read.
-    """
-    return getattr(_ACTIVE, "recorder", None) is not None
-
-
-def install(recorder: Recorder) -> None:
-    """Make ``recorder`` this thread's active recorder."""
-    _ACTIVE.recorder = recorder
-
-
-def uninstall() -> None:
-    """Disable tracing on this thread."""
-    _ACTIVE.recorder = None
-
-
-@contextmanager
-def recording(recorder: Recorder | None = None) -> Iterator[Recorder]:
-    """Install a recorder for the duration of the block.
-
-    Creates a fresh :class:`Recorder` when none is given; the previously
-    installed recorder (usually None) is restored on exit, so recordings
-    nest without leaking into later code.
-    """
-    active = recorder if recorder is not None else Recorder()
-    previous = current_recorder()
-    _ACTIVE.recorder = active
-    try:
-        yield active
-    finally:
-        _ACTIVE.recorder = previous
-
-
-def span(name: str, **attrs: Any) -> SpanHandle | _NullSpan:
-    """Open a span on the active recorder; no-op when tracing is off.
-
-    The caller must exit the handle (``with span(...)``) — entering and
-    never exiting corrupts the recorder's open-span stack.
-
-    Pure: never mutates its arguments (the fast-path promise hot loops
-        rely on; the write goes to the thread-local recorder, if any).
-    Owns: return
-    """
-    recorder = getattr(_ACTIVE, "recorder", None)
-    if recorder is None:
-        return NULL_SPAN
-    return recorder.span(name, **attrs)
-
-
-def counter(name: str, amount: float = 1) -> None:
-    """Bump a counter on the active recorder; no-op when tracing is off.
-
-    Pure: never mutates its arguments.
-    """
-    recorder = getattr(_ACTIVE, "recorder", None)
-    if recorder is not None:
-        recorder.counter(name, amount)
-
-
-def gauge(name: str, value: float, **attrs: Any) -> None:
-    """Record a gauge on the active recorder; no-op when tracing is off.
-
-    Pure: never mutates its arguments.
-    """
-    recorder = getattr(_ACTIVE, "recorder", None)
-    if recorder is not None:
-        recorder.gauge(name, value, **attrs)
-
-
-def point(name: str, x: float, y: float, **attrs: Any) -> None:
-    """Record a series point on the active recorder; no-op when off.
-
-    Pure: never mutates its arguments.
-    """
-    recorder = getattr(_ACTIVE, "recorder", None)
-    if recorder is not None:
-        recorder.point(name, x, y, **attrs)

@@ -1,16 +1,20 @@
-"""RPR112 fixture: ad-hoc metric-name literals at recording call sites."""
+"""RPR112 fixture: ad-hoc name literals at front-door call sites."""
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, nullcontext
 
-def counter(name: str, amount: float = 1) -> None:
+
+def count(name: str, amount: float = 1) -> None:
     """Stand-in for the repro.obs front door."""
 
 
-def metric_gauge_set(name: str, value: float) -> None:
-    """Stand-in for the repro.obs metrics front door."""
+def phase(name: str, **attrs: object) -> AbstractContextManager[None]:
+    """Stand-in for the repro.obs front door."""
+    return nullcontext()
 
 
-def record_pass(passes: int, occupancy: float) -> None:
-    counter("sampler.passes", passes)
-    metric_gauge_set(f"mlfq.occupancy.{passes}", occupancy)
+def record_pass(passes: int) -> None:
+    count("sampler.passes", passes)
+    with phase(f"sampling.{passes}"):
+        pass

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, nullcontext
+
 SAMPLER_PASSES = "sampler.passes"
-MLFQ_OCCUPANCY = "mlfq.occupancy"
+SAMPLING = "sampling"
 
 
-def counter(name: str, amount: float = 1) -> None:
+def count(name: str, amount: float = 1) -> None:
     """Stand-in for the repro.obs front door."""
 
 
-def metric_gauge_set(name: str, value: float) -> None:
-    """Stand-in for the repro.obs metrics front door."""
+def phase(name: str, **attrs: object) -> AbstractContextManager[None]:
+    """Stand-in for the repro.obs front door."""
+    return nullcontext()
 
 
-def record_pass(passes: int, occupancy: float) -> None:
-    counter(SAMPLER_PASSES, passes)
-    metric_gauge_set(MLFQ_OCCUPANCY, occupancy)
+def record_pass(passes: int) -> None:
+    count(SAMPLER_PASSES, passes)
+    with phase(SAMPLING, passes=passes):
+        pass

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 
-def counter(name: str, amount: float = 1) -> None:
+def count(name: str, amount: float = 1) -> None:
     """Stand-in for the repro.obs front door."""
 
 
 def record_pass(passes: int) -> None:
-    counter("sampler.passes", passes)  # repro-lint: disable=RPR112
+    count("sampler.passes", passes)  # repro-lint: disable=RPR112

@@ -101,7 +101,7 @@ class TestMmapTransport:
 
     def test_mmap_metrics_rise_and_fall(self):
         from repro.obs import names
-        from repro.obs.metrics import collecting_metrics
+        from repro.obs import collecting_metrics
 
         matrix = _matrix_of_rows([(i, i % 3) for i in range(64)])
         with collecting_metrics() as registry_:

@@ -19,7 +19,7 @@ from repro.cli import trace_main
 from repro.core import EulerFD, EulerFDConfig
 from repro.datasets import patients, registry
 from repro.obs import (
-    NULL_SPAN,
+    NULL_PHASE,
     Clock,
     Event,
     FakeClock,
@@ -29,21 +29,19 @@ from repro.obs import (
     SpanHandle,
     SystemClock,
     chrome_trace,
-    counter,
+    count,
     current_recorder,
-    enabled,
     event_dicts,
     events_from_jsonl,
     gauge,
-    install,
+    gauge_add,
     monotonic,
+    phase,
     point,
     recording,
-    span,
     summary_tree,
     system_clock,
     to_jsonl,
-    uninstall,
     validate_chrome_trace,
     write_trace,
 )
@@ -152,29 +150,23 @@ class TestRecorder:
 class TestFrontDoor:
     def test_disabled_helpers_are_noops(self):
         assert current_recorder() is None
-        assert not enabled()
-        handle = span("anything", key="value")
-        assert handle is NULL_SPAN  # the shared singleton, no allocation
+        handle = phase("anything", key="value")
+        assert handle is NULL_PHASE  # the shared singleton, no allocation
         with handle:
-            counter("ignored")
+            count("ignored")
             gauge("ignored", 1.0)
+            gauge_add("ignored", 1.0)
             point("ignored", 1.0, 2.0)
         assert current_recorder() is None
 
-    def test_null_span_set_discards(self):
-        NULL_SPAN.set(anything="goes")  # must not raise nor store
-
     def test_install_and_uninstall(self):
         recorder = Recorder(clock=FakeClock())
-        install(recorder)
-        try:
-            assert enabled()
+        with recording(recorder):
             assert current_recorder() is recorder
-            counter("seen")
-        finally:
-            uninstall()
-        assert not enabled()
-        counter("unseen")
+            count("seen")
+        assert current_recorder() is None
+        count("unseen")
+        assert phase("unseen") is NULL_PHASE
         assert recorder.counter_totals == {"seen": 1}
 
     def test_recording_restores_previous_recorder(self):
@@ -182,21 +174,24 @@ class TestFrontDoor:
         with recording(outer_recorder):
             with recording() as inner_recorder:
                 assert current_recorder() is inner_recorder
-                counter("inner")
+                count("inner")
             assert current_recorder() is outer_recorder
-            counter("outer")
+            count("outer")
         assert current_recorder() is None
         assert outer_recorder.counter_totals == {"outer": 1}
         assert inner_recorder.counter_totals == {"inner": 1}
 
     def test_module_helpers_route_to_active_recorder(self):
         with recording(Recorder(clock=FakeClock(tick=1.0))) as recorder:
-            with span("phase", cycle=1):
-                counter("pairs", 5)
+            with phase("phase", cycle=1):
+                count("pairs", 5)
                 gauge("occupancy", 3.0)
+                gauge_add("occupancy", -1.0)
                 point("gr", 1.0, 0.25)
         kinds = [event.kind for event in recorder.events]
-        assert kinds == ["span", "counter", "gauge", "point"]
+        assert kinds == ["span", "counter", "gauge", "gauge", "point"]
+        assert recorder.events[0].attrs == {"cycle": 1}
+        assert recorder.events[3].value == 2.0  # gauge_add: last reading - 1
         assert all(event.parent == 0 for event in recorder.events[1:])
 
 

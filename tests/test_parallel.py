@@ -35,7 +35,7 @@ from repro.engine import (
 )
 from repro.engine.parallel import chunk_pairs, chunk_ranges, merge_chunked
 from repro.obs import names
-from repro.obs.metrics import collecting_metrics
+from repro.obs import collecting_metrics
 from repro.relation import Relation
 from repro.relation.preprocess import preprocess
 
