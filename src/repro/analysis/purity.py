@@ -9,7 +9,7 @@ The analysis is region-based and deliberately coarse: each parameter
 roots a *region*, and any value reached from a parameter by attribute
 access, subscripting, or a method-call result is treated as part of that
 parameter's region.  This is exactly the aliasing the kernels use
-(``pcover = self.pcover``, ``tree = self._trees[rhs]``,
+(``words = self._words[rhs]``, ``tree = self._trees[rhs]``,
 ``bucket = self._buckets.get(card)``) without the cost of a real
 points-to analysis.  A region is *mutated* by
 
@@ -18,8 +18,8 @@ points-to analysis.  A region is *mutated* by
 * a call of a project function/method whose own summary says the
   corresponding parameter is mutated — summaries are propagated to a
   fixpoint across the whole project, so ``Inverter.process`` inherits
-  ``self`` from ``_invert_one`` which inherits it from
-  ``PositiveCover.remove``.
+  ``self`` from ``PositiveCover.specialize`` through ``pcover =
+  self.pcover``.
 
 Two sources of imprecision, both deliberate:
 

@@ -207,9 +207,9 @@ class BinaryLhsTree:
                 stack.append(node.left)
                 stack.append(node.right)
 
-    # The four lattice queries below are the hottest code in the whole
-    # package (the inversion module calls them millions of times), so they
-    # are written as explicit-stack loops over slot attributes rather than
+    # The four lattice queries below are the negative cover's hot path
+    # (Algorithm 2 runs one or two per sampled non-FD), so they are
+    # written as explicit-stack loops over slot attributes rather than
     # recursion, and test bits inline instead of via attrset helpers.
 
     def contains_superset(self, lhs: int) -> bool:
@@ -257,34 +257,6 @@ class BinaryLhsTree:
                 continue
             stack.append(node.left)
             if (lhs >> attr) & 1:
-                stack.append(node.right)
-        return False
-
-    def contains_subset_containing(self, lhs: int, attr: int) -> bool:
-        """Like :meth:`contains_subset`, restricted to LHSs containing ``attr``.
-
-        The inversion module proves that any stored generalization of a
-        fresh candidate ``g ∪ {b}`` must contain ``b``; requiring the
-        attribute lets the search skip every subtree whose union lacks it
-        (in particular the whole left subtree of the node testing ``b``).
-
-        Pure: a pruned traversal; no node is modified.
-        """
-        node = self._root
-        if node is None:
-            return False
-        stack = [node]
-        while stack:
-            node = stack.pop()
-            if node.inter & ~lhs or not (node.union >> attr) & 1:
-                continue
-            node_attr = node.attr
-            if node_attr is None:
-                if node.lhs & ~lhs == 0 and (node.lhs >> attr) & 1:
-                    return True
-                continue
-            stack.append(node.left)
-            if (lhs >> node_attr) & 1:
                 stack.append(node.right)
         return False
 

@@ -1,31 +1,30 @@
+# repro-lint: disable-file=RPR002 — mask kernel: the positive cover
+# splits every LHS mask into 64-bit words and joins words back into
+# masks by shifting, once per entry it stores or reads.
 """Negative and positive covers (Definition 5).
 
 The *negative cover* collects non-FDs.  Because a non-FD ``X -/-> A``
 implies that every generalization ``Y ⊂ X`` is also a non-FD (Lemma 1),
 only the maximal invalid LHSs need storing; the cover therefore keeps, per
-RHS attribute, an antichain of maximal LHS masks.
+RHS attribute, an antichain of maximal LHS masks.  Its subset/superset
+searches go through a pluggable :class:`~repro.fd.lhs_index.LhsIndex`; the
+default is the extended binary tree of Section IV-D.
 
-The *positive cover* collects the minimal valid FDs produced by the
-inversion module; per RHS attribute it keeps an antichain of minimal LHS
-masks.
-
-Both covers delegate subset/superset searches to a pluggable
-:class:`~repro.fd.lhs_index.LhsIndex`; the default is the extended binary
-tree of Section IV-D.
+The *positive cover* collects the minimal valid FDs produced by inversion
+(Algorithm 3); per RHS attribute it keeps an antichain of minimal LHS
+masks as a flat word store, ``⌈n/64⌉`` parallel ``uint64`` arrays, so
+that one non-FD specializes it with whole-array operations instead of
+index probes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from ..obs import count
-from ..obs.names import (
-    NCOVER_ADDED,
-    NCOVER_GENERALIZATIONS_EVICTED,
-    PCOVER_ADDED,
-    PCOVER_REMOVED,
-    PCOVER_SPECIALIZATIONS_EVICTED,
-)
+from ..obs.names import NCOVER_ADDED, NCOVER_GENERALIZATIONS_EVICTED
 from . import attrset
 from .binary_tree import BinaryLhsTree
 from .fd import FD
@@ -34,9 +33,13 @@ from .lhs_index import LhsIndex
 IndexFactory = Callable[[], LhsIndex]
 """Zero-argument callable building an empty LHS index."""
 
+_WORD_BITS = 64
+_WORD_MASK = (1 << _WORD_BITS) - 1
+_ONE = np.uint64(1)
+
 
 def default_index_factory() -> LhsIndex:
-    """The index used by EulerFD: the extended binary LHS tree."""
+    """The negative cover's index: the extended binary LHS tree."""
     return BinaryLhsTree()
 
 
@@ -119,10 +122,6 @@ class NegativeCover:
         """
         return list(self._trees[rhs])
 
-    def index_for(self, rhs: int) -> LhsIndex:
-        """Direct access to the per-RHS index (used by the inversion module)."""
-        return self._trees[rhs]
-
     def __len__(self) -> int:
         return self._size
 
@@ -139,127 +138,153 @@ class NegativeCover:
 
 
 class PositiveCover:
-    """Per-RHS antichains of *minimal* valid LHSs.
+    """Per-RHS antichains of *minimal* valid LHSs, stored flat.
 
-    Freshly constructed covers contain the most general candidate
-    ``{} -> A`` for every attribute ``A`` (Algorithm 3, lines 1-2); the
-    inversion module then specializes candidates against the negative
-    cover.
+    Attribute ``A``'s antichain lives in ``W = ⌈n/64⌉`` parallel 1-D
+    ``uint64`` arrays, one per 64-attribute word: entry ``i``'s LHS has
+    ``self._words[A][w][i]`` as its word ``w`` (least significant
+    first).  Entries are unordered; reads sort them.  A fresh cover
+    holds the most general candidate ``{} -> A`` for every attribute
+    (Algorithm 3, lines 1-2), and :meth:`specialize` applies one non-FD
+    at a time with whole-array operations.
     """
 
-    __slots__ = ("num_attributes", "_trees", "_size")
+    __slots__ = ("num_attributes", "_universe", "_words", "_size")
 
-    def __init__(
-        self,
-        num_attributes: int,
-        index_factory: IndexFactory | None = None,
-        seed_most_general: bool = True,
-    ) -> None:
+    def __init__(self, num_attributes: int) -> None:
         if num_attributes <= 0:
             raise ValueError(
                 f"a relation needs at least one attribute, got {num_attributes}"
             )
-        factory = index_factory if index_factory is not None else default_index_factory
+        width = -(-num_attributes // _WORD_BITS)
         self.num_attributes = num_attributes
-        self._trees: list[LhsIndex] = [factory() for _ in range(num_attributes)]
-        self._size = 0
-        if seed_most_general:
-            for rhs in range(num_attributes):
-                self._trees[rhs].add(attrset.EMPTY)
-            self._size = num_attributes
+        self._universe = attrset.universe(num_attributes)
+        self._words: list[list[np.ndarray]] = [
+            [np.zeros(1, dtype=np.uint64) for _ in range(width)]
+            for _ in range(num_attributes)
+        ]
+        self._size = num_attributes
 
-    def add(self, fd: FD) -> bool:
-        """Insert an FD candidate unless a stored generalization exists.
+    def specialize(self, non_fd: FD) -> tuple[int, int]:
+        """Apply one non-FD ``X -/-> A`` (Algorithm 3, lines 12-20).
 
-        Mutates: self
-        Monotone: self via has_generalization
-            (minimality only improves: every FD the cover implied
-            before — itself or via a generalization — is still implied
-            after insertion)
-        """
-        if fd.is_trivial():
-            raise ValueError(f"refusing to store trivial FD: {fd}")
-        tree = self._trees[fd.rhs]
-        if tree.contains_subset(fd.lhs):
-            return False
-        evicted = 0
-        for special in tree.find_supersets(fd.lhs):
-            tree.remove(special)
-            self._size -= 1
-            evicted += 1
-        tree.add(fd.lhs)
-        self._size += 1
-        count(PCOVER_ADDED)
-        if evicted:
-            count(PCOVER_SPECIALIZATIONS_EVICTED, evicted)
-        return True
-
-    def add_minimal(self, fd: FD) -> bool:
-        """Insert an FD the caller has already proven minimal.
-
-        Fast path for the inversion module: when the cover is known to be
-        an antichain and the caller just checked ``has_generalization``,
-        the superset-eviction scan of :meth:`add` is provably a no-op and
-        is skipped.
+        Returns ``(removed, added)``.  Every stored ``g ⊆ X`` is invalid
+        (Lemma 1) and is replaced by each ``g ∪ {b}``, ``b ∉ X ∪ {A}``,
+        that has no stored generalization.  A surviving entry ``L`` is
+        not a subset of ``X`` while ``g`` is, so ``L ⊆ g ∪ {b}`` exactly
+        when ``L - g`` is the single bit ``b``: one reduction over the
+        survivors' single-bit differences yields every blocked ``b``.  No
+        fresh candidate can generalize a survivor (which would then
+        contain ``g``) or another fresh one (their ``g`` form an
+        antichain), so nothing is evicted.
 
         Mutates: self
         """
-        if self._trees[fd.rhs].add(fd.lhs):
-            self._size += 1
-            count(PCOVER_ADDED)
-            return True
-        return False
-
-    def remove(self, fd: FD) -> bool:
-        """Drop a candidate invalidated by inversion.
-
-        Mutates: self
-        """
-        if self._trees[fd.rhs].remove(fd.lhs):
-            self._size -= 1
-            count(PCOVER_REMOVED)
-            return True
-        return False
-
-    def find_generalizations(self, non_fd: FD) -> list[int]:
-        """All stored LHSs for ``non_fd.rhs`` that are subsets of its LHS.
-
-        Pure: a read-only subset query.
-        """
-        return self._trees[non_fd.rhs].find_subsets(non_fd.lhs)
-
-    def has_generalization(self, fd: FD) -> bool:
-        """True when a stored LHS is a subset of ``fd``'s LHS.
-
-        Pure: a read-only subset query.
-        """
-        return self._trees[fd.rhs].contains_subset(fd.lhs)
-
-    def index_for(self, rhs: int) -> LhsIndex:
-        """Direct access to the per-RHS index (used by the inversion module)."""
-        return self._trees[rhs]
+        if non_fd.is_trivial():
+            raise ValueError(f"trivial non-FD cannot be violated: {non_fd}")
+        rhs = non_fd.rhs
+        words = self._words[rhs]
+        outside = _split([self._universe & ~non_fd.lhs], len(words))
+        invalid = (words[0] & outside[0]) == 0
+        for word, out in zip(words[1:], outside[1:]):
+            invalid &= (word & out) == 0
+        if not invalid.any():
+            return 0, 0
+        valid = ~invalid
+        survivors = [word[valid] for word in words]
+        generals = [word[invalid] for word in words]
+        blocked = _single_bit_differences(survivors, generals)
+        extensions = self._universe & ~non_fd.lhs & ~attrset.singleton(rhs)
+        fresh: list[int] = []
+        for general, covered in zip(_join(generals), _join(blocked)):
+            free = extensions & ~covered
+            while free:
+                bit = free & -free
+                free ^= bit
+                fresh.append(general | bit)
+        added = _split(fresh, len(words))
+        self._words[rhs] = [
+            np.concatenate((kept, new)) for kept, new in zip(survivors, added)
+        ]
+        removed = len(generals[0])
+        self._size += len(fresh) - removed
+        return removed, len(fresh)
 
     def lhs_masks(self, rhs: int) -> list[int]:
-        """The stored minimal LHS masks for attribute ``rhs``."""
-        return list(self._trees[rhs])
+        """The stored minimal LHS masks for attribute ``rhs``, sorted.
 
-    def to_fd_set(self) -> frozenset[FD]:
-        """Snapshot the cover as a set of FDs."""
-        return frozenset(self)
+        Pure: joins a copy of the word arrays.
+        """
+        return sorted(_join(self._words[rhs]))
 
     def __len__(self) -> int:
         return self._size
 
     def __iter__(self) -> Iterator[FD]:
-        for rhs, tree in enumerate(self._trees):
-            for lhs in tree:
+        for rhs in range(self.num_attributes):
+            for lhs in self.lhs_masks(rhs):
                 yield FD(lhs, rhs)
 
     def __contains__(self, fd: FD) -> bool:
-        return fd.lhs in self._trees[fd.rhs]
+        return fd.lhs in _join(self._words[fd.rhs])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PositiveCover(attributes={self.num_attributes}, size={self._size})"
+
+
+def _split(masks: list[int], width: int) -> list[np.ndarray]:
+    """Masks as ``width`` parallel uint64 word arrays, least significant first.
+
+    Pure: builds fresh arrays; ``masks`` is only read.
+    """
+    return [
+        np.array(
+            [(mask >> (_WORD_BITS * word)) & _WORD_MASK for mask in masks],
+            dtype=np.uint64,
+        )
+        for word in range(width)
+    ]
+
+
+def _join(words: list[np.ndarray]) -> list[int]:
+    """Parallel word arrays back into one int mask per entry.
+
+    Pure: reads the arrays into fresh ints.
+    """
+    masks = words[0].tolist()
+    for word, values in enumerate(words[1:], start=1):
+        shift = _WORD_BITS * word
+        masks = [mask | (value << shift) for mask, value in zip(masks, values.tolist())]
+    return masks
+
+
+def _single_bit_differences(
+    survivors: list[np.ndarray], generals: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Per general ``g``: the OR of every ``L & ~g`` that is one bit.
+
+    ``L`` ranges over ``survivors``.  No survivor is a subset of ``g``,
+    so every difference is nonzero, and it is a single bit exactly when
+    each of its words holds at most one bit and at most one word is
+    nonzero.  The result has one array per word, one entry per general.
+
+    Pure: reduces fresh (general × survivor) arrays.
+    """
+    differences = [
+        kept[np.newaxis, :] & ~general[:, np.newaxis]
+        for kept, general in zip(survivors, generals)
+    ]
+    first = differences[0]
+    single = (first & (first - _ONE)) == 0
+    occupied = first != 0
+    for difference in differences[1:]:
+        nonzero = difference != 0
+        single &= ((difference & (difference - _ONE)) == 0) & ~(occupied & nonzero)
+        occupied |= nonzero
+    return [
+        np.bitwise_or.reduce(difference, axis=1, where=single)
+        for difference in differences
+    ]
 
 
 def minimal_cover_from_fds(fds: Iterable[FD], num_attributes: int) -> set[FD]:

@@ -139,17 +139,6 @@ class FDTreeIndex:
 
         return walk(self._root)
 
-    def contains_subset_containing(self, lhs: int, attr: int) -> bool:
-        def walk(node: _TrieNode, satisfied: bool) -> bool:
-            if node.terminal and satisfied:
-                return True
-            for index, child in node.children.items():
-                if (lhs >> index) & 1 and walk(child, satisfied or index == attr):
-                    return True
-            return False
-
-        return walk(self._root, False)
-
     def find_supersets(self, lhs: int) -> list[int]:
         needed = attrset.to_tuple(lhs)
         found: list[int] = []

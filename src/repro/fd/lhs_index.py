@@ -1,11 +1,8 @@
-# repro-lint: disable-file=RPR002 — bitmask index kernel: the bucketed
-# subset/superset scans shift per stored mask, and the attrset
-# helper-call overhead is measurable there (see fd/attrset.py).
 """Indexes over sets of LHS bitmasks with subset/superset queries.
 
-Both the negative cover and the positive cover are, per right-hand-side
-attribute, a collection of LHS attribute sets that must answer two queries
-fast (Section IV-D/IV-E of the paper):
+The negative cover is, per right-hand-side attribute, a collection of LHS
+attribute sets that must answer two queries fast (Section IV-D/IV-E of
+the paper):
 
 * *specialization* check — does the collection contain a superset of X?
 * *generalization* check — does the collection contain a subset of X?
@@ -45,9 +42,6 @@ class LhsIndex(Protocol):
 
     def contains_subset(self, lhs: int) -> bool:
         """True when some stored mask is a (non-strict) subset of ``lhs``."""
-
-    def contains_subset_containing(self, lhs: int, attr: int) -> bool:
-        """Subset query restricted to masks containing attribute ``attr``."""
 
     def find_supersets(self, lhs: int) -> list[int]:
         """All stored masks that are supersets of ``lhs``."""
@@ -137,20 +131,6 @@ class BitsetLhsIndex:
                 continue
             for mask in bucket:
                 if mask & ~lhs == 0:
-                    return True
-        return False
-
-    def contains_subset_containing(self, lhs: int, attr: int) -> bool:
-        """Subset query restricted to masks containing attribute ``attr``.
-
-        Pure: scans the buckets without touching them.
-        """
-        want = attrset.size(lhs)
-        for card, bucket in self._buckets.items():
-            if card > want:
-                continue
-            for mask in bucket:
-                if mask & ~lhs == 0 and (mask >> attr) & 1:
                     return True
         return False
 

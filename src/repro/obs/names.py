@@ -53,7 +53,6 @@ NCOVER_ADDED = "ncover.added"
 NCOVER_GENERALIZATIONS_EVICTED = "ncover.generalizations_evicted"
 PCOVER_ADDED = "pcover.added"
 PCOVER_REMOVED = "pcover.removed"
-PCOVER_SPECIALIZATIONS_EVICTED = "pcover.specializations_evicted"
 
 # -- EulerFD core --------------------------------------------------------------
 
@@ -121,7 +120,6 @@ CATALOG: dict[str, str] = {
     NCOVER_GENERALIZATIONS_EVICTED: "Generalizations evicted on non-FD insert",
     PCOVER_ADDED: "FDs admitted to the positive cover",
     PCOVER_REMOVED: "FDs removed from the positive cover",
-    PCOVER_SPECIALIZATIONS_EVICTED: "Specializations evicted on FD insert",
     GR_NCOVER: "Negative-cover growth rate per sampling round",
     GR_PCOVER: "Positive-cover growth rate per inversion cycle",
     INVERTER_NON_FDS_INVERTED: "Non-FDs processed by cover inversion",

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.fd import (
     FD,
-    BitsetLhsIndex,
     NegativeCover,
     PositiveCover,
     attribute_frequency_priority,
@@ -133,62 +132,49 @@ class TestPositiveCover:
         assert len(cover) == 3
         assert FD(0, 0) in cover and FD(0, 2) in cover
 
-    def test_unseeded(self):
-        cover = PositiveCover(3, seed_most_general=False)
-        assert len(cover) == 0
-
     def test_add_blocked_by_generalization(self):
-        cover = PositiveCover(4, seed_most_general=False)
-        cover.add(FD.of([0], 3))
-        assert not cover.add(FD.of([0, 1], 3))
-        assert len(cover) == 1
-
-    def test_add_evicts_specializations(self):
-        cover = PositiveCover(4, seed_most_general=False)
-        cover.add(FD.of([0, 1], 3))
-        cover.add(FD.of([0, 2], 3))
-        assert cover.add(FD.of([0], 3))
-        assert set(cover) == {FD.of([0], 3)}
-
-    def test_add_minimal_skips_eviction_check(self):
-        cover = PositiveCover(4, seed_most_general=False)
-        assert cover.add_minimal(FD.of([0], 3))
-        assert not cover.add_minimal(FD.of([0], 3))
-        assert len(cover) == 1
+        cover = PositiveCover(4)
+        assert cover.specialize(FD.of([0], 3)) == (1, 2)  # {} -> {1}, {2}
+        # {1} is invalid; {1, 0} is new but {1, 2} is blocked by {2}.
+        assert cover.specialize(FD.of([1], 3)) == (1, 1)
+        assert cover.lhs_masks(3) == [0b011, 0b100]
+        assert len(cover) == 5
 
     def test_remove(self):
         cover = PositiveCover(3)
-        assert cover.remove(FD(0, 1))
-        assert not cover.remove(FD(0, 1))
-        assert len(cover) == 2
+        assert cover.specialize(FD(0, 1)) == (1, 2)
+        assert FD(0, 1) not in cover
+        assert cover.specialize(FD(0, 1)) == (0, 0)
+        assert len(cover) == 4
 
     def test_find_generalizations(self):
-        cover = PositiveCover(4, seed_most_general=False)
-        cover.add(FD.of([0], 3))
-        cover.add(FD.of([1], 3))
-        cover.add(FD.of([2], 1))
-        generals = cover.find_generalizations(FD.of([0, 1, 2], 3))
-        assert generals == [0b001, 0b010]
+        cover = PositiveCover(4)
+        cover.specialize(FD(0, 3))  # {} -> {0}, {1}, {2}
+        # {0} and {1} generalize {0, 1}; both extensions by 2 are blocked.
+        assert cover.specialize(FD.of([0, 1], 3)) == (2, 0)
+        assert cover.lhs_masks(3) == [0b100]
+        assert cover.lhs_masks(1) == [0]
 
     def test_rejects_trivial(self):
-        cover = PositiveCover(3, seed_most_general=False)
+        cover = PositiveCover(3)
         with pytest.raises(ValueError):
-            cover.add(FD.of([1], 1))
+            cover.specialize(FD.of([1], 1))
 
-    def test_to_fd_set_snapshot(self):
-        cover = PositiveCover(2)
-        snapshot = cover.to_fd_set()
-        cover.remove(FD(0, 0))
-        assert FD(0, 0) in snapshot
+    def test_iterates_by_rhs_then_lhs(self):
+        cover = PositiveCover(3)
+        cover.specialize(FD(0, 2))
+        cover.specialize(FD(0, 0))
+        assert [(fd.rhs, fd.lhs) for fd in cover] == [
+            (0, 0b010), (0, 0b100), (1, 0), (2, 0b001), (2, 0b010),
+        ]
 
-    def test_custom_index_factory(self):
-        cover = PositiveCover(3, index_factory=BitsetLhsIndex)
-        assert len(cover) == 3
-        # Adding a specialization of the seeded {} -> 1 is correctly blocked.
-        assert not cover.add(FD.of([0], 1))
-        cover.remove(FD(0, 1))
-        assert cover.add(FD.of([0], 1))
-        assert FD.of([0], 1) in cover
+    def test_membership_across_words(self):
+        cover = PositiveCover(70)
+        cover.specialize(FD(0, 69))
+        assert FD.of([64], 69) in cover and FD.of([63], 69) in cover
+        assert FD.of([63, 64], 69) not in cover
+        assert FD.of([70], 69) not in cover  # outside the universe
+        assert len(cover.lhs_masks(69)) == 69
 
 
 class TestMinimalCoverFromFds:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fd import FDTreeIndex, PositiveCover
+from repro.fd import FD, FDTreeIndex, NegativeCover
 from repro.fd.lhs_index import BitsetLhsIndex
 
 masks = st.integers(min_value=0, max_value=(1 << 10) - 1)
@@ -63,12 +63,6 @@ class TestQueries:
         assert trie.contains_subset(0b1011)
         assert not trie.contains_subset(0b0011)
 
-    def test_contains_subset_containing(self):
-        trie = FDTreeIndex([0b011, 0b100])
-        assert trie.contains_subset_containing(0b111, 2)  # 0b100 has attr 2
-        assert trie.contains_subset_containing(0b011, 0)
-        assert not trie.contains_subset_containing(0b011, 2)
-
     def test_find_queries(self):
         trie = FDTreeIndex([0b001, 0b011, 0b110])
         assert trie.find_subsets(0b011) == [0b001, 0b011]
@@ -88,13 +82,9 @@ class TestEquivalenceWithReference:
         assert trie.contains_superset(query) == reference.contains_superset(query)
         assert trie.contains_subset(query) == reference.contains_subset(query)
 
-    @given(
-        st.lists(st.tuples(st.booleans(), masks), max_size=50),
-        masks,
-        st.integers(min_value=0, max_value=9),
-    )
+    @given(st.lists(st.tuples(st.booleans(), masks), max_size=50))
     @settings(max_examples=150)
-    def test_mutation_and_restricted_subset(self, operations, query, attr):
+    def test_mutation_matches_bitset_index(self, operations):
         trie = FDTreeIndex()
         reference = BitsetLhsIndex()
         for is_add, mask in operations:
@@ -103,15 +93,12 @@ class TestEquivalenceWithReference:
             else:
                 assert trie.remove(mask) == reference.remove(mask)
         assert list(trie) == list(reference)
-        assert trie.contains_subset_containing(
-            query, attr
-        ) == reference.contains_subset_containing(query, attr)
 
 
 class TestAsCoverIndex:
-    def test_positive_cover_on_fdtree(self, patient_relation):
-        """The cover machinery is index-agnostic: EulerFD's result is
-        identical when backed by the classic FD-tree."""
+    def test_negative_cover_index_swapped_to_fdtree(self, patient_relation):
+        """The negative cover is index-agnostic: EulerFD's result is
+        identical when its index is the classic FD-tree."""
         from repro.core import EulerFD
         from repro.fd import covers
 
@@ -125,5 +112,7 @@ class TestAsCoverIndex:
         assert with_fdtree == baseline
 
     def test_direct_cover_usage(self):
-        cover = PositiveCover(3, index_factory=FDTreeIndex)
-        assert len(cover) == 3
+        cover = NegativeCover(3, index_factory=FDTreeIndex)
+        assert cover.add(FD.of([0], 2))
+        assert not cover.add(FD(0, 2))  # generalizes the stored {0}
+        assert cover.covers(FD(0, 2)) and len(cover) == 1

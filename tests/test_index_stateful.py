@@ -54,14 +54,6 @@ class IndexMachine(RuleBasedStateMachine):
             assert index.find_subsets(query) == expected, name
             assert index.contains_subset(query) == bool(expected), name
 
-    @rule(query=MASKS, attr=st.integers(min_value=0, max_value=7))
-    def query_subset_containing(self, query, attr):
-        expected = any(
-            m & ~query == 0 and (m >> attr) & 1 for m in self.model
-        )
-        for name, index in self.indexes.items():
-            assert index.contains_subset_containing(query, attr) == expected, name
-
     @invariant()
     def sizes_and_contents_agree(self):
         expected = sorted(self.model)

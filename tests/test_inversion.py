@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.inversion import Inverter
-from repro.fd import FD, NegativeCover, attrset
+from repro.fd import FD, NegativeCover, attrset, sort_for_cover_insertion
 
 # Patient attribute initials: N=0, A=1, B=2, G=3, M=4.
 N, A, B, G, M = range(5)
@@ -25,6 +26,55 @@ def minimal_escaping_sets(non_fd_lhss: list[int], num_attributes: int, rhs: int)
         if not any(attrset.is_subset(kept, mask) for kept in minimal):
             minimal.add(mask)
     return minimal
+
+
+def reference_inversion(
+    batches: list[list[FD]], num_attributes: int
+) -> tuple[list[FD], int, int]:
+    """Algorithm 3 verbatim over a plain list of int LHSs per RHS.
+
+    Each batch is taken in the inverter's order, so the removed/added
+    counts it returns with the (rhs, lhs)-ordered cover are comparable.
+    """
+    universe = attrset.universe(num_attributes)
+    cover = [[attrset.EMPTY] for _ in range(num_attributes)]
+    removed = added = 0
+    for batch in batches:
+        for non_fd in sort_for_cover_insertion(batch):
+            stored = cover[non_fd.rhs]
+            extensions = universe & ~non_fd.lhs & ~attrset.singleton(non_fd.rhs)
+            for general in [lhs for lhs in stored if lhs & ~non_fd.lhs == 0]:
+                stored.remove(general)
+                removed += 1
+                for index in attrset.to_indices(extensions):
+                    candidate = attrset.add(general, index)
+                    if not any(lhs & ~candidate == 0 for lhs in stored):
+                        stored.append(candidate)
+                        added += 1
+    fds = [FD(lhs, rhs) for rhs, stored in enumerate(cover) for lhs in sorted(stored)]
+    return fds, removed, added
+
+
+def wide_non_fds(width: int):
+    """Non-FD lists over ``width`` attributes, biased to word boundaries.
+
+    Attributes come mostly from a small pool on both sides of each word
+    boundary, so LHSs overlap; an LHS is either a few attributes or all
+    but a few, which keeps the covers small enough for the reference.
+    """
+    pool = [a for a in (0, 1, 62, 63, 64, 65, 127, 128, 129) if a < width]
+    attribute = st.sampled_from(pool) | st.integers(min_value=0, max_value=width - 1)
+    few = st.frozensets(attribute, max_size=3).map(attrset.from_indices)
+    universe = attrset.universe(width)
+    lhs = few | few.map(lambda mask: universe & ~mask)
+    return st.lists(attribute, min_size=1, max_size=2).flatmap(
+        lambda rhss: st.lists(
+            st.tuples(lhs, st.sampled_from(rhss)).map(
+                lambda pair: FD(pair[0] & ~attrset.singleton(pair[1]), pair[1])
+            ),
+            max_size=8,
+        )
+    )
 
 
 class TestPaperFigure5:
@@ -139,3 +189,42 @@ class TestNegativeCoverIntegration:
         from_raw.process(raw)
         assert set(from_cover.pcover) == set(from_raw.pcover)
         assert len(admitted) <= len(raw)
+
+
+class TestAcrossWordBoundaries:
+    """The word store against the reference at 1, 2 and 3 words."""
+
+    @pytest.mark.parametrize("width", [63, 64, 65, 128, 130])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_inversion(self, width, data):
+        non_fds = data.draw(wide_non_fds(width))
+        cut = data.draw(st.integers(min_value=0, max_value=len(non_fds)))
+        batches = [non_fds[:cut], non_fds[cut:]]
+        inverter = Inverter(width)
+        stats = [inverter.process(batch) for batch in batches]
+        expected, removed, added = reference_inversion(batches, width)
+        assert list(inverter.pcover) == expected
+        assert len(inverter.pcover) == len(expected)
+        assert sum(s.candidates_removed for s in stats) == removed
+        assert sum(s.candidates_added for s in stats) == added
+        assert all(fd in inverter.pcover for fd in expected)
+
+    def test_two_word_difference_blocks_nothing(self):
+        """A survivor {x, 64} differs from the general {2} by one bit in
+        each of two words, so it blocks no extension of {2}."""
+        width, rhs = 66, 65
+        everything_but = attrset.universe(width) & ~attrset.from_indices([2, 64, rhs])
+        non_fds = [
+            FD(0, rhs),
+            FD.of([1, 64], rhs),
+            FD(everything_but, rhs),  # leaves {2} and every {x, 64}
+            FD.of([2], rhs),
+        ]
+        inverter = Inverter(width)
+        for non_fd in non_fds:
+            inverter.process([non_fd])
+        expected, _, _ = reference_inversion([[fd] for fd in non_fds], width)
+        assert list(inverter.pcover) == expected
+        assert FD.of([2, 64], rhs) in inverter.pcover
+        assert FD.of([0, 2], rhs) in inverter.pcover

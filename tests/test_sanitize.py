@@ -238,6 +238,19 @@ class TestSanitizeStructure:
         instrumented = (outdir / package.name / "kern.py").read_text()
         assert "disable-file=RPR107" in instrumented
 
+    def test_inline_disables_become_a_file_level_pass(self, tmp_path):
+        package, outdir = _build(
+            tmp_path,
+            """\
+            def masked(index: int, sink: list) -> None:
+                '''Mutates: sink'''
+                sink.append(1 << index)  # repro-lint: disable=RPR002, RPR005
+            """,
+        )
+        sanitize_package(package, outdir)
+        instrumented = (outdir / package.name / "kern.py").read_text()
+        assert "# repro-lint: disable-file=RPR002,RPR005" in instrumented
+
     def test_grammar_error_contracts_are_skipped_not_enforced(self, tmp_path):
         package, outdir = _build(
             tmp_path,
