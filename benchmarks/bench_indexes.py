@@ -28,11 +28,12 @@ def workload():
     """The exact non-FD stream of one EulerFD run on plista."""
     from repro.core import EulerFDConfig
     from repro.core.sampler import SamplingModule
-    from repro.relation import preprocess
+    from repro.engine import ExecutionContext
 
     relation = registry.make("plista", rows=400, columns=20)
-    data = preprocess(relation)
-    sampler = SamplingModule(data, EulerFDConfig())
+    context = ExecutionContext(relation)
+    data = context.data
+    sampler = SamplingModule(data, EulerFDConfig(), context.sampling_clusters())
     non_fds: list[FD] = []
     for attribute in range(data.num_columns):
         if data.cardinality(attribute) > 1:

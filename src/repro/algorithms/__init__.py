@@ -8,12 +8,9 @@ here too so callers address all algorithms uniformly.
 
 from ..core.eulerfd import EulerFD
 from .aidfd import AidFd
-from .approx import ApproxFDs, discover_approximate_fds
+from .approx import ApproxFDs
 from .base import FDAlgorithm, available_algorithms, create, register
 from .bruteforce import BruteForce
-from .depminer import DepMiner
-from .dfd import Dfd
-from .fastfds import FastFDs
 from .fdep import Fdep
 from .hyfd import HyFD
 from .tane import Tane, TaneBudgetExceeded
@@ -25,11 +22,8 @@ __all__ = [
     "AidFd",
     "ApproxFDs",
     "BruteForce",
-    "DepMiner",
-    "Dfd",
     "EulerFD",
     "FDAlgorithm",
-    "FastFDs",
     "Fdep",
     "HyFD",
     "Tane",
@@ -37,7 +31,6 @@ __all__ = [
     "UccResult",
     "available_algorithms",
     "create",
-    "discover_approximate_fds",
     "discover_uccs",
     "register",
 ]

@@ -34,14 +34,12 @@ class AidFd:
         self,
         threshold: float = 0.01,
         null_equals_null: bool = True,
-        dedupe_clusters: bool = True,
         max_sweeps: int | None = None,
     ) -> None:
         if threshold < 0:
             raise ValueError("the growth threshold must be non-negative")
         self.threshold = threshold
         self.null_equals_null = null_equals_null
-        self.dedupe_clusters = dedupe_clusters
         self.max_sweeps = max_sweeps
 
     def discover(self, relation: Relation) -> DiscoveryResult:
@@ -51,7 +49,7 @@ class AidFd:
         num_attributes = data.num_columns
         universe = attrset.universe(num_attributes)
 
-        clusters = context.sampling_clusters(self.dedupe_clusters)
+        clusters = context.sampling_clusters()
         ncover = NegativeCover(num_attributes)
         pending: list[FD] = []
         for attribute in range(num_attributes):

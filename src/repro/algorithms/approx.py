@@ -98,10 +98,3 @@ class ApproxFDs:
 
     def _eps_valid(self, data: PreprocessedRelation, lhs: int, rhs: int) -> bool:
         return violation_profile(data, FD(lhs, rhs)).g3 <= self.epsilon
-
-
-def discover_approximate_fds(
-    relation: Relation, epsilon: float = 0.01
-) -> DiscoveryResult:
-    """Convenience wrapper: minimal FDs violated by at most ε of the tuples."""
-    return ApproxFDs(epsilon=epsilon).discover(relation)

@@ -1,8 +1,8 @@
 """Common interface and registry for FD-discovery algorithms.
 
-Every algorithm — EulerFD itself, the exact baselines (Tane, Fdep, HyFD,
-Dep-Miner, FastFDs, brute force) and the approximate baseline AID-FD —
-consumes a :class:`~repro.relation.relation.Relation` and produces a
+Every algorithm — EulerFD itself, the exact baselines (Tane, Fdep, HyFD),
+the brute-force oracle and the approximate baseline AID-FD — consumes a
+:class:`~repro.relation.relation.Relation` and produces a
 :class:`~repro.core.result.DiscoveryResult` holding the non-trivial
 minimal FDs, so benchmarks and metrics treat them uniformly.
 """

@@ -51,14 +51,12 @@ class HyFD:
         self,
         efficiency_threshold: float = 0.005,
         null_equals_null: bool = True,
-        dedupe_clusters: bool = True,
         max_iterations: int = 10_000,
     ) -> None:
         if efficiency_threshold < 0:
             raise ValueError("efficiency threshold must be non-negative")
         self.efficiency_threshold = efficiency_threshold
         self.null_equals_null = null_equals_null
-        self.dedupe_clusters = dedupe_clusters
         self.max_iterations = max_iterations
 
     def discover(self, relation: Relation) -> DiscoveryResult:
@@ -77,7 +75,7 @@ class HyFD:
                 self._admit(attrset.EMPTY, attrset.singleton(attribute), ncover,
                             pending, seen)
 
-        clusters = context.sampling_clusters(self.dedupe_clusters)
+        clusters = context.sampling_clusters()
         distance = 1
         pairs_compared = 0
         validations = 0

@@ -18,7 +18,6 @@ from ..core.result import Stopwatch
 from ..fd import attrset
 from ..relation.relation import Relation
 from .base import execution_context
-from .depminer import minimal_transversals_levelwise
 from .fdep import compute_agree_masks
 
 
@@ -87,6 +86,48 @@ def _maximal(agree_masks: set[int]) -> list[int]:
         if not any(mask & ~kept == 0 for kept in maximal):
             maximal.append(mask)
     return maximal
+
+
+def minimal_transversals_levelwise(edges: list[int], vertices: int) -> list[int]:
+    """Minimal hitting sets of ``edges`` over the ``vertices`` mask.
+
+    Levelwise enumeration: grow candidate vertex sets in canonical order,
+    emit a candidate the moment it hits every edge (by construction the
+    first time any of its subsets does, hence minimal), and expand only
+    candidates that still miss an edge.
+    """
+    if not edges:
+        return [0]
+    if any(edge == 0 for edge in edges):
+        return []  # an unhittable (empty) edge: no transversal exists
+    vertex_list = list(attrset.to_indices(vertices))
+    transversals: list[int] = []
+    # The candidate masks of the current level.
+    frontier: list[int] = [0]
+    while frontier:
+        next_frontier: list[int] = []
+        for candidate in frontier:
+            uncovered = [edge for edge in edges if edge & candidate == 0]
+            if not uncovered:
+                if not any(
+                    known & ~candidate == 0 for known in transversals
+                ):
+                    transversals.append(candidate)
+                continue
+            # Expand only with vertices beyond the candidate's highest
+            # member that appear in some uncovered edge.
+            floor = candidate.bit_length()
+            expandable = 0
+            for edge in uncovered:
+                expandable |= edge
+            for vertex in vertex_list:
+                if vertex < floor:
+                    continue
+                bit = attrset.singleton(vertex)
+                if expandable & bit:
+                    next_frontier.append(candidate | bit)
+        frontier = next_frontier
+    return transversals
 
 
 def _duplicate_clusters(data):

@@ -28,9 +28,7 @@ from .purity import analyze_project_mutations
 
 #: package layers, bottom-up; a module may import its own layer or lower.
 #: ``obs`` sits at the very bottom so every layer may emit telemetry
-#: without creating upward edges.  ``fd``/``relation`` are one layer
-#: (mutually acyclic at module level: ``fd/armstrong`` builds relations,
-#: ``relation/validate`` speaks FDs).  ``engine`` covers the whole
+#: without creating upward edges.  ``engine`` covers the whole
 #: execution layer including ``engine.parallel``/``engine.shm`` — the
 #: worker pool imports only ``relation`` kernels and ``obs``, so the
 #: samplers and algorithms above it may fan work out without an upward
@@ -38,17 +36,17 @@ from .purity import analyze_project_mutations
 PACKAGE_LAYERS: dict[str, int] = {
     "obs": 0,
     "fd": 1,
-    "relation": 1,
-    "metrics": 2,
-    "datasets": 2,
-    "engine": 2,
-    "core": 3,
-    "algorithms": 3,
-    "bench": 4,
+    "relation": 2,
+    "metrics": 3,
+    "datasets": 3,
+    "engine": 3,
+    "core": 4,
+    "algorithms": 4,
+    "bench": 5,
 }
 
 #: modules at the package root (cli.py, profile.py, __main__, __init__)
-ROOT_LAYER = 4
+ROOT_LAYER = 5
 
 #: the self-contained analysis package: imports nothing from the rest of
 #: the package and nothing outside it may import it.
@@ -95,7 +93,7 @@ class LayeringRule(ProjectRule):
     name = "import-layering"
     rationale = (
         "imports must respect the package layering "
-        "(obs < fd/relation < metrics/datasets/engine < core/algorithms "
+        "(obs < fd < relation < metrics/datasets/engine < core/algorithms "
         "< bench/cli) "
         "and the module graph must stay acyclic"
     )

@@ -86,12 +86,6 @@ class EulerFDConfig:
       cluster (Algorithm 1, line 3).
     * ``max_cycles`` — safety bound on outer double-cycle iterations; the
       growth-rate criteria terminate far earlier in practice.
-    * ``dedupe_clusters`` — drop clusters containing exactly the same rows
-      as an already-registered cluster of another attribute; such twins
-      can only replay identical tuple pairs.
-    * ``max_pairs_per_sample`` — optional cap on tuple pairs drawn from a
-      single cluster in one sample (evenly thinned); ``None`` reproduces
-      the paper's unbounded sliding window.
     * ``null_equals_null`` — NULL comparison semantics at preprocessing.
     """
 
@@ -101,8 +95,6 @@ class EulerFDConfig:
     retire_history: int = 3
     initial_window: int = 2
     max_cycles: int = 64
-    dedupe_clusters: bool = True
-    max_pairs_per_sample: int | None = None
     null_equals_null: bool = True
 
     def __post_init__(self) -> None:
@@ -114,8 +106,6 @@ class EulerFDConfig:
             raise ValueError("a sliding window needs at least 2 tuples")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be at least 1")
-        if self.max_pairs_per_sample is not None and self.max_pairs_per_sample < 1:
-            raise ValueError("max_pairs_per_sample must be positive when set")
 
     def with_queues(self, num_queues: int) -> "EulerFDConfig":
         """Copy of this config with a Table IV MLFQ of ``num_queues``."""

@@ -63,7 +63,7 @@ class EulerFD:
         sampler = SamplingModule(
             data,
             config,
-            clusters=context.sampling_clusters(config.dedupe_clusters),
+            clusters=context.sampling_clusters(),
             pool=context.pool,
         )
         cycles = 0

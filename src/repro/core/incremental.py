@@ -154,9 +154,7 @@ class IncrementalEulerFD:
                 sampler = SamplingModule(
                     data,
                     self.config,
-                    clusters=self.context.sampling_clusters(
-                        self.config.dedupe_clusters
-                    ),
+                    clusters=self.context.sampling_clusters(),
                     pool=self.pool,
                 )
                 while sampler.has_more():

@@ -150,7 +150,7 @@ class SamplingModule:
         self,
         data: PreprocessedRelation,
         config: EulerFDConfig,
-        clusters: list[tuple[int, ...]] | None = None,
+        clusters: list[tuple[int, ...]],
         pool: WorkerPool | None = None,
     ) -> None:
         self.data = data
@@ -159,17 +159,11 @@ class SamplingModule:
         # means the serial agree-mask kernel, exactly as before.
         self._pool = pool
         self._universe = attrset.universe(data.num_columns)
-        # The driver passes the execution context's shared (deduplicated)
-        # cluster list; standalone use falls back to collecting it here.
-        if clusters is None:
-            self._clusters = self._collect_clusters()
-        else:
-            self._clusters = [
-                ClusterState(
-                    rows, config.initial_window, config.retire_history
-                )
-                for rows in clusters
-            ]
+        # The execution context's shared, deduplicated cluster list.
+        self._clusters = [
+            ClusterState(rows, config.initial_window, config.retire_history)
+            for rows in clusters
+        ]
         self._policy = config.mlfq
         self._queue: MultilevelFeedbackQueue[ClusterState] = MultilevelFeedbackQueue(
             self._policy
@@ -181,21 +175,6 @@ class SamplingModule:
         self.total_new_non_fds = 0
         self.rounds_run = 0
         self.revivals = 0
-
-    # -- construction -----------------------------------------------------
-
-    def _collect_clusters(self) -> list[ClusterState]:
-        clusters: list[ClusterState] = []
-        registered: set[tuple[int, ...]] = set()
-        for _, rows in self.data.iter_clusters():
-            if self.config.dedupe_clusters:
-                if rows in registered:
-                    continue
-                registered.add(rows)
-            clusters.append(
-                ClusterState(rows, self.config.initial_window, self.config.retire_history)
-            )
-        return clusters
 
     @property
     def num_clusters(self) -> int:
@@ -350,18 +329,8 @@ class SamplingModule:
         rows = cluster.row_index
         window = cluster.window
         num_positions = len(rows) - window + 1
-        cap = self.config.max_pairs_per_sample
-        if cap is not None and num_positions > cap:
-            # Same regular stride as the historical ``int(i * step)``
-            # selection: positive doubles truncate identically.
-            step = num_positions / cap
-            positions = (np.arange(cap) * step).astype(np.intp)
-            rows_a = rows[positions]
-            rows_b = rows[positions + (window - 1)]
-            num_positions = cap
-        else:
-            rows_a = rows[:num_positions]
-            rows_b = rows[window - 1 :]
+        rows_a = rows[:num_positions]
+        rows_b = rows[window - 1 :]
         new_count = 0
         seen = self._seen
         if self._pool is not None:

@@ -88,7 +88,7 @@ class ExecutionContext:
         self.partitions = PartitionStore(
             self.data, cache_size=cache_size, max_bytes=max_cache_bytes
         )
-        self._clusters: dict[bool, list[tuple[int, ...]]] = {}
+        self._clusters: list[tuple[int, ...]] | None = None
 
     # -- identity --------------------------------------------------------------
 
@@ -121,7 +121,7 @@ class ExecutionContext:
         store are both extended in place — O(batch) work, no re-encoding,
         no partition rebuilds — and the returned :class:`AppendDelta`
         tells callers exactly which clusters the new rows landed in.
-        Sampling-cluster lists are re-listed lazily from the
+        The sampling-cluster list is re-listed lazily from the
         delta-maintained partitions on next use (pointer-level work; the
         partitions themselves stay warm).
 
@@ -132,9 +132,9 @@ class ExecutionContext:
             delta = data.append_delta
             self.data = data
             self.partitions.apply_delta(data, delta)
-            # cluster lists are cheap listings over the (warm) singleton
-            # partitions; drop them and re-list on demand
-            self._clusters.clear()
+            # the cluster list is a cheap listing over the (warm) singleton
+            # partitions; drop it and re-list on demand
+            self._clusters = None
         return delta
 
     # -- partitions ------------------------------------------------------------
@@ -143,28 +143,25 @@ class ExecutionContext:
         """The stripped partition on the attribute set ``mask`` (cached)."""
         return self.partitions.get(mask)
 
-    def sampling_clusters(self, dedupe: bool = True) -> list[tuple[int, ...]]:
-        """All single-attribute stripped clusters, optionally deduplicated.
+    def sampling_clusters(self) -> list[tuple[int, ...]]:
+        """All distinct single-attribute stripped clusters.
 
         The shared cluster list the samplers of EulerFD, HyFD and AID-FD
-        draw tuple pairs from; ``dedupe`` drops clusters containing
+        draw tuple pairs from, in attribute order.  A cluster containing
         exactly the rows of an already-listed cluster of another
-        attribute (twins can only replay identical pairs).  Computed once
-        per flag and cached.
+        attribute is dropped: such twins can only replay identical
+        pairs.  Computed once and cached until the next append.
         """
-        cached = self._clusters.get(dedupe)
-        if cached is not None:
-            return cached
+        if self._clusters is not None:
+            return self._clusters
         clusters: list[tuple[int, ...]] = []
         registered: set[tuple[int, ...]] = set()
         for attribute in range(self.num_attributes):
             for rows in self.partitions.get(attrset.singleton(attribute)).clusters:
-                if dedupe:
-                    if rows in registered:
-                        continue
+                if rows not in registered:
                     registered.add(rows)
-                clusters.append(rows)
-        self._clusters[dedupe] = clusters
+                    clusters.append(rows)
+        self._clusters = clusters
         return clusters
 
     # -- validation ------------------------------------------------------------

@@ -414,10 +414,10 @@ class WorkerPool:
         for _, _, cleanup in list(self._published.values()):
             try:
                 cleanup()
-            except Exception as exc:  # pragma: no cover - defensive
+            except Exception as exc:
                 error = error or exc
         self._published.clear()
-        if error is not None:  # pragma: no cover - defensive
+        if error is not None:
             raise error
 
     def __enter__(self) -> "WorkerPool":
@@ -469,10 +469,10 @@ def close_all_pools() -> None:
     for pool in list(_POOLS.values()):
         try:
             pool.close()
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             error = error or exc
     _POOLS.clear()
-    if error is not None:  # pragma: no cover - defensive
+    if error is not None:
         raise error
 
 

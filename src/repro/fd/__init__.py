@@ -1,7 +1,6 @@
 """Functional-dependency value types, covers, indexes, and inference."""
 
 from . import attrset, inference
-from .armstrong import armstrong_relation, closed_sets
 from .binary_tree import BinaryLhsTree
 from .covers import (
     NegativeCover,
@@ -22,9 +21,7 @@ __all__ = [
     "LhsIndex",
     "NegativeCover",
     "PositiveCover",
-    "armstrong_relation",
     "attrset",
-    "closed_sets",
     "attribute_frequency_priority",
     "default_index_factory",
     "inference",

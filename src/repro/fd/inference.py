@@ -53,11 +53,6 @@ def equivalent(left: Iterable[FD], right: Iterable[FD]) -> bool:
     )
 
 
-def is_superkey(attributes: int, num_attributes: int, fds: Iterable[FD]) -> bool:
-    """True when ``attributes`` determines every attribute of the schema."""
-    return closure(attributes, fds) == attrset.universe(num_attributes)
-
-
 def candidate_keys(
     num_attributes: int, fds: Iterable[FD], limit: int | None = None
 ) -> list[int]:
@@ -115,41 +110,6 @@ def determinants_of(
             involved.update(attrset.to_indices(fd.lhs))
     involved.discard(target)
     return involved
-
-
-def minimize_cover(fds: Iterable[FD]) -> set[FD]:
-    """A canonical (irreducible) cover of ``fds``.
-
-    Three classic steps: drop trivial FDs, left-reduce each LHS (remove
-    extraneous attributes), then drop FDs implied by the remainder.  The
-    result implies exactly the same dependencies with no redundancy —
-    handy for presenting discovered covers compactly.
-    """
-    reduced: list[FD] = []
-    original = [fd for fd in fds if not fd.is_trivial()]
-    for fd in original:
-        lhs = fd.lhs
-        for index in attrset.to_indices(fd.lhs):
-            candidate = attrset.remove(lhs, index)
-            if attrset.contains(closure(candidate, original), fd.rhs):
-                lhs = candidate
-        reduced.append(FD(lhs, fd.rhs))
-    # Drop redundant FDs: keep fd only when the survivors-so-far plus the
-    # not-yet-examined rest do not already imply it.
-    essential: list[FD] = []
-    deduped = sorted(set(reduced))
-    for position, fd in enumerate(deduped):
-        pool = essential + deduped[position + 1 :]
-        if not implies(pool, fd):
-            essential.append(fd)
-    return set(essential)
-
-
-def violates_bcnf(fd: FD, num_attributes: int, fds: Iterable[FD]) -> bool:
-    """True when ``fd`` is a BCNF violation: non-trivial and LHS not a superkey."""
-    if fd.is_trivial():
-        return False
-    return not is_superkey(fd.lhs, num_attributes, fds)
 
 
 def bcnf_decompose(

@@ -1,7 +1,7 @@
 """Accuracy and timing metrics for FD-discovery experiments."""
 
 from .accuracy import AccuracyReport, f1_score, fd_set_metrics, semantic_equivalence
-from .error import ViolationProfile, g3_error, violation_profile
+from .error import ViolationProfile, violation_profile
 from .timing import TimedRun, timed
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "ViolationProfile",
     "f1_score",
     "fd_set_metrics",
-    "g3_error",
     "semantic_equivalence",
     "timed",
     "violation_profile",

@@ -103,8 +103,3 @@ def violation_profile(data: PreprocessedRelation, fd: FD) -> ViolationProfile:
         violating_tuples=violating_tuples,
         tuples_to_remove=tuples_to_remove,
     )
-
-
-def g3_error(data: PreprocessedRelation, fd: FD) -> float:
-    """Shorthand for ``violation_profile(data, fd).g3``."""
-    return violation_profile(data, fd).g3

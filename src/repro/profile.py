@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .algorithms import Fdep
 from .algorithms.ucc import UccResult, discover_uccs
+from .core.config import EulerFDConfig
 from .core.eulerfd import EulerFD
 from .core.result import DiscoveryResult
 from .engine import acquire_context
@@ -103,7 +104,11 @@ def profile_relation(
             )
         )
     exact = relation.num_rows * max(relation.num_columns, 1) <= exact_below_cells
-    discoverer = Fdep(null_equals_null) if exact else EulerFD()
+    discoverer = (
+        Fdep(null_equals_null)
+        if exact
+        else EulerFD(EulerFDConfig(null_equals_null=null_equals_null))
+    )
     fds = discoverer.discover(relation)
     uccs = discover_uccs(relation, null_equals_null)
     return RelationProfile(

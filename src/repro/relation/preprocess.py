@@ -28,7 +28,6 @@ snapshot raises), which is what keeps the shared buffer single-writer.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any
 
@@ -376,12 +375,6 @@ class PreprocessedRelation:
         in a single numpy call keeps the per-pair cost at C speed.
         """
         return agree_masks_from_matrix(self.matrix, rows_a, rows_b)
-
-    def iter_clusters(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Yield ``(attribute, cluster)`` over all stripped clusters."""
-        for attribute, partition in enumerate(self.stripped):
-            for cluster in partition.clusters:
-                yield attribute, cluster
 
     def labels(self, column: int) -> np.ndarray:
         """The dense label vector of one column."""

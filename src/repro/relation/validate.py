@@ -33,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Submodule imports keep this importable inside the repro.fd package
-# initialization cycle (fd.armstrong -> relation -> validate -> fd).
 from ..fd import attrset
 from ..fd.fd import FD
 from .preprocess import PreprocessedRelation

@@ -155,10 +155,12 @@ class TestProjectRules:
     def test_upward_import_is_a_layer_violation(self, tmp_path):
         self._write(tmp_path, "fd/low.py", "VALUE = 1\n")
         self._write(tmp_path, "fd/bad.py", "from ..core import driver as _d\n")
+        self._write(tmp_path, "fd/rows.py", "from ..relation import table as _t\n")
         self._write(tmp_path, "core/driver.py", "from ..fd import low as _low\n")
+        self._write(tmp_path, "relation/table.py", "from ..fd import low as _low\n")
         findings = analyze([tmp_path], default_rules(), select=["RPR101"]).findings
-        assert [finding.path for finding in findings] == ["fd/bad.py"]
-        assert "layer violation" in findings[0].message
+        assert [finding.path for finding in findings] == ["fd/bad.py", "fd/rows.py"]
+        assert all("layer violation" in finding.message for finding in findings)
 
     def test_cycle_reported_on_every_member(self, tmp_path):
         self._write(tmp_path, "core/a.py", "from . import b as _b\n")

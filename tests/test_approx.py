@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import BruteForce
-from repro.algorithms.approx import ApproxFDs, discover_approximate_fds
+from repro.algorithms.approx import ApproxFDs
 from repro.fd import FD, attrset
-from repro.metrics import g3_error
+from repro.metrics import violation_profile
 from repro.relation import Relation, preprocess
 
 
@@ -56,7 +56,7 @@ class TestTolerance:
     def test_threshold_is_sharp(self):
         relation = self.noisy_relation()
         data = preprocess(relation)
-        error = g3_error(data, FD.of([0], 1))  # 1/50 = 0.02
+        error = violation_profile(data, FD.of([0], 1)).g3  # 1/50 = 0.02
         below = ApproxFDs(epsilon=error - 0.001).discover(relation)
         at = ApproxFDs(epsilon=error).discover(relation)
         assert FD.of([0], 1) not in below.fds
@@ -75,7 +75,7 @@ class TestTolerance:
         data = preprocess(relation)
         epsilon = 0.05
         for fd in ApproxFDs(epsilon=epsilon).discover(relation).fds:
-            assert g3_error(data, fd) <= epsilon
+            assert violation_profile(data, fd).g3 <= epsilon
 
     def test_larger_epsilon_gives_more_general_cover(self):
         relation = self.noisy_relation()
@@ -99,11 +99,6 @@ class TestGuards:
         relation = Relation.from_rows([tuple(range(25))])
         with pytest.raises(ValueError, match="max_columns"):
             ApproxFDs().discover(relation)
-
-    def test_convenience_wrapper(self, patient_relation):
-        result = discover_approximate_fds(patient_relation, epsilon=0.0)
-        assert result.algorithm == "ApproxFDs"
-        assert len(result) == 9
 
     def test_stats(self, patient_relation):
         stats = ApproxFDs(epsilon=0.2).discover(patient_relation).stats

@@ -97,8 +97,6 @@ class TestEulerFDConfig:
             EulerFDConfig(initial_window=1)
         with pytest.raises(ValueError):
             EulerFDConfig(max_cycles=0)
-        with pytest.raises(ValueError):
-            EulerFDConfig(max_pairs_per_sample=0)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

@@ -201,13 +201,10 @@ class TestStoreDelta:
         rng = random.Random(23)
         base = random_rows(rng, 30)
         context = ExecutionContext(Relation.from_rows(base, NAMES), delta=True)
-        context.sampling_clusters(True)
+        context.sampling_clusters()
         batch = random_rows(rng, 6)
         context.append_rows(batch)
         fresh = ExecutionContext(concatenated(base, [batch]))
-        assert sorted(context.sampling_clusters(True)) == sorted(
-            fresh.sampling_clusters(True)
-        )
-        assert sorted(context.sampling_clusters(False)) == sorted(
-            fresh.sampling_clusters(False)
+        assert sorted(context.sampling_clusters()) == sorted(
+            fresh.sampling_clusters()
         )

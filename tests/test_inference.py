@@ -61,11 +61,6 @@ class TestImplication:
 
 
 class TestKeys:
-    def test_superkey(self):
-        fds = fds_of(([0], 1), ([0], 2))
-        assert inference.is_superkey(0b001, 3, fds)
-        assert not inference.is_superkey(0b010, 3, fds)
-
     def test_candidate_key_single(self):
         fds = fds_of(([0], 1), ([0], 2))
         assert inference.candidate_keys(3, fds) == [0b001]
@@ -111,14 +106,6 @@ class TestDeterminants:
 
 
 class TestBCNF:
-    def test_violation_detection(self):
-        fds = fds_of(([1], 2))  # 1 is not a superkey of {0,1,2}
-        assert inference.violates_bcnf(FD.of([1], 2), 3, fds)
-
-    def test_superkey_lhs_is_fine(self):
-        fds = fds_of(([0], 1), ([0], 2))
-        assert not inference.violates_bcnf(FD.of([0], 1), 3, fds)
-
     def test_decompose_textbook(self):
         # R(0,1,2) with 1 -> 2: split into {1,2} and {0,1}.
         fds = fds_of(([1], 2))
@@ -149,53 +136,6 @@ class TestBCNF:
                 if in_fragment and not attrset.contains(fd.lhs, fd.rhs):
                     closure = inference.closure(fd.lhs, fds)
                     assert closure & fragment == fragment
-
-
-class TestMinimizeCover:
-    def test_drops_trivial(self):
-        assert inference.minimize_cover(fds_of(([0, 1], 1))) == set()
-
-    def test_left_reduction(self):
-        # With 0 -> 1 present, the FD {0,2} -> 1 reduces to 0 -> 1.
-        cover = inference.minimize_cover(fds_of(([0], 1), ([0, 2], 1)))
-        assert cover == {FD.of([0], 1)}
-
-    def test_removes_transitively_implied(self):
-        cover = inference.minimize_cover(
-            fds_of(([0], 1), ([1], 2), ([0], 2))
-        )
-        assert cover == {FD.of([0], 1), FD.of([1], 2)}
-
-    def test_already_minimal_is_unchanged(self):
-        fds = set(fds_of(([0], 1), ([1], 0)))
-        assert inference.minimize_cover(fds) == fds
-
-    def test_result_is_equivalent(self):
-        original = fds_of(([0, 1], 2), ([0], 1), ([1, 2], 3), ([0], 3))
-        cover = inference.minimize_cover(original)
-        assert inference.equivalent(cover, original)
-
-    def test_empty(self):
-        assert inference.minimize_cover([]) == set()
-
-
-class TestMinimizeCoverProperties:
-    small_fds = st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=(1 << 5) - 1),
-            st.integers(min_value=0, max_value=4),
-        ).map(lambda pair: FD(*pair)),
-        max_size=10,
-    )
-
-    @given(small_fds)
-    @settings(max_examples=80, deadline=None)
-    def test_minimized_cover_is_equivalent_and_irredundant(self, fds):
-        cover = inference.minimize_cover(fds)
-        assert inference.equivalent(cover, [f for f in fds if not f.is_trivial()])
-        for fd in cover:
-            rest = [f for f in cover if f != fd]
-            assert not inference.implies(rest, fd)
 
 
 class TestClosureProperties:

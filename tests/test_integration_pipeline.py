@@ -9,7 +9,7 @@ from repro.algorithms import BruteForce, Fdep
 from repro.cli import main
 from repro.core.result import DiscoveryResult
 from repro.datasets import make, patients
-from repro.fd import FD, armstrong_relation, inference
+from repro.fd import inference
 from repro.metrics import f1_score
 from repro.relation import read_csv, write_csv
 
@@ -37,22 +37,6 @@ class TestCsvRoundtripDiscovery:
 
 
 class TestCoverPostprocessing:
-    def test_discovered_cover_survives_minimization(self, patient_relation):
-        discovered = EulerFD().discover(patient_relation).fds
-        minimized = inference.minimize_cover(discovered)
-        assert inference.equivalent(minimized, discovered)
-        assert len(minimized) <= len(discovered)
-
-    def test_armstrong_witness_of_discovered_cover(self, patient_relation):
-        discovered = BruteForce().discover(patient_relation).fds
-        witness = armstrong_relation(
-            discovered,
-            patient_relation.num_columns,
-            column_names=patient_relation.column_names,
-        )
-        rediscovered = BruteForce().discover(witness).fds
-        assert inference.equivalent(rediscovered, discovered)
-
     def test_profile_fds_feed_key_computation(self, patient_relation):
         profile = profile_relation(patient_relation)
         keys = inference.candidate_keys(

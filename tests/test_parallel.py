@@ -346,6 +346,47 @@ class TestMatrixTransport:
         assert pool._published == {}
         assert _mmap_files() - before == set()
 
+    def test_close_unlinks_every_file_and_reraises_the_first_error(
+        self, sample_data
+    ):
+        """A failing cleanup neither stops the later unlinks nor is lost."""
+        before = _mmap_files()
+        pool = WorkerPool(PoolSpec("process", 2))
+        matrices = [sample_data.matrix.copy() for _ in range(3)]
+        handles = [pool.matrix_handle(matrix) for matrix in matrices]
+        keys = list(pool._published)
+        originals = [pool._published[key][2] for key in keys]
+
+        def failing(message):
+            def cleanup():
+                raise OSError(message)
+            return cleanup
+
+        for key, message in zip(keys[:2], ("first", "second")):
+            ref, handle, _ = pool._published[key]
+            pool._published[key] = (ref, handle, failing(message))
+        with pytest.raises(OSError, match="first"):
+            pool.close()
+        assert pool._published == {}
+        assert not os.path.exists(handles[2].path)
+        for cleanup in originals[:2]:
+            cleanup()
+        assert _mmap_files() - before == set()
+
+    def test_close_all_pools_closes_the_rest_and_propagates(self, monkeypatch):
+        failing = get_pool("thread:2")
+        survivor = get_pool("process:2")
+
+        def broken_close():
+            raise RuntimeError("close failed")
+
+        monkeypatch.setattr(failing, "close", broken_close)
+        with pytest.raises(RuntimeError, match="close failed"):
+            close_all_pools()
+        assert survivor._closed
+        assert parallel._POOLS == {}
+        WorkerPool.close(failing)
+
     def test_pool_context_manager_closes_on_error(self):
         pool = WorkerPool(PoolSpec("thread", 2))
         with pytest.raises(RuntimeError, match="boom"):

@@ -253,12 +253,9 @@ class TestAgreeMasksBulk:
 class TestStrippedPartitions:
     def test_clusters_iteration(self, patient_relation):
         data = preprocess(patient_relation)
-        clusters = list(data.iter_clusters())
         # Name is a key: no clusters; Age has 2; Blood 2; Gender 2; Medicine 3.
-        attributes = [attribute for attribute, _ in clusters]
-        assert attributes.count(0) == 0
-        assert attributes.count(1) == 2
-        assert attributes.count(3) == 2
+        counts = [len(partition.clusters) for partition in data.stripped]
+        assert counts == [0, 2, 2, 2, 3]
 
     def test_partition_of_key_column_is_empty(self, patient_relation):
         data = preprocess(patient_relation)

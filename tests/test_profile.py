@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro import profile_relation
+from repro.algorithms import Fdep
 from repro.relation import Relation
 
 
@@ -41,6 +42,16 @@ class TestDiscoverySelection:
         profile = profile_relation(patient_relation, exact_below_cells=10)
         assert not profile.exact
         assert profile.fds.algorithm == "EulerFD"
+
+    def test_eulerfd_path_keeps_null_semantics(self):
+        relation = Relation.from_rows(
+            [(None, 1, "x"), (None, 2, "x"), (3, 2, "y")], ["a", "b", "c"]
+        )
+        profile = profile_relation(
+            relation, exact_below_cells=0, null_equals_null=False
+        )
+        assert not profile.exact
+        assert profile.fds.fds == Fdep(False).discover(relation).fds
 
     def test_uccs_included(self, patient_relation):
         profile = profile_relation(patient_relation)

@@ -7,11 +7,15 @@ import pytest
 from repro.core import EulerFDConfig, SamplingModule
 from repro.core.sampler import ClusterState
 from repro.datasets import patients
-from repro.relation import Relation, preprocess
+from repro.engine import ExecutionContext
+from repro.relation import Relation
 
 
 def sampler_for(relation: Relation, **config_kwargs) -> SamplingModule:
-    return SamplingModule(preprocess(relation), EulerFDConfig(**config_kwargs))
+    context = ExecutionContext(relation)
+    return SamplingModule(
+        context.data, EulerFDConfig(**config_kwargs), context.sampling_clusters()
+    )
 
 
 class TestClusterState:
@@ -72,10 +76,8 @@ class TestClusterCollection:
         relation = Relation.from_rows(
             [(1, "a"), (1, "a"), (2, "b"), (2, "b")], ["x", "y"]
         )
-        with_dedupe = sampler_for(relation, dedupe_clusters=True)
-        without = sampler_for(relation, dedupe_clusters=False)
-        assert with_dedupe.num_clusters == 2
-        assert without.num_clusters == 4
+        # Each column has 2 clusters; the twins of the second are dropped.
+        assert sampler_for(relation).num_clusters == 2
 
 
 class TestRounds:
@@ -121,9 +123,11 @@ class TestRounds:
     def test_exhaustive_sampling_covers_all_intra_cluster_pairs(self):
         """With retirement effectively disabled, every pair that agrees on
         some attribute is eventually compared (coverage, Section IV-C)."""
-        relation = patients()
-        data = preprocess(relation)
-        sampler = SamplingModule(data, EulerFDConfig(retire_history=50))
+        context = ExecutionContext(patients())
+        data = context.data
+        sampler = SamplingModule(
+            data, EulerFDConfig(retire_history=50), context.sampling_clusters()
+        )
         total = 0
         while sampler.has_more():
             _, stats = sampler.run_pass()
@@ -133,7 +137,8 @@ class TestRounds:
         expected = 0
         seen_pairs: set[tuple[int, int]] = set()
         registered = set()
-        for _, rows in data.iter_clusters():
+        clusters = (rows for column in data.stripped for rows in column.clusters)
+        for rows in clusters:
             if rows in registered:
                 continue
             registered.add(rows)
@@ -173,14 +178,6 @@ class TestRevive:
 
 
 class TestPairCap:
-    def test_max_pairs_per_sample_thins_comparisons(self):
-        rows = [(i % 2, i) for i in range(100)]  # one cluster of 50 per label
-        relation = Relation.from_rows(rows, ["group", "id"])
-        capped = sampler_for(relation, max_pairs_per_sample=5)
-        _, stats = capped.run_pass(max_samples=capped.num_clusters)
-        assert stats.cluster_samples == capped.num_clusters
-        assert stats.pairs_compared <= 5 * capped.num_clusters
-
     def test_uncapped_first_sample_compares_all_window_positions(self):
         rows = [(0, i) for i in range(10)]  # a single 10-row cluster
         relation = Relation.from_rows(rows, ["group", "id"])

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.ucc import discover_uccs
+from repro.algorithms.ucc import discover_uccs, minimal_transversals_levelwise
 from repro.fd import attrset
 from repro.relation import Relation
 
@@ -23,6 +23,42 @@ def naive_minimal_uccs(rows: list[tuple], num_columns: int) -> set[int]:
         if not any(attrset.is_subset(kept, mask) for kept in minimal):
             minimal.add(mask)
     return minimal
+
+
+def naive_minimal_hitting_sets(edges: list[int], vertices: int) -> set[int]:
+    if any(edge == 0 for edge in edges):
+        return set()
+    hitting = [
+        mask
+        for mask in attrset.all_subsets(vertices)
+        if all(edge & mask for edge in edges)
+    ]
+    minimal: set[int] = set()
+    for mask in sorted(hitting, key=attrset.size):
+        if not any(attrset.is_subset(kept, mask) for kept in minimal):
+            minimal.add(mask)
+    return minimal
+
+
+class TestMinimalTransversals:
+    def test_no_edges_means_empty_transversal(self):
+        assert minimal_transversals_levelwise([], 0b111) == [0]
+
+    def test_unhittable_edge(self):
+        assert minimal_transversals_levelwise([0], 0b111) == []
+
+    def test_textbook_instance(self):
+        # Edges {a,b}, {b,c}: minimal hitting sets {b}, {a,c}.
+        edges = [0b011, 0b110]
+        expected = {0b010, 0b101}
+        assert set(minimal_transversals_levelwise(edges, 0b111)) == expected
+
+    @given(st.lists(st.integers(min_value=0, max_value=(1 << 7) - 1), max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive(self, edges):
+        vertices = (1 << 7) - 1
+        expected = naive_minimal_hitting_sets(edges, vertices) if edges else {0}
+        assert set(minimal_transversals_levelwise(edges, vertices)) == expected
 
 
 class TestPatients:
