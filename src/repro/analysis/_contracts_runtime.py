@@ -21,36 +21,29 @@ around every call:
 
 Checks are budgeted: after ``REPRO_CONTRACTS_MAX_CHECKS`` calls
 (default 128) a wrapper becomes a plain passthrough, so instrumented
-test runs stay roughly linear.  Set ``REPRO_CONTRACTS_DISABLE=1`` to
-strip the wrappers entirely at import time.
+test runs stay roughly linear.
 
-The :func:`probe` decorator carries the *runtime* halves of the
-dataflow rules (RPR107/RPR108) into the sanitized tree:
+The :func:`probe` decorator attaches two runtime checks of the worker
+pool to the sanitized tree:
 
-* ``shard_permutation`` (on ``WorkerPool.map_chunks``) — re-dispatches
-  the same chunk plan in reversed order and asserts the index-restored
-  results are identical, i.e. the merge really is permutation-invariant
-  and not accidentally completion-order dependent.  Only the
-  deterministic kernels are replayed (wall-time payloads would differ by
-  construction), and only on a non-serial pool with 2+ chunks.
-* ``fold_overflow`` (on ``fold_column``) — recomputes the fold's
-  distinct-group count with unbounded Python ints and asserts the folded
-  keys kept every ``(key, label)`` pair distinct: a silent 2^64 wrap
-  shows up as collided groups.
-* ``live_resources`` (on ``WorkerPool.close``) — the runtime half of the
-  typestate rules (RPR109–RPR111).  Per call it asserts the closed pool
-  really released everything (no surviving publications or executor) and
-  that no ``repro_mmap_<pid>_*`` matrix file of this process lingers in
-  the temp directory without a live owning pool; installing the probe
-  also registers a process-exit check (running after
-  ``close_all_pools``) that asserts zero surviving own-pid files and a
-  balanced ``use_context`` stack, exiting non-zero on violation so CI
-  fails.
+* ``shard_permutation`` (on ``WorkerPool.map_chunks``) — the runtime
+  half of RPR107: re-dispatches the same chunk plan in reversed order
+  and asserts the index-restored results are identical, i.e. the merge
+  really is permutation-invariant and not accidentally completion-order
+  dependent.  Only the deterministic kernels are replayed (wall-time
+  payloads would differ by construction), and only on a non-serial pool
+  with 2+ chunks.
+* ``live_resources`` (on ``WorkerPool.close``) — per call it asserts the
+  closed pool really released everything (no surviving publications or
+  executor) and that no ``repro_mmap_<pid>_*`` matrix file of this
+  process lingers in the temp directory without a live owning pool;
+  installing the probe also registers a process-exit check (running
+  after ``close_all_pools``) that asserts zero surviving own-pid files
+  and a balanced ``use_context`` stack, exiting non-zero on violation so
+  CI fails.
 
-Probes budget separately (``REPRO_PROBES_MAX_CHECKS``, default 32 — they
-re-run kernels, so they are costlier than snapshots) and can be disabled
-with ``REPRO_PROBES_DISABLE=1``.  numpy is imported lazily inside the
-fold check so this shim still imports with the standard library alone.
+Probes budget separately (:data:`PROBE_MAX_CHECKS` calls each — they
+re-run kernels, so they are costlier than snapshots).
 """
 
 from __future__ import annotations
@@ -66,13 +59,16 @@ _SKIP = object()
 
 _PROTOCOL = 4
 
+PROBE_MAX_CHECKS = 32
+"""Calls per probed function that run the probe; later calls pass through."""
+
 
 class ContractViolation(AssertionError):
     """An instrumented call broke its declared docstring contract."""
 
 
 class ProbeViolation(AssertionError):
-    """An instrumented call failed a runtime determinism/overflow probe."""
+    """An instrumented call failed a runtime determinism/resource probe."""
 
 
 def _max_checks() -> int:
@@ -80,10 +76,6 @@ def _max_checks() -> int:
         return int(os.environ.get("REPRO_CONTRACTS_MAX_CHECKS", "128"))
     except ValueError:
         return 128
-
-
-def _disabled() -> bool:
-    return os.environ.get("REPRO_CONTRACTS_DISABLE", "") == "1"
 
 
 def _snapshot(value: object) -> object:
@@ -106,17 +98,6 @@ def _members(value: object) -> object:
         return list(value)
     except Exception:
         return _SKIP
-
-
-def _probes_max_checks() -> int:
-    try:
-        return int(os.environ.get("REPRO_PROBES_MAX_CHECKS", "32"))
-    except ValueError:
-        return 32
-
-
-def _probes_disabled() -> bool:
-    return os.environ.get("REPRO_PROBES_DISABLE", "") == "1"
 
 
 #: task kernels whose payloads are deterministic data (safe to replay);
@@ -149,34 +130,6 @@ def _check_shard_permutation(
             f"map_chunks({task_fn.__name__}): dispatching the same chunk "
             "plan in reversed order changed the index-restored results — "
             "the merge is completion-order dependent, not chunk-indexed"
-        )
-
-
-def _check_fold_overflow(
-    func: Callable, args: tuple, kwargs: dict, result: object
-) -> None:
-    """Recompute the fold's distinct-group count with unbounded ints.
-
-    The folded ``(keys, labels, ...)`` come first; the result is the key
-    array, or a ``(keys, domain)`` pair.
-    """
-    import numpy  # lazy: the shim must import with the stdlib alone
-
-    values = [*args, *kwargs.values()]
-    if len(values) < 2:
-        return
-    keys, labels = values[:2]
-    folded = result[0] if isinstance(result, tuple) else result
-    try:
-        pairs = len(set(zip(keys.tolist(), labels.tolist())))
-        distinct = int(numpy.unique(numpy.asarray(folded)).size)
-    except (AttributeError, TypeError, ValueError):
-        return
-    if distinct != pairs:
-        raise ProbeViolation(
-            f"{func.__name__}: fold produced {distinct} distinct keys "
-            f"for {pairs} distinct (key, label) pairs — the fold wrapped "
-            "and collided groups"
         )
 
 
@@ -290,7 +243,6 @@ def _register_exit_check(func: Callable) -> None:
 
 _PROBE_CHECKS: dict[str, Callable] = {
     "shard_permutation": _check_shard_permutation,
-    "fold_overflow": _check_fold_overflow,
     "live_resources": _check_live_resources,
 }
 
@@ -300,17 +252,16 @@ def probe(name: str) -> Callable:
 
     def decorate(func: Callable) -> Callable:
         check = _PROBE_CHECKS.get(name)
-        if check is None or _probes_disabled():
+        if check is None:
             return func
         if name == "live_resources":
             _register_exit_check(func)
-        budget = _probes_max_checks()
         state = {"checks": 0}
 
         @functools.wraps(func)
         def wrapper(*args: object, **kwargs: object) -> object:
             result = func(*args, **kwargs)
-            if state["checks"] < budget:
+            if state["checks"] < PROBE_MAX_CHECKS:
                 state["checks"] += 1
                 check(func, args, kwargs, result)
             return result
@@ -330,8 +281,6 @@ def contract(
     allowed.update(name for name, _ in monotone)
 
     def decorate(func: Callable) -> Callable:
-        if _disabled():
-            return func
         try:
             signature = inspect.signature(func)
         except (TypeError, ValueError):  # builtins/descriptors: leave as-is

@@ -2,36 +2,25 @@
 
 :func:`build_cfg` lowers one function body into basic blocks connected
 by labelled edges.  The graph is deliberately simple — the dataflow
-rules (RPR106–RPR108) need branch-sensitive statement order, not an
+rule (RPR107) needs branch-sensitive statement order, not an
 optimizing compiler's IR:
 
 * **simple statements** (assignments, calls, returns …) accumulate in a
   block's ``statements`` list in source order;
 * a block ending in a **conditional** carries the test expression in
-  ``test`` and two outgoing edges labelled ``"true"``/``"false"`` — the
-  framework's ``refine`` hook sees exactly this pair, which is how the
-  overflow rule learns that the false edge of ``if bound * card >=
-  LIMIT`` proves the fold safe;
+  ``test`` and two outgoing edges labelled ``"true"``/``"false"``;
 * a **loop head** block carries the ``ast.For`` node in ``loop`` (the
   target/iter binding, *not* the body — the body is its own region of
   blocks with a back edge), so transfer functions bind the loop variable
   without double-walking the body;
 * ``try`` bodies get a coarse ``"except"`` edge from every block in the
   protected region to each handler — any statement may raise, so the
-  handler entry state is the join of the whole region (blocks inside a
-  region with handlers or a ``finally`` also carry ``protected=True``,
-  which the typestate leak rule reads and ``render`` omits);
-* a ``finally`` body is lowered twice: an *abort copy* that
-  return/raise routing and the region's ``"except"`` edges enter (it
-  continues to the next enclosing finally, or the exit), and a *normal
-  copy* on the fall-through path — so a ``return`` inside ``try`` runs
-  the finally before reaching the exit, which is what lets the
-  typestate rules prove ``finally: handle.close()`` releases on every
-  path;
+  handler entry state is the join of the whole region;
+* a ``finally`` body is lowered once, entered from the try's normal
+  exits and by an ``"except"`` edge from every block of the region;
 * ``return``/``raise``/``break``/``continue`` terminate their block with
-  an edge to the innermost pending finally, the function exit, or the
-  enclosing loop's head/after block (``break``/``continue`` skip
-  pending finallys — a documented coarseness).
+  an edge to the function exit or the enclosing loop's head/after block
+  (all four skip pending ``finally`` bodies — a documented coarseness).
 
 Comprehensions stay expressions: their internal iteration is atomic from
 the rules' point of view (the provenance domains classify the whole
@@ -67,11 +56,6 @@ class Block:
     """(target block index, edge label) pairs; labels are ``""`` for
     unconditional fall-through, ``"true"``/``"false"`` for branches,
     ``"back"`` for loop back edges, ``"except"`` for handler entry."""
-    protected: bool = False
-    """True when the block lies inside a ``try`` region with handlers or
-    a ``finally`` — a raise here is observed, not an abrupt function
-    exit.  The typestate leak rule (RPR109) uses this to tell which
-    calls can abandon a live resource; not part of :meth:`CFG.render`."""
 
 
 @dataclass
@@ -168,20 +152,9 @@ class _Builder:
         self.loop_stack: list[tuple[int, int]] = []
         # blocks belonging to open try regions, outermost first
         self.try_regions: list[list[int]] = []
-        # abort-copy entry blocks of pending ``finally`` bodies, outermost
-        # first: return/raise inside the try runs the finally on the way
-        # out (break/continue stay coarse — they skip this routing)
-        self.finally_stack: list[int] = []
-
-    def _abort_continue(self) -> int:
-        """Where an abrupt exit goes next: the innermost pending
-        ``finally`` body, or the function exit."""
-        return self.finally_stack[-1] if self.finally_stack else _EXIT
 
     def new_block(self) -> int:
         block = Block(index=len(self.blocks))
-        if self.try_regions:
-            block.protected = True
         self.blocks.append(block)
         for region in self.try_regions:
             region.append(block.index)
@@ -219,7 +192,7 @@ class _Builder:
             return self._lower_match(statement, current)
         if isinstance(statement, (ast.Return, ast.Raise)):
             self.blocks[current].statements.append(statement)
-            self.edge(current, self._abort_continue())
+            self.edge(current, _EXIT)
             return None
         if isinstance(statement, ast.Break):
             if self.loop_stack:
@@ -299,20 +272,8 @@ class _Builder:
         return after
 
     def _lower_try(self, statement: ast.Try, current: int) -> int | None:
-        # The finally body is lowered twice: an *abort copy* entered by
-        # return/raise routing and by exceptional edges (it continues to
-        # the next pending finally or the exit), and a *normal copy* the
-        # fall-through path runs before the statement after the try.
-        # Sharing one copy would fuse the two continuations and invent
-        # paths that skip post-try code; duplication keeps them apart at
-        # the cost of the finally statements appearing in two blocks.
-        final_abort: int | None = None
-        if statement.finalbody:
-            final_abort = self.new_block()
-            self.finally_stack.append(final_abort)
         body_entry = self.new_block()
         self.edge(current, body_entry)
-        self.blocks[body_entry].protected = True
         region: list[int] = [body_entry]
         self.try_regions.append(region)
         body_exit = self.build_body(statement.body, body_entry)
@@ -331,21 +292,20 @@ class _Builder:
                 self.edge(block_index, handler_entry, "except")
         exits = [body_exit, *handler_exits]
         live = [index for index in exits if index is not None]
-        if final_abort is not None:
-            self.finally_stack.pop()
-            # exceptional entry: any statement of the region may raise
-            # into the finally, which then continues the propagation
-            for block_index in region:
-                self.edge(block_index, final_abort, "except")
-            abort_exit = self.build_body(statement.finalbody, final_abort)
-            if abort_exit is not None:
-                self.edge(abort_exit, self._abort_continue())
-            if not live:
-                return None
+        if statement.finalbody:
             final_entry = self.new_block()
             for index in live:
                 self.edge(index, final_entry)
-            return self.build_body(statement.finalbody, final_entry)
+            # any statement of the region may raise into the finally
+            for block_index in region:
+                self.edge(block_index, final_entry, "except")
+            final_exit = self.build_body(statement.finalbody, final_entry)
+            if live:
+                return final_exit
+            # only the exceptional path runs it: it re-raises to the exit
+            if final_exit is not None:
+                self.edge(final_exit, _EXIT)
+            return None
         if not live:
             return None
         if len(live) == 1:

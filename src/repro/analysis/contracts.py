@@ -23,28 +23,10 @@ silently:
     promise of the negative cover (Algorithm 2/3: inversion may consult
     but never shrink it between cycles).
 
-``Owns: return via call`` / ``Owns: self`` / ``Owns: segment via mmap-matrix``
-    Ownership-transfer declarations for the typestate rules
-    (RPR109–RPR111, :mod:`repro.analysis.lifecycle`).  ``Owns: return``
-    says the caller receives a resource it must release (``via call``
-    selects the ``(handle, cleanup)`` convention where the last
-    tuple-unpack target is a release callable); ``Owns: self`` says the
-    function parks owned resources on ``self`` for the object to release
-    later; ``Owns: <param> via <protocol>`` says the function takes
-    ownership of the parameter and must fully release it on every path.
-
-``Borrows: pool, data``
-    The listed parameters are used but never released or consumed — the
-    caller keeps ownership (and the leak obligation) across the call.
-
-Three consumers share this module: the static RPR102 pass
-(:mod:`repro.analysis.purity`) checks declared mutation contracts
-against an inferred mutation summary, the typestate pass
-(:mod:`repro.analysis.lifecycle`) checks ownership declarations against
-the resource state machines, and the ``--sanitize`` instrumenter
-(:mod:`repro.analysis.sanitize`) rewrites each *mutation* contract into
-a runtime assertion (ownership clauses stay static — their runtime
-mirror is the live-resource probe).
+Two consumers share this module: the per-file RPR102 rule checks that
+every contract parses and names real parameters, and the ``--sanitize``
+instrumenter (:mod:`repro.analysis.sanitize`) rewrites each contract
+into a runtime assertion — the check that a contract actually holds.
 """
 
 from __future__ import annotations
@@ -53,13 +35,10 @@ import ast
 import re
 from dataclasses import dataclass, field
 
-_CONTRACT_RE = re.compile(r"^\s*(Pure|Mutates|Monotone|Owns|Borrows):(.*)$")
+_CONTRACT_RE = re.compile(r"^\s*(Pure|Mutates|Monotone):(.*)$")
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _MONOTONE_RE = re.compile(
     r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s+via\s+([A-Za-z_][A-Za-z0-9_]*)\s*$"
-)
-_OWNS_RE = re.compile(
-    r"^(return|self|[A-Za-z_][A-Za-z0-9_]*)(?:\s+via\s+([a-z][a-z0-9-]*))?$"
 )
 
 
@@ -72,46 +51,14 @@ class Contract:
     """Listed mutable parameters, or None when no ``Mutates:`` line."""
     monotone: tuple[tuple[str, str], ...] = ()
     """(parameter, probe method) pairs from ``Monotone:`` lines."""
-    owns_return: str | None = None
-    """``"plain"`` when the return value is an owned resource the caller
-    must release, ``"call"`` when release happens by *calling* it (the
-    ``(handle, cleanup)`` convention: on tuple unpack the last target is
-    the release callable).  None when no ``Owns: return`` clause."""
-    owns_self: bool = False
-    """True when ``Owns: self`` declares that the function stores owned
-    resources on ``self`` (the enclosing object releases them later)."""
-    owns_params: tuple[tuple[str, str | None], ...] = ()
-    """``(parameter, protocol-or-None)`` pairs from ``Owns: p via proto``
-    clauses: the function takes ownership of the parameter and must
-    release (or re-escape) it on every path."""
-    borrows: tuple[str, ...] = ()
-    """Parameters from ``Borrows:`` lines: used but never released, so
-    callers keep ownership (and the leak obligation) across the call."""
     errors: tuple[str, ...] = ()
     """Grammar problems; a contract with errors is never enforced."""
 
-    @property
-    def declares_lifecycle_contract(self) -> bool:
-        """True when any ``Owns:``/``Borrows:`` clause is present."""
-        return (
-            self.owns_return is not None
-            or self.owns_self
-            or bool(self.owns_params)
-            or bool(self.borrows)
-        )
-
-    @property
-    def declares_mutation_contract(self) -> bool:
-        """True when the contract constrains parameter mutation at all."""
-        return self.pure or self.mutates is not None
-
-    def allowed_mutations(self) -> frozenset[str]:
-        """Parameter names the contract permits the function to mutate."""
-        if self.pure:
-            return frozenset()
-        allowed = set(self.mutates or ())
-        allowed.update(name for name, _ in self.monotone)
-        return frozenset(allowed)
+    def named_params(self) -> frozenset[str]:
+        """Every parameter name the contract mentions."""
+        names = set(self.mutates or ())
+        names.update(name for name, _ in self.monotone)
+        return frozenset(names)
 
 
 @dataclass
@@ -131,10 +78,6 @@ def parse_contract(docstring: str | None) -> Contract | None:
     pure = False
     mutates: list[str] | None = None
     monotone: list[tuple[str, str]] = []
-    owns_return: str | None = None
-    owns_self = False
-    owns_params: list[tuple[str, str | None]] = []
-    borrows: list[str] = []
     errors: list[str] = []
     for line in docstring.splitlines():
         match = _CONTRACT_RE.match(line)
@@ -145,42 +88,6 @@ def parse_contract(docstring: str | None) -> Contract | None:
             if pure:
                 errors.append("duplicate `Pure:` line")
             pure = True
-        elif keyword == "Owns":
-            for clause in rest.split(","):
-                parsed = _OWNS_RE.match(clause.strip())
-                if parsed is None:
-                    errors.append(
-                        "`Owns:` takes `return[ via call]`, `self`, or "
-                        f"`<parameter>[ via <protocol>]`, got {clause.strip()!r}"
-                    )
-                    continue
-                target, via = parsed.group(1), parsed.group(2)
-                if target == "return":
-                    if via not in (None, "call"):
-                        errors.append(
-                            f"`Owns: return via {via}` — only `via call` "
-                            "is defined for return ownership"
-                        )
-                    elif owns_return is not None:
-                        errors.append("duplicate `Owns: return` clause")
-                    else:
-                        owns_return = "call" if via == "call" else "plain"
-                elif target == "self":
-                    if via is not None:
-                        errors.append("`Owns: self` takes no `via` clause")
-                    owns_self = True
-                else:
-                    owns_params.append((target, via))
-        elif keyword == "Borrows":
-            names = [token.strip() for token in rest.split(",")]
-            bad = [name for name in names if not _IDENTIFIER_RE.match(name)]
-            if bad or not names:
-                errors.append(
-                    "`Borrows:` takes a comma-separated list of parameter "
-                    f"names, got {rest.strip()!r}"
-                )
-            else:
-                borrows.extend(names)
         elif keyword == "Mutates":
             if mutates is not None:
                 errors.append("duplicate `Mutates:` line")
@@ -204,33 +111,14 @@ def parse_contract(docstring: str | None) -> Contract | None:
                 )
             else:
                 monotone.append((parsed.group(1), parsed.group(2)))
-    if (
-        not pure
-        and mutates is None
-        and not monotone
-        and owns_return is None
-        and not owns_self
-        and not owns_params
-        and not borrows
-        and not errors
-    ):
+    if not pure and mutates is None and not monotone and not errors:
         return None
     if pure and mutates is not None:
         errors.append("`Pure:` and `Mutates:` are mutually exclusive")
-    owned_names = {name for name, _ in owns_params}
-    for name in borrows:
-        if name in owned_names:
-            errors.append(
-                f"parameter {name!r} is declared both `Owns:` and `Borrows:`"
-            )
     return Contract(
         pure=pure,
         mutates=tuple(mutates) if mutates is not None else None,
         monotone=tuple(monotone),
-        owns_return=owns_return,
-        owns_self=owns_self,
-        owns_params=tuple(owns_params),
-        borrows=tuple(borrows),
         errors=tuple(errors),
     )
 

@@ -2,17 +2,9 @@
 
 A :class:`ForwardAnalysis` supplies the abstract domain — initial state,
 join, equality, per-statement transfer — and :func:`run_forward` computes
-the least fixpoint with a worklist.  Two hooks give the rules the extra
-precision they need:
-
-* :meth:`ForwardAnalysis.refine` sees the branch condition and which
-  edge was taken, so a guard like ``if bound * card >= LIMIT: …`` can
-  mark values proven safe on the false edge (path sensitivity without
-  path enumeration);
-* :meth:`ForwardAnalysis.widen` replaces the join once a block's input
-  has changed :data:`WIDEN_AFTER` times, so domains with infinite ascent
-  (the bit-width domain, where ``keys = keys * card`` grows every loop
-  iteration) still terminate.
+the least fixpoint with a worklist.  The domain must have finite ascent
+(RPR107's taint sets only grow toward the origins a function contains),
+so plain joins terminate without widening.
 
 States must be treated as immutable: transfer functions return fresh
 values and never mutate their argument, otherwise the fixpoint's
@@ -27,12 +19,9 @@ from collections.abc import Iterator
 
 from .cfg import CFG
 
-WIDEN_AFTER = 3
-"""Joins applied to a block input before switching to widening."""
-
 _MAX_SWEEPS = 64
 """Hard per-block visit bound; a backstop, not a tuning knob — any
-monotone domain with working widening converges far earlier."""
+monotone finite-ascent domain converges far earlier."""
 
 
 class ForwardAnalysis:
@@ -49,10 +38,6 @@ class ForwardAnalysis:
     def join(self, left: object, right: object) -> object:
         raise NotImplementedError
 
-    def widen(self, previous: object, incoming: object) -> object:
-        """Accelerated join for loop convergence; defaults to join."""
-        return self.join(previous, incoming)
-
     def equals(self, left: object, right: object) -> bool:
         return left == right
 
@@ -63,23 +48,6 @@ class ForwardAnalysis:
     def transfer_loop(self, state: object, node: ast.For) -> object:
         """State after binding a for-loop target on the ``true`` edge."""
         return state
-
-    def refine(self, state: object, test: ast.expr, branch: bool) -> object:
-        """State entering the ``true``/``false`` edge of a branch."""
-        return state
-
-    def exceptional(self, entry: object, exit_state: object, block) -> object:
-        """State carried along an ``"except"`` edge out of ``block``.
-
-        The raise may have interrupted the block anywhere between its
-        entry and its exit, so the sound handler state lies between the
-        two.  The default keeps the historical coarse choice — the block
-        output — which over-approximates facts *established* in the
-        block; analyses tracking facts that a mid-block raise can undo
-        (the typestate rules: a binding that may not have happened yet)
-        override this to fold ``entry`` back in.
-        """
-        return exit_state
 
 
 def block_output(analysis: ForwardAnalysis, state: object, block) -> object:
@@ -94,7 +62,6 @@ def run_forward(cfg: CFG, analysis: ForwardAnalysis) -> list[object]:
     count = len(cfg.blocks)
     in_states: list[object] = [None] * count
     in_states[cfg.entry] = analysis.initial(cfg)
-    changes = [0] * count
     visits = [0] * count
     work: deque[int] = deque([cfg.entry])
     queued = {cfg.entry}
@@ -111,22 +78,15 @@ def run_forward(cfg: CFG, analysis: ForwardAnalysis) -> list[object]:
         out = block_output(analysis, state, block)
         for target, label in block.successors:
             edge_state = out
-            if block.test is not None and label in ("true", "false"):
-                edge_state = analysis.refine(out, block.test, label == "true")
             if block.loop is not None and label == "true":
                 edge_state = analysis.transfer_loop(out, block.loop)
-            if label == "except":
-                edge_state = analysis.exceptional(state, out, block)
             existing = in_states[target]
             if existing is None:
                 merged = edge_state
-            elif changes[target] >= WIDEN_AFTER:
-                merged = analysis.widen(existing, edge_state)
             else:
                 merged = analysis.join(existing, edge_state)
             if existing is None or not analysis.equals(merged, existing):
                 in_states[target] = merged
-                changes[target] += 1
                 if target not in queued:
                     work.append(target)
                     queued.add(target)

@@ -7,20 +7,17 @@ the registered :class:`Rule` instances by node type.  Rules emit
 :class:`Finding` records carrying a stable rule code (``RPR001``…)
 and a ``file:line`` location.
 
-Three suppression layers keep the tool honest rather than noisy:
+Two suppression layers keep the tool honest rather than noisy:
 
 * **inline** — ``# repro-lint: disable=RPR002`` on the offending line
   silences the listed codes for that line only;
 * **file-level** — a ``# repro-lint: disable-file=RPR002`` comment
   anywhere in a file's first 30 lines declares the whole module exempt
   from the listed codes (used by the bitmask tree kernels, which are
-  allowed raw shift arithmetic for performance — see ``fd/attrset.py``);
-* **baseline** — grandfathered findings recorded by ``--update-baseline``
-  (see :mod:`repro.analysis.baseline`) are reported separately and do not
-  fail the build.
+  allowed raw shift arithmetic for performance — see ``fd/attrset.py``).
 
-All suppression mechanisms are auditable in review: each is a literal
-string naming the rule code it disables.
+Both are auditable in review: each is a literal string naming the rule
+code it disables, next to the code it exempts.
 """
 
 from __future__ import annotations
@@ -32,10 +29,6 @@ import tokenize
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # import cycle: cache stores engine types
-    from .cache import LintCache
 
 _INLINE_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Z0-9, ]+)")
 _FILE_RE = re.compile(r"#\s*repro-lint:\s*disable-file=([A-Z0-9, ]+)")
@@ -57,16 +50,6 @@ class Finding:
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Identity used for baseline matching.
-
-        Deliberately excludes the line number so that unrelated edits
-        moving a grandfathered finding up or down the file do not break
-        the build; the (rule, path, message) triple plus an occurrence
-        count is stable enough in practice.
-        """
-        return (self.rule, self.path, self.message)
 
 
 @dataclass
@@ -140,8 +123,8 @@ class ProjectRule(Rule):
     Unlike per-file rules, a project rule sees every module the scan
     loaded at once, after all roots were walked.  ``shared`` is a scratch
     dict with the lifetime of one ``analyze()`` call: rules use it to
-    share expensive whole-program structures (the import graph, mutation
-    summaries) instead of recomputing them per rule.
+    share expensive whole-program structures (the import graph, function
+    CFGs) instead of recomputing them per rule.
     """
 
     def check_modules(
@@ -153,7 +136,7 @@ class ProjectRule(Rule):
 
 @dataclass
 class AnalysisResult:
-    """Everything one run produced, before baseline filtering."""
+    """Everything one run produced."""
 
     findings: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
@@ -180,15 +163,6 @@ def _parse_suppressions(lines: Sequence[str]) -> tuple[frozenset[str], dict[int,
                     code.strip() for code in whole.group(1).split(",") if code.strip()
                 )
     return frozenset(file_codes), line_codes
-
-
-def load_module(path: Path, root: Path) -> Module | None:
-    """Parse ``path`` into a :class:`Module`, or None on syntax error."""
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return None
-    return load_module_bytes(path, path.relative_to(root).as_posix(), data)
 
 
 def load_module_bytes(path: Path, relpath: str, data: bytes) -> Module | None:
@@ -246,20 +220,12 @@ def analyze(
     roots: Iterable[Path],
     rules: Sequence[Rule],
     select: Iterable[str] | None = None,
-    cache: "LintCache | None" = None,
 ) -> AnalysisResult:
     """Run ``rules`` over every Python file under each root.
 
     ``select`` optionally restricts to a subset of rule codes.  Findings
-    come back sorted by (path, line, col, rule); inline and file-level
-    suppressions are already applied, baseline filtering is the caller's
-    job (:func:`repro.analysis.baseline.partition`).
-
-    With a ``cache`` (:class:`repro.analysis.cache.LintCache`), results
-    are memoized on content hashes: an unchanged tree replays the whole
-    run without parsing, and a partially-changed tree re-runs per-file
-    rules only on the files that changed (the whole-program passes always
-    re-run on any change — they see every module at once).
+    come back sorted by (path, line, col, rule) with inline and
+    file-level suppressions already applied.
     """
     if select is not None:
         wanted = set(select)
@@ -268,9 +234,7 @@ def analyze(
     project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
     result = AnalysisResult()
 
-    # Enumerate and read every file up front so the cache can hash the
-    # tree before any parsing happens.
-    sources: list[tuple[Path, str, bytes | None]] = []
+    loaded: list[tuple[Module, dict[int, frozenset[str]]]] = []
     seen_paths: set[Path] = set()
     for root in roots:
         root = root.resolve()
@@ -288,43 +252,20 @@ def analyze(
                 data = path.read_bytes()
             except OSError:
                 data = None
-            sources.append((path, path.relative_to(scan_base).as_posix(), data))
-
-    codes = ",".join(sorted(rule.code for rule in rules))
-    file_keys: list[str | None] = [None] * len(sources)
-    tree_key = None
-    if cache is not None:
-        file_keys = [
-            cache.file_key(relpath, data, codes) if data is not None else None
-            for _, relpath, data in sources
-        ]
-        tree_key = cache.tree_key([key or "unreadable" for key in file_keys], codes)
-        replayed = cache.get_result(tree_key)
-        if replayed is not None:
-            return replayed
-
-    loaded: list[tuple[Module, dict[int, frozenset[str]]]] = []
-    for (path, relpath, data), file_key in zip(sources, file_keys):
-        module = load_module_bytes(path, relpath, data) if data is not None else None
-        if module is None:
-            result.parse_errors.append(str(path))
-            continue
-        result.files_scanned += 1
-        result.paths[module.relpath] = str(module.path)
-        _, line_codes = _parse_suppressions(module.lines)
-        loaded.append((module, line_codes))
-        cached = cache.get_file(file_key) if cache is not None else None
-        if cached is None:
-            fresh = [
+            relpath = path.relative_to(scan_base).as_posix()
+            module = load_module_bytes(path, relpath, data) if data is not None else None
+            if module is None:
+                result.parse_errors.append(str(path))
+                continue
+            result.files_scanned += 1
+            result.paths[module.relpath] = str(module.path)
+            _, line_codes = _parse_suppressions(module.lines)
+            loaded.append((module, line_codes))
+            result.findings.extend(
                 finding
                 for finding in _dispatch(per_module_rules, module)
                 if not _suppressed(finding, module, line_codes)
-            ]
-            if cache is not None:
-                cache.put_file(file_key, fresh)
-            result.findings.extend(fresh)
-        else:
-            result.findings.extend(cached)
+            )
     if project_rules and loaded:
         modules = [module for module, _ in loaded]
         by_relpath = {module.relpath: (module, codes) for module, codes in loaded}
@@ -336,7 +277,4 @@ def analyze(
                     continue
                 result.findings.append(finding)
     result.findings.sort()
-    if cache is not None and tree_key is not None:
-        cache.put_result(tree_key, result)
-        cache.save()
     return result

@@ -10,8 +10,8 @@ the three views the project rules consume:
   graph captures logical dependencies rather than package-init side
   effects; strongly connected components of size > 1 are import cycles;
 * the **symbol table** — per-module top-level functions, classes with
-  their methods, and import aliases, plus a project-wide method-name
-  index used to resolve ``obj.method(...)`` calls across files;
+  their methods, and import aliases, which RPR107 uses to resolve a
+  call to the function whose return-taint summary it reads;
 * the **reference index** — every identifier referenced anywhere in the
   repo's source, test, benchmark, and example trees, used by the
   dead-export rule.  The repo root is discovered by walking up from the
@@ -85,10 +85,6 @@ class FunctionDef:
     def key(self) -> tuple[str, str]:
         return (self.module, self.qualname)
 
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
-
 
 @dataclass
 class ModuleSymbols:
@@ -110,7 +106,6 @@ class Project:
         }
         self._edges: list[ImportEdge] | None = None
         self._symbols: dict[str, ModuleSymbols] | None = None
-        self._methods_by_name: dict[str, list[FunctionDef]] | None = None
 
     # -- module graph ------------------------------------------------------
 
@@ -268,17 +263,6 @@ class Project:
                             alias.name,
                         )
         return table
-
-    def methods_by_name(self) -> dict[str, list[FunctionDef]]:
-        """Project-wide index: method name -> every class method so named."""
-        if self._methods_by_name is None:
-            index: dict[str, list[FunctionDef]] = {}
-            for table in self.symbols().values():
-                for methods in table.classes.values():
-                    for method in methods.values():
-                        index.setdefault(method.name, []).append(method)
-            self._methods_by_name = index
-        return self._methods_by_name
 
     def all_functions(self) -> list[FunctionDef]:
         """Every top-level function and class method, in path order."""

@@ -1,5 +1,5 @@
-"""The whole-program rules: RPR101 (layering), RPR102 (purity contracts),
-RPR103 (dead public exports).
+"""The whole-program rules: RPR101 (layering) and RPR103 (dead public
+exports).
 
 Unlike the per-file rules in :mod:`repro.analysis.rules`, these see the
 entire scanned tree at once through a shared :class:`~repro.analysis
@@ -10,8 +10,6 @@ cross-module properties PR 1's per-file lint could not express.
 RPR101    import layering — the package layer diagram (DESIGN.md §6)
           is enforced: a module may import its own layer or below,
           ``analysis`` stays isolated, and the module graph is acyclic
-RPR102    purity contracts — declared ``Pure:``/``Mutates:`` docstring
-          contracts hold against the inferred mutation summaries
 RPR103    dead public exports — every ``__all__`` name is referenced
           somewhere in src/tests/benchmarks/examples
 ========  ============================================================
@@ -24,7 +22,6 @@ from collections.abc import Iterator, Sequence
 
 from .engine import Finding, Module, ProjectRule
 from .project import Project
-from .purity import analyze_project_mutations
 
 #: package layers, bottom-up; a module may import its own layer or lower.
 #: ``obs`` sits at the very bottom so every layer may emit telemetry
@@ -200,83 +197,6 @@ class LayeringRule(ProjectRule):
                 )
 
 
-class PurityContractRule(ProjectRule):
-    """RPR102 — declared mutation contracts hold.
-
-    The double-cycle's correctness arguments assume ``product`` and the
-    cover query paths are read-only and that inversion mutates only the
-    positive cover; this rule checks every declared contract against the
-    project-wide mutation inference of :mod:`repro.analysis.purity`.
-    """
-
-    code = "RPR102"
-    name = "purity-contracts"
-    rationale = (
-        "declared Pure:/Mutates: docstring contracts must agree with the "
-        "inferred parameter-mutation summaries"
-    )
-
-    def check_modules(
-        self, modules: Sequence[Module], shared: dict
-    ) -> Iterator[Finding]:
-        project = _project_for(modules, shared)
-        summaries = shared.get("mutation_summaries")
-        if summaries is None:
-            summaries = analyze_project_mutations(project)
-            shared["mutation_summaries"] = summaries
-        for key in sorted(summaries):
-            summary = summaries[key]
-            contract = summary.contract
-            if contract is None:
-                continue
-            definition = summary.definition
-            where = Finding(
-                path=definition.module,
-                line=definition.node.lineno,
-                col=definition.node.col_offset + 1,
-                rule=self.code,
-                message="",
-            )
-            for error in contract.errors:
-                yield self._at(where, f"{definition.qualname}: {error}")
-            if contract.errors:
-                continue
-            declared = set(contract.mutates or ())
-            declared.update(name for name, _ in contract.monotone)
-            unknown = sorted(declared - set(summary.params))
-            if unknown:
-                yield self._at(
-                    where,
-                    f"{definition.qualname}: contract names "
-                    f"{', '.join(repr(name) for name in unknown)} which "
-                    "is not a parameter",
-                )
-                continue
-            if not contract.declares_mutation_contract:
-                continue
-            allowed = contract.allowed_mutations()
-            violations = sorted(set(summary.mutated) - allowed)
-            for param in violations:
-                evidence = summary.mutated[param]
-                label = "Pure:" if contract.pure else "Mutates:"
-                yield self._at(
-                    where,
-                    f"{definition.qualname}: declared `{label}` but may "
-                    f"mutate parameter {param!r} ({evidence.reason}, "
-                    f"line {evidence.line})",
-                )
-
-    @staticmethod
-    def _at(template: Finding, message: str) -> Finding:
-        return Finding(
-            path=template.path,
-            line=template.line,
-            col=template.col,
-            rule=template.rule,
-            message=message,
-        )
-
-
 class DeadExportRule(ProjectRule):
     """RPR103 — ``__all__`` exports must be referenced somewhere.
 
@@ -340,8 +260,3 @@ def _all_entries(tree: ast.Module) -> list[tuple[str, int, int]]:
                         (element.value, element.lineno, element.col_offset + 1)
                     )
     return entries
-
-
-def default_project_rules() -> list[ProjectRule]:
-    """One fresh instance of every whole-program rule, in code order."""
-    return [LayeringRule(), PurityContractRule(), DeadExportRule()]

@@ -14,6 +14,9 @@ RPR003    algorithm contract — algorithms declare ``name``,
 RPR004    no mutable default arguments
 RPR005    exported functions carry full type annotations
 RPR006    numpy constructions in ``relation/`` pin ``dtype=``
+RPR102    contract declarations — every ``Pure:``/``Mutates:``/
+          ``Monotone:`` docstring contract parses and names only
+          real parameters (``--sanitize`` enforces what it says)
 RPR104    clock discipline — outside ``obs``/``metrics``, wall
           time comes from ``repro.obs`` (monotonic/Clock), not
           direct ``time.time()``/``time.perf_counter()`` calls
@@ -26,10 +29,10 @@ RPR114    streaming-encode discipline — no full ``preprocess()``
           site (``engine/context.py``); append paths stay O(batch)
 ========  =====================================================
 
-The whole-program rules (RPR101 import layering, RPR102 purity
-contracts, RPR103 dead public exports) live in
-:mod:`repro.analysis.project_rules` and are registered here so
-``default_rules()`` stays the single catalogue.
+The whole-program rules (RPR101 import layering, RPR103 dead public
+exports) live in :mod:`repro.analysis.project_rules`, and RPR107
+(merge-order sensitivity) in :mod:`repro.analysis.dataflow_rules`; all
+are registered here so ``default_rules()`` stays the single catalogue.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import ast
 from collections.abc import Iterator
 from pathlib import Path
 
+from .contracts import iter_contracted_functions
 from .engine import Finding, Module, Rule
 
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -334,6 +338,45 @@ class MutableDefaultRule(Rule):
             and isinstance(node.func, ast.Name)
             and node.func.id in self._MUTABLE_CALLS
         )
+
+
+class PurityContractRule(Rule):
+    """RPR102 — docstring contracts are well formed.
+
+    The double-cycle's correctness arguments assume ``product`` and the
+    cover query paths are read-only and that the negative cover only
+    grows; those promises are ``Pure:``/``Mutates:``/``Monotone:`` lines
+    (:mod:`repro.analysis.contracts`) that ``--sanitize`` turns into
+    runtime assertions.  A contract that does not parse is skipped by
+    the sanitizer, and one naming a parameter the function no longer has
+    asserts nothing about it, so both are flagged here.
+    """
+
+    code = "RPR102"
+    name = "purity-contracts"
+    rationale = (
+        "Pure:/Mutates:/Monotone: docstring contracts must parse and name "
+        "only real parameters, or the sanitized build cannot enforce them"
+    )
+
+    def check_module(self, module: Module) -> Iterator[Finding]:
+        for function in iter_contracted_functions(module.tree):
+            contract = function.contract
+            for error in contract.errors:
+                yield self.finding(
+                    module, function.node, f"{function.qualname}: {error}"
+                )
+            if contract.errors:
+                continue
+            unknown = sorted(contract.named_params() - set(function.params))
+            if unknown:
+                yield self.finding(
+                    module,
+                    function.node,
+                    f"{function.qualname}: contract names "
+                    f"{', '.join(repr(name) for name in unknown)} which "
+                    "is not a parameter",
+                )
 
 
 class PublicApiAnnotationRule(Rule):
@@ -783,9 +826,8 @@ def _defines_function(path: Path, name: str) -> bool:
 
 def default_rules() -> list[Rule]:
     """One fresh instance of every shipped rule, in code order."""
-    from .dataflow_rules import default_dataflow_rules
-    from .lifecycle import default_lifecycle_rules
-    from .project_rules import default_project_rules
+    from .dataflow_rules import MergeOrderRule
+    from .project_rules import DeadExportRule, LayeringRule
 
     return [
         DeterminismRule(),
@@ -794,11 +836,12 @@ def default_rules() -> list[Rule]:
         MutableDefaultRule(),
         PublicApiAnnotationRule(),
         NumpyDtypeRule(),
+        LayeringRule(),
+        PurityContractRule(),
+        DeadExportRule(),
         ClockDisciplineRule(),
-        MetricNameDisciplineRule(),
         ParallelismEncapsulationRule(),
+        MergeOrderRule(),
+        MetricNameDisciplineRule(),
         StreamingEncodeDisciplineRule(),
-        *default_project_rules(),
-        *default_dataflow_rules(),
-        *default_lifecycle_rules(),
     ]

@@ -308,10 +308,7 @@ class WorkerPool:
     # -- execution --------------------------------------------------------
 
     def _ensure_executor(self) -> Executor:
-        """Lazily build the executor the pool shuts down in :meth:`close`.
-
-        Owns: self
-        """
+        """Lazily build the executor the pool shuts down in :meth:`close`."""
         if self._closed:
             raise RuntimeError("worker pool is closed")
         if self._executor is None:
@@ -495,8 +492,6 @@ def agree_masks_sharded(
     observe the serial sequence.  Small batches — fewer than ``jobs ×``
     :data:`MIN_PAIRS_PER_WORKER` pairs — run inline: the comparison is
     one vectorized numpy call and not worth a dispatch.
-
-    Borrows: pool
     """
     if pool.is_serial or len(rows_a) < pool.jobs * MIN_PAIRS_PER_WORKER:
         return data.agree_masks_bulk(rows_a, rows_b)
@@ -514,8 +509,6 @@ def distinct_agree_masks_sharded(pool: WorkerPool, data: Any) -> set[int]:
     set receives new elements in exactly the serial scan's insertion
     sequence — so even downstream code iterating the set sees identical
     order at any worker count.
-
-    Borrows: pool
     """
     num_rows = data.num_rows
     if pool.is_serial or num_rows < 2 or (
@@ -555,8 +548,6 @@ def validate_groups_sharded(
     worker (a group never straddles chunks), preserving the serial
     fold-per-distinct-LHS accounting.  Workers get the matrix through
     the pool's transport and the per-column cardinalities in the task.
-
-    Borrows: pool
     """
     handle = pool.matrix_handle(data.matrix)
     tasks = [
@@ -575,7 +566,5 @@ def run_cells_sharded(
 
     ``fn`` must be module-level (process pools pickle it by reference);
     results come back in payload order.
-
-    Borrows: pool
     """
     return pool.map_chunks(_call_task, [(fn, payload) for payload in payloads])

@@ -75,17 +75,14 @@ def _next_mmap_path() -> str:
 class MmapSegment:
     """One mmap-backed matrix file this process owns.
 
-    The publisher-side resource of the transport.  Release protocol
-    (RPR109 ``mmap-matrix``): ``close()`` the write handle, then
-    ``unlink()`` the temp file.  Workers never hold one of these; they
-    attach read-only via :func:`resolve_matrix`.
+    The publisher-side resource of the transport.  Release protocol:
+    ``close()`` the write handle, then ``unlink()`` the temp file.
+    Workers never hold one of these; they attach read-only via
+    :func:`resolve_matrix`.
     """
 
     def __init__(self, path: str) -> None:
-        """Create (truncate) the backing file and hold the write handle.
-
-        Owns: self
-        """
+        """Create (truncate) the backing file and hold the write handle."""
         self.path = path
         self.size = 0
         self._file = open(path, "wb")
@@ -124,10 +121,7 @@ class MmapSegment:
 
 
 def _discard_mmap_segment(segment: MmapSegment) -> None:
-    """Close and unlink one mmap-backed file this module created.
-
-    Owns: segment via mmap-matrix
-    """
+    """Close and unlink one mmap-backed file this module created."""
     segment.close()
     segment.unlink()
 
@@ -145,8 +139,6 @@ def publish_matrix(
     :class:`InlineMatrix` — correct, just shipped per task by the
     executor — and a failure after creation discards the half-written
     file before re-raising.
-
-    Owns: return via call
     """
     if not use_mmap:
         return InlineMatrix(matrix), lambda: None
@@ -163,7 +155,7 @@ def publish_matrix(
         )
     except BaseException:
         # e.g. disk-full mid-write: without this the temp file would
-        # outlive the failed publish (RPR109).
+        # outlive the failed publish.
         _discard_mmap_segment(segment)
         raise
     done = False

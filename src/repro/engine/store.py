@@ -10,12 +10,14 @@ columns every time.  :class:`PartitionStore` centralizes them:
   every singleton are *pinned*: they come straight from preprocessing,
   cost nothing to keep, and anchor every derivation.
 * **Derivation** — a missing partition is never recomputed from the
-  columns.  It is derived by the stripped-partition product of the
-  cheapest cached parent pair: the largest cached subset of the target,
-  refined by the cheapest cached cover of the remaining attributes
-  (recursing toward singletons when no cover is cached).  This is
-  exactly Tane's level-to-level product when the parents are warm, and a
-  short product chain when they are not.
+  columns.  It is derived by the stripped-partition product of its
+  one-smaller parents ``X ∖ {a}``, found by ``|X|`` key probes rather
+  than a scan of the cache: the two cached parents with the fewest
+  grouped rows, or the one cached parent times the pinned singleton it
+  lacks, or — when none is cached — the parent without the lowest
+  attribute, derived first the same way.  This is exactly Tane's
+  level-to-level product when the parents are warm, and a chain of
+  singleton products down to a cached ancestor when they are not.
 * **Eviction** — a bounded LRU over the non-pinned entries, bounded
   twice: by entry count (``cache_size``) and, when ``max_bytes`` is
   set, by the estimated resident bytes of the cached partitions
@@ -353,60 +355,36 @@ class PartitionStore:
     # -- derivation ------------------------------------------------------------
 
     def _derive(self, mask: int) -> StrippedPartition:
-        """Product of the cheapest cached parent pair covering ``mask``."""
+        """π(mask) as the product of cached one-smaller parents.
+
+        Probes the ``|mask|`` parents ``mask ∖ {a}`` by key — never a
+        scan of the cache.  Two or more cached: multiply the two with the
+        fewest grouped rows (their union is ``mask``).  One cached:
+        multiply it with the pinned singleton it lacks.  None cached:
+        derive the parent without the lowest attribute first (it enters
+        the cache), then multiply it with that singleton.
+
+        Mutates: self
+        """
         self.derives += 1
         count(PARTITION_CACHE_DERIVE)
-        base_mask, base = self._largest_cached_subset(mask)
-        remainder = mask & ~base_mask
-        partner = self._cheapest_cover(mask, remainder)
-        if partner is None:
-            # No cached partition covers the remaining attributes in one
-            # piece; build it (recursively) and let it enter the cache.
-            partner = self.get(remainder)
-        return base.product(partner)
-
-    def _largest_cached_subset(
-        self, mask: int
-    ) -> tuple[int, StrippedPartition]:
-        """The cached strict subset of ``mask`` with the most attributes.
-
-        Ties break toward fewer grouped rows (the cheaper product
-        operand).  Singletons are pinned, so at least one subset always
-        exists for any non-empty mask.
-        """
-        best_mask = attrset.EMPTY
-        best = self._pinned[attrset.EMPTY]
-        best_key = (-1, 0)
-        for candidate_mask, candidate in self._iter_subsets_of(mask):
-            key = (attrset.size(candidate_mask), -candidate.num_grouped_rows)
-            if key > best_key:
-                best_key = key
-                best_mask = candidate_mask
-                best = candidate
-        return best_mask, best
-
-    def _cheapest_cover(
-        self, mask: int, remainder: int
-    ) -> StrippedPartition | None:
-        """The cheapest cached subset of ``mask`` containing ``remainder``."""
-        best: StrippedPartition | None = None
-        for candidate_mask, candidate in self._iter_subsets_of(mask):
-            if remainder & ~candidate_mask:
-                continue
-            if best is None or candidate.num_grouped_rows < best.num_grouped_rows:
-                best = candidate
-        return best
-
-    def _iter_subsets_of(self, mask: int):
-        """Every cached/pinned (sub_mask, partition) with sub_mask ⊂ mask."""
-        remaining = mask
-        while remaining:
-            bit = remaining & -remaining
-            remaining ^= bit
-            yield bit, self._pinned[bit]
-        for candidate_mask, candidate in self._cache.items():
-            if candidate_mask != mask and not candidate_mask & ~mask:
-                yield candidate_mask, candidate
+        parents: list[tuple[int, int, StrippedPartition]] = []
+        for parent_mask in attrset.subsets_one_smaller(mask):
+            parent = self._pinned.get(parent_mask)
+            if parent is None:
+                parent = self._cache.get(parent_mask)
+            if parent is not None:
+                parents.append((parent.num_grouped_rows, parent_mask, parent))
+        if len(parents) >= 2:
+            parents.sort(key=lambda entry: entry[:2])
+            return parents[0][2].product(parents[1][2])
+        if parents:
+            _, parent_mask, parent = parents[0]
+        else:
+            # the first one-smaller subset drops the lowest attribute
+            parent_mask = next(attrset.subsets_one_smaller(mask))
+            parent = self.get(parent_mask)
+        return parent.product(self._pinned[mask ^ parent_mask])
 
     def _store(self, mask: int, partition: StrippedPartition) -> None:
         previous_cost = self._costs.pop(mask, 0)

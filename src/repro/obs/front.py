@@ -123,7 +123,6 @@ def phase(name: str, **attrs: Any) -> _Phase | _NullPhase:
 
     Pure: never mutates its arguments (the fast-path promise hot loops
         rely on; the writes go to the installed sinks, if any).
-    Owns: return
     """
     if not _installed:
         return NULL_PHASE

@@ -41,7 +41,7 @@ class StrippedPartition:
         self._num_grouped_rows = sum(len(cluster) for cluster in self.clusters)
 
     @classmethod
-    def from_tuples(  # repro-lint: disable=RPR102 — the fresh instance aliases `cls` under the region analysis; only the new object is written
+    def from_tuples(
         cls,
         clusters: tuple[tuple[int, ...], ...],
         num_rows: int,

@@ -1,10 +1,10 @@
-"""Fixture: RPR102 — a declared-Pure kernel that mutates a parameter."""
+"""Fixture: RPR102 — a contract naming a parameter the kernel lacks."""
 
 
-def leaky_insert(items: list[int], value: int) -> list[int]:
-    """Append ``value`` while claiming to touch nothing.
+def insert(items: list[int], value: int) -> list[int]:
+    """Append ``value`` to ``items``.
 
-    Pure: (falsely) promises both parameters untouched.
+    Mutates: rows
     """
     items.append(value)
     return items

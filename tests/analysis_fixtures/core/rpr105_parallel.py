@@ -5,8 +5,5 @@ from concurrent.futures import ThreadPoolExecutor
 
 
 def spawn_pool() -> ThreadPoolExecutor:
-    """Hand a fresh executor to the caller.
-
-    Owns: return
-    """
+    """Hand a fresh executor to the caller."""
     return ThreadPoolExecutor(max_workers=multiprocessing.cpu_count())

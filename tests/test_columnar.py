@@ -22,6 +22,7 @@ from repro.engine.shm import (
     MMAP_PREFIX,
     InlineMatrix,
     MmapMatrixRef,
+    MmapSegment,
     publish_matrix,
     resolve_matrix,
 )
@@ -113,6 +114,24 @@ class TestMmapTransport:
             assert registry_.gauges[names.MMAP_BYTES] == 0.0
             cleanup()  # idempotent: a second call must not go negative
             assert registry_.gauges[names.MMAP_FILES] == 0.0
+
+    def test_failed_write_discards_the_file_and_reraises(self, monkeypatch):
+        # e.g. disk full mid-write: the half-written file must not outlive
+        # the failed publish, and no gauge may count it.
+        from repro.obs import collecting_metrics, names
+
+        def full_disk(self, payload):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(MmapSegment, "write", full_disk)
+        matrix = _matrix_of_rows([(i, i % 3) for i in range(64)])
+        before = _mmap_files()
+        with collecting_metrics() as registry_:
+            with pytest.raises(OSError, match="No space left"):
+                publish_matrix(matrix)
+        assert _mmap_files() == before
+        assert names.MMAP_FILES not in registry_.gauges
+        assert names.MMAP_BYTES not in registry_.gauges
 
 
 class TestStoreCostModel:

@@ -8,6 +8,7 @@ either kernel.
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -182,6 +183,32 @@ class TestPartitionStore:
         again = store.get(evicted)
         assert store.misses == misses_before + 1
         assert again == first_pass[0]
+
+    def test_derive_probes_parents_instead_of_scanning_the_cache(self):
+        """Each derive looks up its one-smaller parents by key; scanning
+        the whole cache on every miss made each miss cost O(cache)."""
+
+        class UnscannableCache(OrderedDict):
+            def _scanned(self, *args):
+                raise AssertionError("derive scanned the partition cache")
+
+            __iter__ = items = keys = values = _scanned
+
+        data = preprocess(random_relation(5, rows=60, columns=4))
+        store = PartitionStore(data)
+        store._cache = UnscannableCache()
+
+        def direct(mask):
+            return partition_from_labels(group_keys(data, mask).tolist(), data.num_rows)
+
+        # no parent cached: π(1100) is derived first, then × π(0010)
+        assert store.get(0b1110) == direct(0b1110)
+        assert 0b1100 in store and 0b1110 in store
+        # one parent cached (1100): × the pinned singleton π(0001)
+        assert store.get(0b1101) == direct(0b1101)
+        # two parents cached (1110, 1101): their product
+        assert store.get(0b1111) == direct(0b1111)
+        assert store.derives == store.misses == 4
 
     def test_singletons_are_pinned_hits(self):
         data = preprocess(random_relation(1, columns=4))

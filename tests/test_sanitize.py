@@ -1,4 +1,5 @@
-"""Tests for ``repro-lint --sanitize`` and the runtime contract shim.
+"""Tests for ``repro-lint --sanitize``, the runtime contract shim and
+its ``live_resources`` probe.
 
 Each behavioural test builds a miniature package under ``tmp_path``,
 sanitizes it, and imports the shadow copy under a unique package name so
@@ -14,11 +15,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.analysis import _contracts_runtime as runtime
+from repro.analysis._contracts_runtime import ProbeViolation, probe
 from repro.analysis.sanitize import sanitize_package
 
 SRC_REPRO = Path(repro.__file__).resolve().parent
@@ -152,21 +156,6 @@ class TestRuntimeContracts:
         )
         kern, _, _ = _import_shadow(monkeypatch, package, outdir)
         assert kern.leaky([1]) == [1, 1]  # budget exhausted: no check ran
-
-    def test_disable_env_strips_wrappers_at_import(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CONTRACTS_DISABLE", "1")
-        package, outdir = _build(
-            tmp_path,
-            """\
-            def leaky(values: list) -> list:
-                '''Pure: (falsely).'''
-                values.append(1)
-                return values
-            """,
-        )
-        kern, _, _ = _import_shadow(monkeypatch, package, outdir)
-        assert not hasattr(kern.leaky, "__wrapped__")
-        assert kern.leaky([1]) == [1, 1]
 
     def test_exceptions_propagate_without_after_checks(self, tmp_path, monkeypatch):
         package, outdir = _build(
@@ -304,3 +293,66 @@ class TestRealPackage:
         )
         assert completed.returncode == 0, completed.stderr
         assert "SANITIZED-OK" in completed.stdout
+
+
+class _FakePool:
+    def __init__(self):
+        self._published = {}
+        self._executor = None
+
+    def close(self):
+        return None
+
+
+class TestLiveResourcesProbe:
+    @pytest.fixture
+    def wrapped_close(self, monkeypatch):
+        # Keep the decorate-time atexit registration out of the test
+        # process; the exit check is exercised directly below.
+        monkeypatch.setitem(runtime._EXIT_CHECK, "registered", True)
+
+        def close(pool):
+            return pool.close()
+
+        return probe("live_resources")(close)
+
+    def test_clean_close_passes(self, wrapped_close):
+        assert wrapped_close(_FakePool()) is None
+
+    def test_surviving_publication_violates(self, wrapped_close):
+        pool = _FakePool()
+        pool._published = {1: object()}
+        with pytest.raises(ProbeViolation, match="publications survived"):
+            wrapped_close(pool)
+
+    def test_surviving_executor_violates(self, wrapped_close):
+        pool = _FakePool()
+        pool._executor = object()
+        with pytest.raises(ProbeViolation, match="executor survived"):
+            wrapped_close(pool)
+
+    def test_exit_check_passes_when_clean(self, monkeypatch):
+        exits: list[int] = []
+        monkeypatch.setattr(runtime.os, "_exit", exits.append)
+        runtime._exit_live_resources_check("nosuchpkg.parallel")
+        assert exits == []
+
+    def test_exit_check_flags_leaked_segments(self, monkeypatch, capsys):
+        exits: list[int] = []
+        monkeypatch.setattr(runtime.os, "_exit", exits.append)
+        monkeypatch.setattr(
+            runtime, "_own_segments", lambda prefix: {"repro_mmap_1_leak"}
+        )
+        runtime._exit_live_resources_check("nosuchpkg.parallel")
+        assert exits == [70]
+        assert "leaked past interpreter exit" in capsys.readouterr().err
+
+    def test_exit_check_flags_unbalanced_contexts(self, monkeypatch, capsys):
+        exits: list[int] = []
+        monkeypatch.setattr(runtime.os, "_exit", exits.append)
+        context = types.ModuleType("fakepkg.context")
+        context._ACTIVE = types.SimpleNamespace(stack=[object()])
+        monkeypatch.setitem(sys.modules, "fakepkg.context", context)
+        runtime._exit_live_resources_check("fakepkg.parallel")
+        assert exits == [70]
+        assert "context stack unbalanced" in capsys.readouterr().err
