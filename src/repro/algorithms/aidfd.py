@@ -16,9 +16,12 @@ from __future__ import annotations
 
 from ..core.inversion import Inverter
 from ..core.result import DiscoveryResult, Stopwatch, make_result
+from ..core.sampler import distance_pairs
+from ..engine.parallel import agree_masks_sharded
 from ..fd import FD, NegativeCover, attrset
 from ..obs import count, phase, point
 from ..obs.names import AIDFD_PAIRS_COMPARED, GR_NCOVER, INVERSION, SAMPLING
+from ..relation.preprocess import decode_agree_words
 from ..relation.relation import Relation
 from .base import execution_context, register
 
@@ -65,30 +68,27 @@ class AidFd:
         while True:
             if self.max_sweeps is not None and sweeps >= self.max_sweeps:
                 break
-            swept_pairs = 0
             size_before = max(len(ncover), 1)
             added = 0
             with phase(SAMPLING, sweep=sweeps + 1):
-                for rows in clusters:
-                    if len(rows) <= distance:
+                rows_a, rows_b = distance_pairs(clusters, distance)
+                swept_pairs = len(rows_a)
+                words = agree_masks_sharded(
+                    context.pool, data, rows_a, rows_b, distinct=True
+                )
+                for agree in decode_agree_words(words):
+                    novel = (universe & ~agree) & ~seen.get(agree, 0)
+                    if not novel:
                         continue
-                    swept_pairs += len(rows) - distance
-                    masks = data.agree_masks_bulk(
-                        list(rows[:-distance]), list(rows[distance:])
-                    )
-                    for agree in masks:
-                        novel = (universe & ~agree) & ~seen.get(agree, 0)
-                        if not novel:
-                            continue
-                        seen[agree] = seen.get(agree, 0) | novel
-                        remaining = novel
-                        while remaining:
-                            bit = remaining & -remaining
-                            remaining ^= bit
-                            non_fd = FD(agree, bit.bit_length() - 1)
-                            if ncover.add(non_fd):
-                                pending.append(non_fd)
-                                added += 1
+                    seen[agree] = seen.get(agree, 0) | novel
+                    remaining = novel
+                    while remaining:
+                        bit = remaining & -remaining
+                        remaining ^= bit
+                        non_fd = FD(agree, bit.bit_length() - 1)
+                        if ncover.add(non_fd):
+                            pending.append(non_fd)
+                            added += 1
                 count(AIDFD_PAIRS_COMPARED, swept_pairs)
             sweeps += 1
             pairs_compared += swept_pairs

@@ -14,15 +14,13 @@ so the induction semantics are byte-identical to EulerFD's.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.inversion import Inverter
 from ..core.result import DiscoveryResult, Stopwatch, make_result
 from ..engine.parallel import WorkerPool, distinct_agree_masks_sharded
 from ..fd import FD, NegativeCover, attrset
 from ..obs import phase
 from ..obs.names import AGREE_SETS, INVERSION, NCOVER
-from ..relation.preprocess import PreprocessedRelation
+from ..relation.preprocess import PreprocessedRelation, decode_agree_words
 from ..relation.relation import Relation
 from .base import execution_context, register
 
@@ -84,34 +82,16 @@ def compute_agree_masks(
 ) -> set[int]:
     """Distinct agree sets over all tuple pairs, as bitmasks.
 
-    For each anchor row the label matrix is compared against every later
-    row in one vectorized operation; the resulting boolean block is packed
-    into little-endian bytes so each pair's agree set materializes as a
-    Python int without a per-attribute loop.
-
-    With a parallel ``pool``, anchor ranges fan out across the workers
-    and per-range results merge in range order; the merged set receives
-    new elements in exactly the serial scan's insertion sequence, so the
-    sweep is byte-identical at any worker count.
+    Each anchor row is compared with every later row in one broadcast
+    block, and only each block's distinct masks are decoded.  With a
+    parallel ``pool``, anchor ranges fan out across the workers and merge
+    in range order; the set receives new elements in exactly the serial
+    scan's insertion sequence, so the sweep is byte-identical at any
+    worker count.
 
     The *full* agree set (mask of all attributes) is excluded: duplicate
     tuples violate nothing.
     """
-    matrix = data.matrix
-    num_rows, num_attributes = matrix.shape
-    universe = attrset.universe(num_attributes)
-    if pool is not None and not pool.is_serial:
-        masks = distinct_agree_masks_sharded(pool, data)
-    else:
-        masks = set()
-        for anchor in range(num_rows - 1):
-            equal = matrix[anchor + 1 :] == matrix[anchor]
-            packed = np.packbits(equal, axis=1, bitorder="little")
-            row_bytes = packed.tobytes()
-            width = packed.shape[1]
-            for offset in range(0, len(row_bytes), width):
-                masks.add(
-                    int.from_bytes(row_bytes[offset : offset + width], "little")
-                )
-    masks.discard(universe)
+    masks = set(decode_agree_words(distinct_agree_masks_sharded(pool, data)))
+    masks.discard(attrset.universe(data.num_columns))
     return masks

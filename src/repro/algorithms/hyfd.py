@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from ..core.inversion import Inverter
 from ..core.result import DiscoveryResult, Stopwatch, make_result
+from ..core.sampler import distance_pairs
 from ..engine.parallel import WorkerPool, agree_masks_sharded
 from ..fd import FD, NegativeCover, attrset
 from ..obs import count, phase
@@ -35,7 +36,7 @@ from ..obs.names import (
     SAMPLING,
     VALIDATION,
 )
-from ..relation.preprocess import PreprocessedRelation
+from ..relation.preprocess import PreprocessedRelation, decode_agree_words
 from ..relation.relation import Relation
 from .base import execution_context, register
 
@@ -176,41 +177,20 @@ class HyFD:
         pending: list[FD],
         seen: dict[int, int],
         universe: int,
-        pool: WorkerPool | None = None,
+        pool: WorkerPool,
     ) -> tuple[int, int]:
-        """Compare all intra-cluster pairs at ``distance``; return (pairs, novel)."""
-        swept = 0
+        """Compare all intra-cluster pairs at ``distance``; return (pairs, novel).
+
+        One distinct-mask kernel call covers every cluster's pairs,
+        concatenated in cluster order: a repeated mask is never novel, so
+        the seen-dict and cover updates replay the per-cluster loop's.
+        """
+        rows_a, rows_b = distance_pairs(clusters, distance)
+        words = agree_masks_sharded(pool, data, rows_a, rows_b, distinct=True)
         novel_total = 0
-        if pool is not None and not pool.is_serial:
-            # Parallel sweep: concatenate every cluster's pairs in cluster
-            # order and fan the one big comparison out across the pool.
-            # Mask order equals the serial per-cluster loop's, so the
-            # seen-dict and cover updates below replay identically.
-            rows_a: list[int] = []
-            rows_b: list[int] = []
-            for rows in clusters:
-                if len(rows) <= distance:
-                    continue
-                swept += len(rows) - distance
-                rows_a.extend(rows[:-distance])
-                rows_b.extend(rows[distance:])
-            masks = agree_masks_sharded(pool, data, rows_a, rows_b)
-            for agree in masks:
-                novel = (universe & ~agree) & ~seen.get(agree, 0)
-                if novel:
-                    novel_total += novel.bit_count()
-                    self._admit(agree, novel, ncover, pending, seen)
-            return swept, novel_total
-        for rows in clusters:
-            if len(rows) <= distance:
-                continue
-            swept += len(rows) - distance
-            masks = data.agree_masks_bulk(
-                list(rows[:-distance]), list(rows[distance:])
-            )
-            for agree in masks:
-                novel = (universe & ~agree) & ~seen.get(agree, 0)
-                if novel:
-                    novel_total += novel.bit_count()
-                    self._admit(agree, novel, ncover, pending, seen)
-        return swept, novel_total
+        for agree in decode_agree_words(words):
+            novel = (universe & ~agree) & ~seen.get(agree, 0)
+            if novel:
+                novel_total += novel.bit_count()
+                self._admit(agree, novel, ncover, pending, seen)
+        return len(rows_a), novel_total

@@ -125,7 +125,8 @@ def _check_shard_permutation(
     finally:
         # the replay is a shadow dispatch: keep the accounting untouched
         pool.busy_seconds, pool.tasks_dispatched, pool.chunks_dispatched = snapshot
-    if list(reversed(replay)) != list(result):
+    # Payloads may be numpy arrays, whose == is elementwise: compare pickles.
+    if _snapshot(list(reversed(replay))) != _snapshot(list(result)):
         raise ProbeViolation(
             f"map_chunks({task_fn.__name__}): dispatching the same chunk "
             "plan in reversed order changed the index-restored results — "

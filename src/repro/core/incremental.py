@@ -48,7 +48,7 @@ from ..obs.names import (
     INVERSION,
     PROFILE_BASE,
 )
-from ..relation.preprocess import AppendDelta
+from ..relation.preprocess import AppendDelta, decode_agree_words
 from ..relation.relation import Relation
 from .config import EulerFDConfig
 from .inversion import Inverter
@@ -216,8 +216,9 @@ class IncrementalEulerFD:
         self.pairs_compared += int(rows_a.size)
         count(INCREMENTAL_PAIRS_COMPARED, int(rows_a.size))
         if rows_a.size:
-            masks = agree_masks_sharded(self.pool, data, rows_a, rows_b)
-            for agree in masks:
+            # A repeated mask admits nothing: only first occurrences decode.
+            words = agree_masks_sharded(self.pool, data, rows_a, rows_b, distinct=True)
+            for agree in decode_agree_words(words):
                 self._admit(agree, self._universe & ~agree, pending)
         return pending
 

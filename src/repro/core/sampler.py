@@ -44,12 +44,17 @@ from ..obs.names import (
     SAMPLER_REVIVED_CLUSTERS,
     SAMPLER_WINDOW_HITS,
 )
-from ..relation.preprocess import PreprocessedRelation
+from ..relation.preprocess import PreprocessedRelation, decode_agree_words
 from .config import EulerFDConfig, MlfqPolicy
 from .mlfq import MultilevelFeedbackQueue
 
 Violation = tuple[int, int]
 """(agree mask, mask of newly-violated RHS attributes) of one tuple pair."""
+
+SMALL_CLUSTER_ROWS = 32
+"""Clusters of at most this many rows (at most 496 pairs) are compared in
+full on the first pass, one kernel call per cluster size: their many tiny
+samples would otherwise each pay a gather, a compare and a pack."""
 
 
 class ClusterState:
@@ -63,20 +68,27 @@ class ClusterState:
         "samples",
         "last_capa",
         "queue_level",
+        "table",
+        "cursor",
     )
 
     def __init__(self, rows: tuple[int, ...], initial_window: int, history: int) -> None:
         self.rows = rows
-        self.row_index = np.asarray(rows, dtype=np.intp)
-        """``rows`` as an index array: window pair endpoints are plain
-        slices of it, so each sample hands the agree-mask kernel zero-copy
-        views instead of rebuilding two Python lists."""
+        self.row_index: np.ndarray | None = None
+        """``rows`` as an index array, built on the first gathered sample:
+        window pair endpoints are plain slices of it, so each sample hands
+        the agree-mask kernel zero-copy views.  Clusters served by the
+        window table never need one."""
         self.window = initial_window
         self.history: deque[float] = deque(maxlen=history)
         self.samples = 0
         self.last_capa = 0.0
         self.queue_level: int | None = None
         """MLFQ queue index after the last push (telemetry only)."""
+        self.table: np.ndarray | None = None
+        """Window-major agree words of a small cluster's window positions;
+        its next sample reads the ``cursor``-th row on."""
+        self.cursor = 0
 
     @property
     def exhausted(self) -> bool:
@@ -123,7 +135,8 @@ class ClusterState:
         Mutates: self
         """
         self.rows = rows
-        self.row_index = np.asarray(rows, dtype=np.intp)
+        self.row_index = None
+        self.table = None
         self.history.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -156,7 +169,7 @@ class SamplingModule:
         self.data = data
         self.config = config
         # The execution context's worker pool; None (standalone use)
-        # means the serial agree-mask kernel, exactly as before.
+        # runs the agree-mask kernel inline.
         self._pool = pool
         self._universe = attrset.universe(data.num_columns)
         # The execution context's shared, deduplicated cluster list.
@@ -296,6 +309,8 @@ class SamplingModule:
         """
         stats = RoundStats()
         violations: list[Violation] = []
+        if self.rounds_run == 0:
+            self._build_window_table()
         if not self._queue:
             self._refill_queue()
         while self._queue:
@@ -319,6 +334,33 @@ class SamplingModule:
 
     # -- the sliding window -------------------------------------------------
 
+    def _build_window_table(self) -> None:
+        """Compare every window position of each small cluster at once.
+
+        A size-``s`` cluster's pairs ``(i, i + w - 1)`` are laid out
+        window-major, for ``w`` from its current window up to ``s``, so
+        each of its samples reads the next slice of one word array.  One
+        kernel call per (size, window) class bounds the gather's memory.
+
+        Mutates: self
+        """
+        classes: dict[tuple[int, int], list[ClusterState]] = {}
+        for cluster in self._clusters:
+            if cluster.window <= len(cluster.rows) <= SMALL_CLUSTER_ROWS:
+                key = (len(cluster.rows), cluster.window)
+                classes.setdefault(key, []).append(cluster)
+        for (size, window), members in classes.items():
+            counts = np.arange(size - window + 1, 0, -1)
+            first = np.concatenate([np.arange(n) for n in counts])
+            last = first + np.repeat(np.arange(window - 1, size), counts)
+            rows = np.array([cluster.rows for cluster in members], dtype=np.intp)
+            table = agree_masks_sharded(
+                self._pool, self.data, rows[:, first].ravel(), rows[:, last].ravel()
+            )
+            for index, cluster in enumerate(members):
+                cluster.table = table
+                cluster.cursor = index * len(first)
+
     def _sample(
         self, cluster: ClusterState, out: list[Violation], stats: RoundStats
     ) -> float:
@@ -326,18 +368,25 @@ class SamplingModule:
 
         Mutates: self, cluster, out, stats
         """
-        rows = cluster.row_index
         window = cluster.window
-        num_positions = len(rows) - window + 1
-        rows_a = rows[:num_positions]
-        rows_b = rows[window - 1 :]
+        num_positions = len(cluster.rows) - window + 1
+        if cluster.table is not None:
+            words = cluster.table[cluster.cursor : cluster.cursor + num_positions]
+            cluster.cursor += num_positions
+        else:
+            if cluster.row_index is None:
+                cluster.row_index = np.asarray(cluster.rows, dtype=np.intp)
+            rows = cluster.row_index
+            words = agree_masks_sharded(
+                self._pool,
+                self.data,
+                rows[:num_positions],
+                rows[window - 1 :],
+                distinct=True,
+            )
         new_count = 0
         seen = self._seen
-        if self._pool is not None:
-            masks = agree_masks_sharded(self._pool, self.data, rows_a, rows_b)
-        else:
-            masks = self.data.agree_masks_bulk(rows_a, rows_b)
-        for agree in masks:
+        for agree in decode_agree_words(words):
             # Single seen-dict lookup per mask: the update reuses the read.
             prior = seen.get(agree, 0)
             novel = (self._universe & ~agree) & ~prior
@@ -355,6 +404,23 @@ class SamplingModule:
         cluster.record(capa)
         cluster.window += 1
         return capa
+
+
+def distance_pairs(
+    clusters: list[tuple[int, ...]], distance: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every intra-cluster pair ``distance`` rows apart, in cluster order:
+    the uniform sweep of HyFD and AID-FD.
+
+    Pure: reads the cluster list only; returns fresh index arrays.
+    """
+    rows_a: list[int] = []
+    rows_b: list[int] = []
+    for rows in clusters:
+        if len(rows) > distance:
+            rows_a.extend(rows[:-distance])
+            rows_b.extend(rows[distance:])
+    return np.array(rows_a, dtype=np.intp), np.array(rows_b, dtype=np.intp)
 
 
 def _adapted_policy(policy: MlfqPolicy, clusters: list[ClusterState]) -> MlfqPolicy:

@@ -51,6 +51,8 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from ..obs import count, gauge, gauge_add, monotonic, phase
 from ..obs.names import (
     POOL_BUSY_SECONDS,
@@ -60,10 +62,7 @@ from ..obs.names import (
     POOL_TASKS,
     POOL_WORKERS,
 )
-from ..relation.preprocess import (
-    agree_masks_from_matrix,
-    distinct_agree_masks_range,
-)
+from ..relation.preprocess import agree_words, first_occurrences
 from .shm import InlineMatrix, MatrixView, publish_matrix, resolve_matrix
 
 JOBS_ENV = "REPRO_JOBS"
@@ -200,19 +199,38 @@ def _timed(fn: Callable[..., Any], *args: Any) -> tuple[Any, float]:
 
 
 def _agree_masks_task(
-    handle: object, rows_a: Sequence[int], rows_b: Sequence[int]
-) -> tuple[list[int], float]:
-    """Worker: agree masks of one pair chunk, in pair order."""
+    handle: object, rows_a: np.ndarray, rows_b: np.ndarray, distinct: bool
+) -> tuple[np.ndarray, float]:
+    """Worker: agree words of one pair chunk, in pair order."""
     matrix = resolve_matrix(handle)
-    return _timed(agree_masks_from_matrix, matrix, list(rows_a), list(rows_b))
+    return _timed(agree_words, matrix, rows_a, rows_b, distinct)
 
 
 def _distinct_masks_task(
     handle: object, start: int, stop: int
-) -> tuple[list[int], float]:
-    """Worker: distinct agree masks of one anchor range, first-seen order."""
+) -> tuple[np.ndarray, float]:
+    """Worker: distinct agree words of one anchor range, first-seen order."""
     matrix = resolve_matrix(handle)
-    return _timed(distinct_agree_masks_range, matrix, start, stop)
+    return _timed(_anchor_sweep, matrix, start, stop)
+
+
+def _anchor_sweep(matrix: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Distinct agree words of all pairs anchored in ``[start, stop)``.
+
+    Each anchor row is compared with every later row in one broadcast
+    block.  Words come back in first-occurrence order (the order a serial
+    scan of the range first sees them), so merging ranges in range order
+    reproduces the serial insertion sequence at any worker count.
+
+    Pure: reads the matrix only; returns a fresh array.
+    """
+    blocks = [
+        agree_words(matrix, anchor, slice(anchor + 1, None), distinct=True)
+        for anchor in range(start, stop)
+    ]
+    if not blocks:
+        return agree_words(matrix, slice(0), slice(0))
+    return first_occurrences(np.concatenate(blocks))
 
 
 def _validate_task(
@@ -480,44 +498,44 @@ atexit.register(close_all_pools)
 
 
 def agree_masks_sharded(
-    pool: WorkerPool,
+    pool: WorkerPool | None,
     data: Any,
-    rows_a: Sequence[int],
-    rows_b: Sequence[int],
-) -> list[int]:
-    """Agree masks of a tuple-pair list, fanned out across the pool.
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
+    distinct: bool = False,
+) -> np.ndarray:
+    """Agree words of a tuple-pair list, fanned out across the pool.
 
-    Pair order is preserved exactly (chunks are contiguous slices merged
-    by index), so consumers folding the masks into seen-dicts and covers
-    observe the serial sequence.  Small batches — fewer than ``jobs ×``
-    :data:`MIN_PAIRS_PER_WORKER` pairs — run inline: the comparison is
+    Pair order is preserved exactly (chunks are contiguous slices of the
+    index arrays, merged by index), so consumers folding the masks into
+    seen-dicts and covers observe the serial sequence; with ``distinct``
+    each chunk keeps first occurrences and the merge does once more, so
+    the result is :func:`~repro.relation.preprocess.agree_words`'s at any
+    worker count.  No pool, or fewer than ``jobs ×``
+    :data:`MIN_PAIRS_PER_WORKER` pairs, runs inline: the comparison is
     one vectorized numpy call and not worth a dispatch.
     """
-    if pool.is_serial or len(rows_a) < pool.jobs * MIN_PAIRS_PER_WORKER:
-        return data.agree_masks_bulk(rows_a, rows_b)
-    chunks = chunk_pairs(list(rows_a), list(rows_b), pool.jobs * CHUNKS_PER_WORKER)
+    if pool is None or pool.is_serial or len(rows_a) < pool.jobs * MIN_PAIRS_PER_WORKER:
+        return agree_words(data.matrix, rows_a, rows_b, distinct)
     handle = pool.matrix_handle(data.matrix)
-    tasks = [(handle, chunk_a, chunk_b) for chunk_a, chunk_b in chunks]
-    return merge_chunked(pool.map_chunks(_agree_masks_task, tasks))
+    chunks = chunk_pairs(rows_a, rows_b, pool.jobs * CHUNKS_PER_WORKER)
+    tasks = [(handle, chunk_a, chunk_b, distinct) for chunk_a, chunk_b in chunks]
+    words = np.concatenate(pool.map_chunks(_agree_masks_task, tasks))
+    return first_occurrences(words) if distinct else words
 
 
-def distinct_agree_masks_sharded(pool: WorkerPool, data: Any) -> set[int]:
-    """All-pairs distinct agree sets (the Fdep sweep), sharded by anchor.
+def distinct_agree_masks_sharded(pool: WorkerPool | None, data: Any) -> np.ndarray:
+    """All-pairs distinct agree words (the Fdep sweep), sharded by anchor.
 
     Anchor ranges are contiguous and merged in range order; because each
-    worker reports masks in first-occurrence order, the coordinator's
-    set receives new elements in exactly the serial scan's insertion
-    sequence — so even downstream code iterating the set sees identical
-    order at any worker count.
+    worker reports words in first-occurrence order, the merge keeps the
+    serial scan's first-occurrence sequence at any worker count.
     """
     num_rows = data.num_rows
-    if pool.is_serial or num_rows < 2 or (
+    if pool is None or pool.is_serial or num_rows < 2 or (
         num_rows * (num_rows - 1)
     ) // 2 < pool.jobs * MIN_PAIRS_PER_WORKER:
-        # Insertion order is the serial scan order (see docstring); the
-        # set is the kernel's declared return type.
-        serial = distinct_agree_masks_range(data.matrix, 0, max(num_rows - 1, 0))
-        return set(serial)  # pragma: repro-lint ordered
+        return _anchor_sweep(data.matrix, 0, max(num_rows - 1, 0))
     handle = pool.matrix_handle(data.matrix)
     # Anchor i compares against n-1-i partners: costs fall linearly, so
     # over-partition and let the executor balance the tail.
@@ -525,12 +543,9 @@ def distinct_agree_masks_sharded(pool: WorkerPool, data: Any) -> set[int]:
         (handle, start, stop)
         for start, stop in chunk_ranges(num_rows - 1, pool.jobs * CHUNKS_PER_WORKER)
     ]
-    # Chunks arrive in range order and each reports first-occurrence
-    # order, so insertions replay the serial scan exactly (docstring).
-    masks = set()  # pragma: repro-lint ordered
-    for chunk in pool.map_chunks(_distinct_masks_task, tasks):
-        masks.update(chunk)
-    return masks
+    return first_occurrences(
+        np.concatenate(pool.map_chunks(_distinct_masks_task, tasks))
+    )
 
 
 def validate_groups_sharded(

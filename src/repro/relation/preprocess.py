@@ -27,7 +27,6 @@ snapshot raises), which is what keeps the shared buffer single-writer.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -365,17 +364,6 @@ class PreprocessedRelation:
         packed = np.packbits(equal, bitorder="little")
         return int.from_bytes(packed.tobytes(), "little")
 
-    def agree_masks_bulk(
-        self, rows_a: "np.ndarray | list[int]", rows_b: "np.ndarray | list[int]"
-    ) -> list[int]:
-        """Agree masks of many tuple pairs in one vectorized comparison.
-
-        The samplers compare whole batches of pairs (every window position
-        of a cluster at once); doing the label comparison and bit packing
-        in a single numpy call keeps the per-pair cost at C speed.
-        """
-        return agree_masks_from_matrix(self.matrix, rows_a, rows_b)
-
     def labels(self, column: int) -> np.ndarray:
         """The dense label vector of one column."""
         return self.matrix[:, column]
@@ -424,76 +412,60 @@ class PreprocessedRelation:
         return state.append_batch(self, rows)
 
 
-def packed_agree_masks(equal: np.ndarray) -> list[int]:
-    """Bit-pack per-pair boolean agree rows into Python int masks.
+def agree_words(
+    matrix: np.ndarray,
+    rows_a: "np.ndarray | int",
+    rows_b: "np.ndarray | slice",
+    distinct: bool = False,
+) -> np.ndarray:
+    """The agree-mask kernel: gather, compare and pack tuple pairs.
 
-    Little-endian packing: bit ``j`` of a mask is attribute ``j``'s
-    agreement.  For relations of up to 64 attributes (every packed row
-    fits one machine word) the packed bytes decode through a single
-    ``uint64`` view — on sampling-heavy workloads the historical
-    per-pair ``int.from_bytes`` loop was the dominant per-pair cost.
-    Wider relations keep the loop, whose cost the pair count amortizes.
+    Two index arrays pair ``rows_a[p]`` with ``rows_b[p]``; one anchor row
+    against a slice compares the anchor with every row of the slice (the
+    Fdep sweep's broadcast block).  Row ``p`` of the result holds pair
+    ``p``'s agree mask as ⌈n/64⌉ uint64 words, the positive cover's
+    layout: bit ``j`` of word ``k`` is attribute ``64k + j``'s agreement,
+    and the explicit ``'<u8'`` view fixes the byte order on every host.
+    With ``distinct`` only each mask's first occurrence is kept, in pair
+    order: a repeated mask can never carry a novel violation, so every
+    novelty loop reaches the same outcome from fewer masks.
 
-    Pure: reads the boolean matrix only; returns a fresh list.
+    Pure: reads the matrix and row indices only; returns a fresh array.
     """
-    packed = np.packbits(equal, axis=1, bitorder="little")
-    width = packed.shape[1]
-    if width <= 8 and sys.byteorder == "little":
-        padded = np.zeros((packed.shape[0], 8), dtype=np.uint8)
-        padded[:, :width] = packed
-        return padded.view(np.uint64).ravel().tolist()
-    data = packed.tobytes()
+    packed = np.packbits(matrix[rows_a] == matrix[rows_b], axis=1, bitorder="little")
+    words = np.zeros((len(packed), -(-matrix.shape[1] // 64) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    words = words.view("<u8")
+    return first_occurrences(words) if distinct else words
+
+
+def first_occurrences(words: np.ndarray) -> np.ndarray:
+    """The first occurrence of each distinct row of ``words``, in order.
+
+    Pure: reads the words only.
+    """
+    if len(words) < 2:
+        return words
+    # One word sorts as uint64; wider rows as opaque byte strings.
+    width = words.shape[1]
+    keys = words[:, 0] if width == 1 else words.view(f"V{8 * width}").ravel()
+    _, first = np.unique(keys, return_index=True)
+    return words[np.sort(first)]
+
+
+def decode_agree_words(words: np.ndarray) -> list[int]:
+    """The agree words of :func:`agree_words` as Python int masks, in order.
+
+    Pure: reads the words only; returns a fresh list.
+    """
+    if words.shape[1] == 1:
+        return words[:, 0].tolist()
+    width = 8 * words.shape[1]
+    data = words.tobytes()
     return [
         int.from_bytes(data[offset : offset + width], "little")
         for offset in range(0, len(data), width)
     ]
-
-
-def agree_masks_from_matrix(
-    matrix: np.ndarray,
-    rows_a: "np.ndarray | list[int]",
-    rows_b: "np.ndarray | list[int]",
-) -> list[int]:
-    """Agree masks of tuple pairs over a bare label matrix, in pair order.
-
-    The one agree-mask kernel: it gathers the two row slabs, compares
-    them and bit-packs the result.  Factored out of
-    :meth:`PreprocessedRelation.agree_masks_bulk` so worker processes of
-    the parallel execution engine run it against their view of the
-    published matrix without rebuilding a :class:`PreprocessedRelation`.
-
-    Pure: reads the matrix and row lists only; returns a fresh list.
-    """
-    return packed_agree_masks(matrix[rows_a] == matrix[rows_b])
-
-
-def distinct_agree_masks_range(
-    matrix: np.ndarray, start: int, stop: int
-) -> list[int]:
-    """Distinct agree masks of all pairs anchored in ``[start, stop)``.
-
-    For each anchor row ``i`` in the range, compares the label matrix of
-    rows ``i+1 .. n-1`` against row ``i`` in one vectorized operation —
-    the sweep Fdep performs over every anchor.  Masks come back as a list
-    in first-occurrence order (the order a serial scan of the same range
-    would first see them), so a coordinator merging per-range results in
-    range order reproduces the serial insertion sequence exactly; that
-    property is what makes the parallel Fdep sweep byte-identical to the
-    serial one at any worker count.
-
-    Pure: reads the matrix only; returns a fresh list.
-    """
-    seen: dict[int, None] = {}
-    for anchor in range(start, stop):
-        equal = matrix[anchor + 1 :] == matrix[anchor]
-        packed = np.packbits(equal, axis=1, bitorder="little")
-        row_bytes = packed.tobytes()
-        width = packed.shape[1]
-        for offset in range(0, len(row_bytes), width):
-            seen.setdefault(
-                int.from_bytes(row_bytes[offset : offset + width], "little")
-            )
-    return list(seen)
 
 
 def _snapshot(

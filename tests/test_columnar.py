@@ -28,6 +28,7 @@ from repro.engine.shm import (
 )
 from repro.engine.store import partition_cost_bytes
 from repro.relation import Relation, preprocess
+from repro.relation.preprocess import agree_words
 from repro.relation.validate import constant_on, fold_group_keys
 
 
@@ -93,10 +94,9 @@ class TestMmapTransport:
         before = _mmap_files()
         data = preprocess(registry.make("fd-reduced-30", rows=200, seed=11), True)
         pool = get_pool("process:2")
-        masks = parallel.agree_masks_sharded(
-            pool, data, list(range(150)), list(range(50, 200))
-        )
-        assert masks == data.agree_masks_bulk(list(range(150)), list(range(50, 200)))
+        rows_a, rows_b = np.arange(150), np.arange(50, 200)
+        masks = parallel.agree_masks_sharded(pool, data, rows_a, rows_b)
+        assert np.array_equal(masks, agree_words(data.matrix, rows_a, rows_b))
         close_all_pools()
         assert _mmap_files() - before == set()
 

@@ -16,6 +16,7 @@ import os
 import pickle
 import tempfile
 
+import numpy as np
 import pytest
 
 import repro.engine.parallel as parallel
@@ -37,7 +38,7 @@ from repro.engine.parallel import chunk_pairs, chunk_ranges, merge_chunked
 from repro.obs import names
 from repro.obs import collecting_metrics
 from repro.relation import Relation
-from repro.relation.preprocess import preprocess
+from repro.relation.preprocess import agree_words, preprocess
 
 
 @pytest.fixture
@@ -143,21 +144,45 @@ KINDS = ["thread:2", "process:2"]
 class TestShardedKernels:
     @pytest.mark.parametrize("jobs", KINDS)
     def test_agree_masks_match_serial(self, sample_data, jobs, tiny_thresholds):
-        rows_a = list(range(0, 150))
-        rows_b = list(range(50, 200))
-        serial = sample_data.agree_masks_bulk(rows_a, rows_b)
+        rows_a = np.arange(0, 150)
+        rows_b = np.arange(50, 200)
         pool = get_pool(jobs)
-        assert parallel.agree_masks_sharded(pool, sample_data, rows_a, rows_b) == serial
+        for distinct in (False, True):
+            serial = agree_words(sample_data.matrix, rows_a, rows_b, distinct)
+            sharded = parallel.agree_masks_sharded(
+                pool, sample_data, rows_a, rows_b, distinct
+            )
+            assert np.array_equal(sharded, serial)
         assert pool.stats()["chunks"] > 0
+
+    def test_pair_chunks_ship_as_index_arrays(
+        self, sample_data, monkeypatch, tiny_thresholds
+    ):
+        """Workers receive ndarray slices, not boxed lists of indices."""
+        pool = get_pool("process:2")
+        shipped = []
+        dispatch = pool.map_chunks
+
+        def capture(fn, tasks):
+            shipped.extend(tasks)
+            return dispatch(fn, tasks)
+
+        monkeypatch.setattr(pool, "map_chunks", capture)
+        rows_a, rows_b = np.arange(0, 150), np.arange(50, 200)
+        words = parallel.agree_masks_sharded(pool, sample_data, rows_a, rows_b)
+        assert shipped
+        for task in shipped:
+            assert isinstance(task[1], np.ndarray)
+            assert isinstance(task[2], np.ndarray)
+        assert np.array_equal(words, agree_words(sample_data.matrix, rows_a, rows_b))
 
     @pytest.mark.parametrize("jobs", KINDS)
     def test_distinct_masks_match_serial(self, sample_data, jobs, tiny_thresholds):
         serial = parallel.distinct_agree_masks_sharded(get_pool("serial"), sample_data)
         sharded = parallel.distinct_agree_masks_sharded(get_pool(jobs), sample_data)
-        assert sharded == serial
-        # Insertion-order preservation, not just set equality: iteration
-        # order is what downstream cover construction consumes.
-        assert list(sharded) == list(serial)
+        # Row order, not just the set: first-occurrence order is what
+        # downstream cover construction consumes.
+        assert np.array_equal(sharded, serial)
 
     @pytest.mark.parametrize("jobs", KINDS)
     def test_validate_many_matches_serial(self, sample_data, jobs, tiny_thresholds):
@@ -176,10 +201,11 @@ class TestShardedKernels:
 
     def test_small_batches_stay_inline(self, sample_data):
         pool = get_pool("thread:2")
-        rows_a, rows_b = [0, 1], [2, 3]
-        assert parallel.agree_masks_sharded(
-            pool, sample_data, rows_a, rows_b
-        ) == sample_data.agree_masks_bulk(rows_a, rows_b)
+        rows_a, rows_b = np.array([0, 1]), np.array([2, 3])
+        assert np.array_equal(
+            parallel.agree_masks_sharded(pool, sample_data, rows_a, rows_b),
+            agree_words(sample_data.matrix, rows_a, rows_b),
+        )
         assert pool.stats()["chunks"] == 0  # below threshold: no dispatch
 
 
@@ -308,7 +334,7 @@ class TestMatrixTransport:
         before = _mmap_files()
         pool = get_pool("process:2")
         parallel.agree_masks_sharded(
-            pool, sample_data, list(range(150)), list(range(50, 200))
+            pool, sample_data, np.arange(150), np.arange(50, 200)
         )
         assert _mmap_files() - before
         close_all_pools()
@@ -341,7 +367,7 @@ class TestMatrixTransport:
         with WorkerPool(PoolSpec("process", 2)) as pool:
             assert pool.jobs == 2
             parallel.agree_masks_sharded(
-                pool, sample_data, list(range(100)), list(range(50, 150))
+                pool, sample_data, np.arange(100), np.arange(50, 150)
             )
         assert pool._published == {}
         assert _mmap_files() - before == set()

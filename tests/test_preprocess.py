@@ -11,7 +11,13 @@ from repro.datasets import patients
 from repro.engine import ExecutionContext
 from repro.fd import FD, attrset
 from repro.relation import Relation, preprocess
-from repro.relation.preprocess import dtype_for_cardinality
+from repro.engine.parallel import distinct_agree_masks_sharded
+from repro.engine.shm import MatrixView
+from repro.relation.preprocess import (
+    agree_words,
+    decode_agree_words,
+    dtype_for_cardinality,
+)
 
 
 class TestLabelMatrix:
@@ -207,25 +213,42 @@ class TestAgreeMask:
         assert data.agree_mask(0, 1) == expected
 
 
+def bulk(data, rows_a, rows_b, distinct=False):
+    """Decoded agree masks of row pairs through the word kernel."""
+    rows_a = np.asarray(rows_a, dtype=np.intp)
+    rows_b = np.asarray(rows_b, dtype=np.intp)
+    return decode_agree_words(agree_words(data.matrix, rows_a, rows_b, distinct))
+
+
+def brute_mask(matrix, row_a, row_b):
+    """Per-attribute reference agree mask, no bit packing involved."""
+    return sum(
+        1 << j for j in range(matrix.shape[1]) if matrix[row_a, j] == matrix[row_b, j]
+    )
+
+
 class TestAgreeMasksBulk:
     def test_matches_single_pair_api(self, patient_relation):
         data = preprocess(patient_relation)
         rows_a = [0, 1, 2, 3]
         rows_b = [4, 5, 6, 7]
-        bulk = data.agree_masks_bulk(rows_a, rows_b)
         singles = [data.agree_mask(a, b) for a, b in zip(rows_a, rows_b)]
-        assert bulk == singles
+        assert bulk(data, rows_a, rows_b) == singles
 
     def test_empty_batch(self, patient_relation):
         data = preprocess(patient_relation)
-        assert data.agree_masks_bulk([], []) == []
+        assert bulk(data, [], []) == []
+        words = agree_words(data.matrix, np.empty(0, np.intp), np.empty(0, np.intp))
+        assert words.shape == (0, 1)
+        assert agree_words(data.matrix, [], [], distinct=True).shape == (0, 1)
+        one_row = MatrixView(data.matrix[:1], ())
+        assert distinct_agree_masks_sharded(None, one_row).shape == (0, 1)
 
     def test_wide_bulk(self):
         width = 100
         rows = [tuple(range(width)), tuple(-v for v in range(width))]
         data = preprocess(Relation.from_rows(rows))
-        masks = data.agree_masks_bulk([0], [1])
-        assert masks == [1]  # only column 0 agrees (0 == -0)
+        assert bulk(data, [0], [1]) == [1]  # only column 0 agrees (0 == -0)
 
     def test_beyond_64_attributes(self):
         """> 64 columns exercises the per-pair decode fallback."""
@@ -233,9 +256,9 @@ class TestAgreeMasksBulk:
         rows = [tuple(rng.integers(0, 3, size=70).tolist()) for _ in range(20)]
         data = preprocess(Relation.from_rows(rows))
         rows_a, rows_b = list(range(10)), list(range(10, 20))
-        bulk = data.agree_masks_bulk(rows_a, rows_b)
-        assert bulk == [data.agree_mask(a, b) for a, b in zip(rows_a, rows_b)]
-        assert any(mask >> 64 for mask in bulk)
+        masks = bulk(data, rows_a, rows_b)
+        assert masks == [data.agree_mask(a, b) for a, b in zip(rows_a, rows_b)]
+        assert any(mask >> 64 for mask in masks)
 
     def test_random_agreement(self):
         import random
@@ -245,9 +268,35 @@ class TestAgreeMasksBulk:
         data = preprocess(Relation.from_rows(rows))
         rows_a = list(range(15))
         rows_b = list(range(15, 30))
-        bulk = data.agree_masks_bulk(rows_a, rows_b)
-        for a, b, mask in zip(rows_a, rows_b, bulk):
+        for a, b, mask in zip(rows_a, rows_b, bulk(data, rows_a, rows_b)):
             assert mask == data.agree_mask(a, b)
+
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    def test_word_boundary_widths_and_label_dtypes(self, width, dtype):
+        """Every kernel mode at and around the 64-attribute word boundary."""
+        rng = np.random.default_rng(width)
+        base = np.iinfo(dtype).max - 2  # labels from the top of the dtype
+        matrix = (base + rng.integers(0, 3, size=(24, width))).astype(dtype)
+        rows_a = rng.integers(0, 24, size=60).astype(np.intp)
+        rows_b = rng.integers(0, 24, size=60).astype(np.intp)
+        words = agree_words(matrix, rows_a, rows_b)
+        assert words.dtype == np.dtype("<u8")
+        assert words.shape == (60, -(-width // 64))
+        plain = decode_agree_words(words)
+        assert plain == [brute_mask(matrix, a, b) for a, b in zip(rows_a, rows_b)]
+        distinct = decode_agree_words(agree_words(matrix, rows_a, rows_b, True))
+        assert distinct == list(dict.fromkeys(plain))
+        # Fdep's anchor sweep: first-occurrence order of the serial scan.
+        expected = list(
+            dict.fromkeys(
+                brute_mask(matrix, i, j)
+                for i in range(24)
+                for j in range(i + 1, 24)
+            )
+        )
+        swept = distinct_agree_masks_sharded(None, MatrixView(matrix, ()))
+        assert decode_agree_words(swept) == expected
 
 
 class TestStrippedPartitions:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import EulerFDConfig, SamplingModule
-from repro.core.sampler import ClusterState
+import repro.core.sampler as sampler_module
+from repro.core.sampler import SMALL_CLUSTER_ROWS, ClusterState
 from repro.datasets import patients
 from repro.engine import ExecutionContext
+from repro.fd import attrset
 from repro.relation import Relation
 
 
@@ -16,6 +19,18 @@ def sampler_for(relation: Relation, **config_kwargs) -> SamplingModule:
     return SamplingModule(
         context.data, EulerFDConfig(**config_kwargs), context.sampling_clusters()
     )
+
+
+def mixed_cluster_relation() -> Relation:
+    """70 attributes whose clusters fall on both sides of the table limit."""
+    rng = np.random.default_rng(7)
+    sizes = [2, 3, 5, 8, 13, 21, 31, 32, 33, 40]
+    group = [g for g, size in enumerate(sizes) for _ in range(size)]
+    columns = [group] + [
+        rng.integers(0, 6 if j % 10 == 0 else 80, size=len(group)).tolist()
+        for j in range(1, 70)
+    ]
+    return Relation.from_rows(list(zip(*columns)))
 
 
 class TestClusterState:
@@ -122,30 +137,87 @@ class TestRounds:
 
     def test_exhaustive_sampling_covers_all_intra_cluster_pairs(self):
         """With retirement effectively disabled, every pair that agrees on
-        some attribute is eventually compared (coverage, Section IV-C)."""
-        context = ExecutionContext(patients())
+        some attribute is eventually compared (coverage, Section IV-C), and
+        the sampled violations are exactly the brute-force ones.  Cluster
+        sizes run from 2 to 40 rows, across the window-table limit, over
+        70 attributes (two agree words)."""
+        context = ExecutionContext(mixed_cluster_relation())
         data = context.data
-        sampler = SamplingModule(
-            data, EulerFDConfig(retire_history=50), context.sampling_clusters()
-        )
+        clusters = context.sampling_clusters()
+        assert {len(rows) <= SMALL_CLUSTER_ROWS for rows in clusters} == {True, False}
+        sampler = SamplingModule(data, EulerFDConfig(retire_history=50), clusters)
         total = 0
+        sampled: set[tuple[int, int]] = set()
         while sampler.has_more():
-            _, stats = sampler.run_pass()
+            violations, stats = sampler.run_pass()
             if stats.pairs_compared == 0:
                 break
             total += stats.pairs_compared
+            for agree, novel in violations:
+                sampled.update((agree, rhs) for rhs in attrset.to_indices(novel))
         expected = 0
-        seen_pairs: set[tuple[int, int]] = set()
+        brute: set[tuple[int, int]] = set()
         registered = set()
-        clusters = (rows for column in data.stripped for rows in column.clusters)
-        for rows in clusters:
+        for rows in (rows for column in data.stripped for rows in column.clusters):
             if rows in registered:
                 continue
             registered.add(rows)
             for window in range(2, len(rows) + 1):
                 for i in range(len(rows) - window + 1):
                     expected += 1
+                    agree = data.agree_mask(rows[i], rows[i + window - 1])
+                    brute.update(
+                        (agree, rhs)
+                        for rhs in range(70)
+                        if not attrset.contains(agree, rhs)
+                    )
         assert total == expected
+        assert sampled == brute
+
+    def test_window_table_replays_per_sample_gathers(self, monkeypatch):
+        """Samples read off the window table equal gathering each sample's
+        pairs: the same violations in the same order, pass by pass."""
+
+        def passes():
+            context = ExecutionContext(mixed_cluster_relation())
+            sampler = SamplingModule(
+                context.data, EulerFDConfig(), context.sampling_clusters()
+            )
+            trace = []
+            while sampler.has_more():
+                violations, stats = sampler.run_pass()
+                trace.append(
+                    (violations, stats.pairs_compared, stats.cluster_samples)
+                )
+                if stats.pairs_compared == 0:
+                    break
+                sampler.revive()
+            return trace
+
+        tabled = passes()
+        monkeypatch.setattr(sampler_module, "SMALL_CLUSTER_ROWS", 0)
+        assert passes() == tabled
+
+    def test_grown_cluster_samples_its_grown_rows(self):
+        """After ``extend_clusters`` a small cluster's next sample compares
+        the grown rows, not the rest of its pre-append window table."""
+        old = [(0, 0, i) for i in range(6)]  # pairs agree on {g, x}
+        context = ExecutionContext(
+            Relation.from_rows(old, ["g", "x", "z"]), delta=True
+        )
+        sampler = SamplingModule(
+            context.data, EulerFDConfig(), context.sampling_clusters()
+        )
+        _, stats = sampler.run_pass(max_samples=1)  # window 2, from the table
+        assert stats.pairs_compared == 5
+        delta = context.append_rows([(0, 1, 6), (0, 2, 7)])  # agree on {g}
+        sampler.extend_clusters(delta, context.data)
+        violations, stats = sampler.run_pass(max_samples=1)  # window 3
+        rows = list(range(8))
+        masks = [context.data.agree_mask(a, b) for a, b in zip(rows, rows[2:])]
+        assert masks == [0b011] * 4 + [0b001] * 2
+        assert stats.pairs_compared == 6
+        assert violations == [(0b001, 0b110)]
 
     def test_total_counters_accumulate(self, patient_relation):
         sampler = sampler_for(patient_relation)
