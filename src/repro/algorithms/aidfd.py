@@ -17,13 +17,14 @@ from __future__ import annotations
 from ..core.inversion import Inverter
 from ..core.result import DiscoveryResult, Stopwatch, make_result
 from ..core.sampler import distance_pairs
+from ..engine import acquire_context
 from ..engine.parallel import agree_masks_sharded
 from ..fd import FD, NegativeCover, attrset
 from ..obs import count, phase, point
 from ..obs.names import AIDFD_PAIRS_COMPARED, GR_NCOVER, INVERSION, SAMPLING
 from ..relation.preprocess import decode_agree_words
 from ..relation.relation import Relation
-from .base import execution_context, register
+from .base import register
 
 
 @register("aidfd")
@@ -47,7 +48,7 @@ class AidFd:
 
     def discover(self, relation: Relation) -> DiscoveryResult:
         watch = Stopwatch()
-        context = execution_context(relation, self.null_equals_null)
+        context = acquire_context(relation, self.null_equals_null)
         data = context.data
         num_attributes = data.num_columns
         universe = attrset.universe(num_attributes)
@@ -55,11 +56,7 @@ class AidFd:
         clusters = context.sampling_clusters()
         ncover = NegativeCover(num_attributes)
         pending: list[FD] = []
-        for attribute in range(num_attributes):
-            if data.cardinality(attribute) > 1:
-                non_fd = FD(0, attribute)
-                if ncover.add(non_fd):
-                    pending.append(non_fd)
+        ncover.add_empty_lhs(data.cardinalities, pending)
 
         seen: dict[int, int] = {}
         pairs_compared = 0
@@ -81,14 +78,7 @@ class AidFd:
                     if not novel:
                         continue
                     seen[agree] = seen.get(agree, 0) | novel
-                    remaining = novel
-                    while remaining:
-                        bit = remaining & -remaining
-                        remaining ^= bit
-                        non_fd = FD(agree, bit.bit_length() - 1)
-                        if ncover.add(non_fd):
-                            pending.append(non_fd)
-                            added += 1
+                    added += ncover.add_violations(agree, novel, pending)
                 count(AIDFD_PAIRS_COMPARED, swept_pairs)
             sweeps += 1
             pairs_compared += swept_pairs

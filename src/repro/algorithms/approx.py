@@ -21,11 +21,11 @@ from __future__ import annotations
 from itertools import combinations
 
 from ..core.result import DiscoveryResult, Stopwatch, make_result
+from ..engine import acquire_context
 from ..fd import FD, attrset
 from ..metrics.error import violation_profile
 from ..relation.preprocess import PreprocessedRelation
 from ..relation.relation import Relation
-from .base import execution_context
 
 
 class ApproxFDs:
@@ -54,7 +54,7 @@ class ApproxFDs:
                 f"max_columns={self.max_columns} safety bound"
             )
         watch = Stopwatch()
-        data = execution_context(relation, self.null_equals_null).data
+        data = acquire_context(relation, self.null_equals_null).data
         num_attributes = data.num_columns
         fds: list[FD] = []
         checks = 0

@@ -14,7 +14,6 @@ from collections.abc import Callable
 from typing import Protocol, runtime_checkable
 
 from ..core.result import DiscoveryResult
-from ..engine import ExecutionContext, acquire_context
 from ..obs import phase
 from ..obs.names import DISCOVER
 from ..relation.relation import Relation
@@ -43,21 +42,6 @@ class FDAlgorithm(Protocol):
 
 
 _REGISTRY: dict[str, Callable[[], FDAlgorithm]] = {}
-
-
-def execution_context(
-    relation: Relation, null_equals_null: bool = True
-) -> ExecutionContext:
-    """The compat shim keeping ``discover(relation)`` signatures intact.
-
-    Resolves the engine context an algorithm should run against: the
-    caller-installed shared context when one serves this relation under
-    the same NULL semantics (:func:`repro.engine.use_context`), otherwise
-    a freshly built default context.  Every algorithm in this package
-    obtains partitions and validation exclusively through the returned
-    context — never from the relation kernels directly.
-    """
-    return acquire_context(relation, null_equals_null)
 
 
 def instrument_discover(cls: type) -> type:

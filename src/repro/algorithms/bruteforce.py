@@ -13,9 +13,10 @@ refuses schemas wide enough to be a mistake.
 from __future__ import annotations
 
 from ..core.result import DiscoveryResult, Stopwatch, make_result
+from ..engine import acquire_context
 from ..fd import FD, attrset
 from ..relation.relation import Relation
-from .base import execution_context, register
+from .base import register
 
 
 @register("bruteforce")
@@ -36,7 +37,7 @@ class BruteForce:
                 f"got {relation.num_columns}"
             )
         watch = Stopwatch()
-        context = execution_context(relation, self.null_equals_null)
+        context = acquire_context(relation, self.null_equals_null)
         num_attributes = context.num_attributes
         fds: list[FD] = []
         checks = 0

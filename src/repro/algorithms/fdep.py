@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from ..core.inversion import Inverter
 from ..core.result import DiscoveryResult, Stopwatch, make_result
+from ..engine import acquire_context
 from ..engine.parallel import WorkerPool, distinct_agree_masks_sharded
 from ..fd import FD, NegativeCover, attrset
 from ..obs import phase
 from ..obs.names import AGREE_SETS, INVERSION, NCOVER
 from ..relation.preprocess import PreprocessedRelation, decode_agree_words
 from ..relation.relation import Relation
-from .base import execution_context, register
+from .base import register
 
 
 @register("fdep")
@@ -37,7 +38,7 @@ class Fdep:
 
     def discover(self, relation: Relation) -> DiscoveryResult:
         watch = Stopwatch()
-        context = execution_context(relation, self.null_equals_null)
+        context = acquire_context(relation, self.null_equals_null)
         data = context.data
         num_attributes = data.num_columns
         with phase(AGREE_SETS):
@@ -49,13 +50,7 @@ class Fdep:
         universe = attrset.universe(num_attributes)
         with phase(NCOVER):
             for agree in agree_masks:
-                remaining = universe & ~agree
-                while remaining:
-                    bit = remaining & -remaining
-                    remaining ^= bit
-                    non_fd = FD(agree, bit.bit_length() - 1)
-                    if ncover.add(non_fd):
-                        pending.append(non_fd)
+                ncover.add_violations(agree, universe & ~agree, pending)
         inverter = Inverter(num_attributes)
         with phase(INVERSION):
             inversion = inverter.process(pending)

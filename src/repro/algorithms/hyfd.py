@@ -25,6 +25,7 @@ from __future__ import annotations
 from ..core.inversion import Inverter
 from ..core.result import DiscoveryResult, Stopwatch, make_result
 from ..core.sampler import distance_pairs
+from ..engine import acquire_context
 from ..engine.parallel import WorkerPool, agree_masks_sharded
 from ..fd import FD, NegativeCover, attrset
 from ..obs import count, phase
@@ -38,7 +39,7 @@ from ..obs.names import (
 )
 from ..relation.preprocess import PreprocessedRelation, decode_agree_words
 from ..relation.relation import Relation
-from .base import execution_context, register
+from .base import register
 
 
 @register("hyfd")
@@ -62,7 +63,7 @@ class HyFD:
 
     def discover(self, relation: Relation) -> DiscoveryResult:
         watch = Stopwatch()
-        context = execution_context(relation, self.null_equals_null)
+        context = acquire_context(relation, self.null_equals_null)
         data = context.data
         num_attributes = data.num_columns
         universe = attrset.universe(num_attributes)
@@ -160,13 +161,7 @@ class HyFD:
         seen: dict[int, int],
     ) -> None:
         seen[agree] = seen.get(agree, 0) | rhs_mask
-        remaining = rhs_mask
-        while remaining:
-            bit = remaining & -remaining
-            remaining ^= bit
-            non_fd = FD(agree, bit.bit_length() - 1)
-            if ncover.add(non_fd):
-                pending.append(non_fd)
+        ncover.add_violations(agree, rhs_mask, pending)
 
     def _sweep(
         self,

@@ -25,12 +25,12 @@ from __future__ import annotations
 from itertools import combinations
 
 from ..core.result import DiscoveryResult, Stopwatch, make_result
-from ..engine import PartitionStore
+from ..engine import PartitionStore, acquire_context
 from ..fd import FD, attrset
 from ..obs import count, phase
 from ..obs.names import TANE_LEVEL, TANE_VALIDATIONS
 from ..relation.relation import Relation
-from .base import execution_context, register
+from .base import register
 
 
 class TaneBudgetExceeded(RuntimeError):
@@ -56,7 +56,7 @@ class Tane:
 
     def discover(self, relation: Relation) -> DiscoveryResult:
         watch = Stopwatch()
-        context = execution_context(relation, self.null_equals_null)
+        context = acquire_context(relation, self.null_equals_null)
         store = context.partitions
         num_attributes = context.num_attributes
         universe = attrset.universe(num_attributes)

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.result import Stopwatch
+from ..engine import acquire_context
 from ..fd import attrset
 from ..relation.relation import Relation
-from .base import execution_context
 from .fdep import compute_agree_masks
 
 
@@ -52,7 +52,7 @@ def discover_uccs(relation: Relation, null_equals_null: bool = True) -> UccResul
     tuples has no UCC at all.
     """
     watch = Stopwatch()
-    data = execution_context(relation, null_equals_null).data
+    data = acquire_context(relation, null_equals_null).data
     num_attributes = data.num_columns
     universe = attrset.universe(num_attributes)
     if relation.num_rows <= 1:

@@ -101,7 +101,7 @@ def _members(value: object) -> object:
 
 
 #: task kernels whose payloads are deterministic data (safe to replay);
-#: the bench-matrix runner `_call_task` returns wall times and is not.
+#: any other task is passed through unreplayed.
 _PERMUTATION_SAFE_TASKS = frozenset(
     {"_agree_masks_task", "_distinct_masks_task", "_validate_task"}
 )

@@ -18,15 +18,7 @@ from typing import Any
 
 from ..algorithms import AidFd, EulerFD, Fdep, HyFD, Tane, TaneBudgetExceeded
 from ..core.result import DiscoveryResult
-from ..engine import (
-    Backend,
-    ExecutionContext,
-    PoolSpec,
-    WorkerPool,
-    get_pool,
-    run_cells_sharded,
-    use_context,
-)
+from ..engine import Backend, ExecutionContext, PoolSpec, WorkerPool, use_context
 from ..fd import FD
 from ..metrics import fd_set_metrics, timed
 from ..obs import Recorder, RunTelemetry, recording
@@ -195,58 +187,6 @@ def _cache_delta(
 ) -> dict[str, int]:
     """Partition-cache traffic attributable to one run of a shared store."""
     return {key: after[key] - before.get(key, 0) for key in after}
-
-
-def _run_cell(payload: tuple[str, Relation, str | None]) -> AlgorithmRun:
-    """Worker: one (algorithm × relation) matrix cell in a private context.
-
-    The cell's own context is explicitly serial — matrix cells are the
-    unit of fan-out here, and nesting a second pool inside a process
-    worker would oversubscribe the host without helping determinism.
-    """
-    key, relation, backend = payload
-    factory = default_algorithms()[key]
-    context = ExecutionContext(relation, backend=backend, jobs="serial")
-    return run_algorithm(factory, relation, context=context)
-
-
-def run_matrix(
-    relations: Sequence[Relation],
-    algorithms: Sequence[str] | None = None,
-    jobs: int | str | PoolSpec | WorkerPool | None = None,
-    backend: str | None = None,
-) -> dict[tuple[str, str], AlgorithmRun]:
-    """Run every (algorithm × relation) cell, optionally across a pool.
-
-    The coarse-grained counterpart to kernel sharding: cells are fully
-    independent (each builds a private, serial execution context), so a
-    parallel ``jobs`` spec fans whole cells out to the workers while the
-    returned mapping — keyed ``(algorithm, relation.name)`` — is always
-    assembled in cell-definition order, independent of completion order.
-
-    ``algorithms`` selects keys of :func:`default_algorithms` (all five,
-    in the paper's column order, when omitted).  ``backend`` must be a
-    backend *name* here, never an instance: cells may cross a process
-    boundary and ship only picklable payloads.
-    """
-    if algorithms is None:
-        algorithms = list(default_algorithms())
-    else:
-        known = default_algorithms()
-        for key in algorithms:
-            if key not in known:
-                raise KeyError(f"unknown algorithm {key!r}")
-    cells = [
-        (key, relation, backend)
-        for relation in relations
-        for key in algorithms
-    ]
-    pool = get_pool(jobs)
-    runs = run_cells_sharded(pool, _run_cell, cells)
-    return {
-        (key, relation.name): run
-        for (key, relation, _), run in zip(cells, runs)
-    }
 
 
 class GroundTruthCache:

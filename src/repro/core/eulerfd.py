@@ -54,11 +54,7 @@ class EulerFD:
         inverter = Inverter(num_attributes)
         # Non-FDs admitted to the negative cover but not yet inverted.
         pending: list[FD] = []
-        for attribute in range(num_attributes):
-            if data.cardinality(attribute) > 1:
-                non_fd = FD(0, attribute)
-                if ncover.add(non_fd):
-                    pending.append(non_fd)
+        ncover.add_empty_lhs(data.cardinalities, pending)
 
         sampler = SamplingModule(
             data,
@@ -87,7 +83,11 @@ class EulerFD:
                     rounds += 1
                     size_before = max(len(ncover), 1)
                     with phase(NCOVER, cycle=cycles):
-                        added = self._grow_ncover(violations, ncover, pending)
+                        # Algorithm 2: admit the violations, counting growth
+                        added = sum(
+                            ncover.add_violations(agree, novel, pending)
+                            for agree, novel in violations
+                        )
                     final_gr_ncover = added / size_before
                     # The trajectory behind Algorithm 2's stopping rule
                     # (paper Fig. 11): one point per sampling round.
@@ -130,22 +130,3 @@ class EulerFD:
                 "final_gr_pcover": final_gr_pcover,
             },
         )
-
-    @staticmethod
-    def _grow_ncover(
-        violations: list[tuple[int, int]],
-        ncover: NegativeCover,
-        pending: list[FD],
-    ) -> int:
-        """Algorithm 2: admit sampled violations, counting real growth."""
-        added = 0
-        for agree, novel_rhs in violations:
-            remaining = novel_rhs
-            while remaining:
-                bit = remaining & -remaining
-                remaining ^= bit
-                non_fd = FD(agree, bit.bit_length() - 1)
-                if ncover.add(non_fd):
-                    pending.append(non_fd)
-                    added += 1
-        return added

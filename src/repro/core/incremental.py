@@ -13,20 +13,19 @@ inversion machinery can absorb batches of new rows without starting over.
   tuple pair, exact) or with EulerFD's sampling (approximate);
 * each **append** flows through the delta execution engine
   (DESIGN.md §12): the owned :class:`~repro.engine.ExecutionContext`
-  extends its preprocessed label matrix and partition store in place,
-  and the returned :class:`~repro.relation.preprocess.AppendDelta`
-  names exactly the
-  clusters the new rows landed in.  Pairs are read off those touched
-  clusters — every pair involving a new tuple that could violate
-  anything, deduplicated across attributes in one vectorized
+  grows its preprocessed label matrix and singleton partitions in
+  place, and the returned :class:`~repro.relation.preprocess.AppendDelta`
+  names exactly the clusters the new rows landed in.  Pairs are read off
+  those touched clusters — every pair involving a new tuple that could
+  violate anything, deduplicated across attributes in one vectorized
   ``np.unique`` — and their agree masks stream through the same
   incremental inverter.
 
 With an exhaustive base, the maintained cover stays exact after every
 append (property-tested against from-scratch discovery); with a sampled
 base it keeps EulerFD's approximation guarantees while doing only
-O(batch × cluster) work per append — no re-encoding, no partition
-rebuild, no per-row Python grouping loop.
+O(batch × cluster) work per append — no re-encoding, no per-row Python
+grouping loop, and no derived partition: the append path reads none.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ class IncrementalEulerFD:
         self.config = config if config is not None else EulerFDConfig()
         self.exhaustive_base = exhaustive_base
         # The engine owns a private delta-enabled context: appends extend
-        # the label dictionaries, label matrix and cached partitions
+        # the label dictionaries, label matrix and singleton partitions
         # in place instead of re-preprocessing the grown relation.
         self.context = ExecutionContext(
             relation,
@@ -135,13 +134,7 @@ class IncrementalEulerFD:
         with phase(PROFILE_BASE, exhaustive=self.exhaustive_base):
             data = self.context.data
             pending: list[FD] = []
-            self._seed_empty_lhs(
-                tuple(
-                    data.cardinality(attribute)
-                    for attribute in range(self.num_attributes)
-                ),
-                pending,
-            )
+            self.ncover.add_empty_lhs(data.cardinalities, pending)
             if self.exhaustive_base:
                 # sorted(): canonical admit order for the base profile (RPR107)
                 for agree in sorted(compute_agree_masks(data, pool=self.pool)):
@@ -168,15 +161,6 @@ class IncrementalEulerFD:
                 self.sampler = sampler
             self.inverter.process(pending)
 
-    def _seed_empty_lhs(
-        self, cardinalities: tuple[int, ...], pending: list[FD]
-    ) -> None:
-        for attribute in range(self.num_attributes):
-            if cardinalities[attribute] > 1:
-                non_fd = FD(0, attribute)
-                if self.ncover.add(non_fd):
-                    pending.append(non_fd)
-
     def _compare_new_rows(self, delta: AppendDelta) -> list[FD]:
         """Compare each new tuple against every cluster-mate (old and new).
 
@@ -194,7 +178,7 @@ class IncrementalEulerFD:
         """
         data = self.context.data
         pending: list[FD] = []
-        self._seed_empty_lhs(delta.cardinalities, pending)
+        self.ncover.add_empty_lhs(delta.cardinalities, pending)
         first_new = delta.first_new
         num_rows = delta.num_rows
         pair_keys: list[np.ndarray] = []
@@ -230,13 +214,7 @@ class IncrementalEulerFD:
         if not novel:
             return
         self._seen[agree] = prior | novel
-        remaining = novel
-        while remaining:
-            bit = remaining & -remaining
-            remaining ^= bit
-            non_fd = FD(agree, bit.bit_length() - 1)
-            if self.ncover.add(non_fd):
-                pending.append(non_fd)
+        self.ncover.add_violations(agree, novel, pending)
 
     def _snapshot(self, watch: Stopwatch) -> DiscoveryResult:
         # DiscoveryResult stores a frozenset and sorts when iterated, so

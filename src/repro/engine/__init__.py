@@ -50,7 +50,6 @@ from .parallel import (
     distinct_agree_masks_sharded,
     get_pool,
     resolve_spec,
-    run_cells_sharded,
 )
 from .store import DEFAULT_CACHE_SIZE, PartitionStore
 
@@ -75,6 +74,5 @@ __all__ = [
     "get_backend",
     "get_pool",
     "resolve_spec",
-    "run_cells_sharded",
     "use_context",
 ]

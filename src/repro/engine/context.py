@@ -45,7 +45,7 @@ from .parallel import (
     get_pool,
     validate_groups_sharded,
 )
-from .store import DEFAULT_CACHE_SIZE, PartitionStore
+from .store import PartitionStore
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,6 @@ class ExecutionContext:
         *,
         backend: str | Backend | None = None,
         null_equals_null: bool = True,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        max_cache_bytes: int | None = None,
         jobs: int | str | PoolSpec | WorkerPool | None = None,
         delta: bool = False,
     ) -> None:
@@ -85,9 +83,7 @@ class ExecutionContext:
             self.data: PreprocessedRelation = preprocess(
                 relation, null_equals_null, delta=delta
             )
-        self.partitions = PartitionStore(
-            self.data, cache_size=cache_size, max_bytes=max_cache_bytes
-        )
+        self.partitions = PartitionStore(self.data)
         self._clusters: list[tuple[int, ...]] | None = None
 
     # -- identity --------------------------------------------------------------
@@ -114,28 +110,24 @@ class ExecutionContext:
     # -- change batches ----------------------------------------------------------
 
     def append_rows(self, rows: Sequence[tuple]) -> AppendDelta:
-        """Ingest a batch of new rows, keeping every derived layer warm.
+        """Ingest a batch of new rows; return what the batch changed.
 
         The change-batch API of the delta engine (DESIGN.md §12): the
-        preprocessed relation (label matrix included) and the partition
-        store are both extended in place — O(batch) work, no re-encoding,
-        no partition rebuilds — and the returned :class:`AppendDelta`
-        tells callers exactly which clusters the new rows landed in.
-        The sampling-cluster list is re-listed lazily from the
-        delta-maintained partitions on next use (pointer-level work; the
-        partitions themselves stay warm).
+        preprocessed relation (label matrix and singleton partitions
+        included) grows in place at O(batch), with no re-encoding.  The
+        partition store re-pins the grown singletons and drops its
+        derived entries, which the next request re-derives, and the
+        sampling-cluster list is re-listed on next use.  The returned
+        :class:`AppendDelta` names the clusters the new rows landed in.
 
         Mutates: self
         """
         with phase(APPEND_ROWS, rows=len(rows)):
             data = self.data.append_rows(list(rows))
-            delta = data.append_delta
             self.data = data
-            self.partitions.apply_delta(data, delta)
-            # the cluster list is a cheap listing over the (warm) singleton
-            # partitions; drop it and re-list on demand
+            self.partitions.apply_delta(data)
             self._clusters = None
-        return delta
+        return data.append_delta
 
     # -- partitions ------------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """The worker pool: sharded pair-sampling and validation (DESIGN.md §9).
 
 Every hot loop of the reproduction — cluster pair-sampling, the Fdep and
-incremental agree-set sweeps, batched candidate validation, the bench
-matrix — is embarrassingly parallel *inside one step* while the control
-loop around it (MLFQ scheduling, capa feedback, the seen-dict, growth
-rates) must stay sequential for the paper's results to replicate.  This
-module supplies exactly that split: a :class:`WorkerPool` executes
+incremental agree-set sweeps, batched candidate validation — is
+embarrassingly parallel *inside one step* while the control loop around
+it (MLFQ scheduling, capa feedback, the seen-dict, growth rates) must
+stay sequential for the paper's results to replicate.  This module
+supplies exactly that split: a :class:`WorkerPool` executes
 deterministic chunk plans, and the coordinator keeps every stateful
 merge.
 
@@ -263,13 +263,6 @@ def _validate_task(
             else:
                 out.append((index, backend.constant_on(data, keys, rhs), None))
     return out, monotonic() - start
-
-
-def _call_task(
-    fn: Callable[[Any], Any], payload: Any
-) -> tuple[Any, float]:
-    """Worker: generic cell runner for the bench-matrix fan-out."""
-    return _timed(fn, payload)
 
 
 # -- the pool ------------------------------------------------------------------
@@ -570,16 +563,3 @@ def validate_groups_sharded(
         for start, stop in chunk_ranges(len(groups), pool.jobs * CHUNKS_PER_WORKER)
     ]
     return merge_chunked(pool.map_chunks(_validate_task, tasks))
-
-
-def run_cells_sharded(
-    pool: WorkerPool,
-    fn: Callable[[Any], Any],
-    payloads: Sequence[Any],
-) -> list[Any]:
-    """Fan independent work items (bench-matrix cells) across the pool.
-
-    ``fn`` must be module-level (process pools pickle it by reference);
-    results come back in payload order.
-    """
-    return pool.map_chunks(_call_task, [(fn, payload) for payload in payloads])

@@ -126,25 +126,20 @@ def _discard_mmap_segment(segment: MmapSegment) -> None:
     segment.unlink()
 
 
-def publish_matrix(
-    matrix: np.ndarray, *, use_mmap: bool = True
-) -> tuple[object, Callable[[], None]]:
+def publish_matrix(matrix: np.ndarray) -> tuple[object, Callable[[], None]]:
     """Publish ``matrix`` for process workers; return (handle, cleanup).
 
     The matrix is written once, row-major, to a ``repro_mmap_*`` file in
     the temp directory and the returned handle is a
     :class:`MmapMatrixRef`; the cleanup callable closes and unlinks the
     file and is safe to call more than once.  When the temp dir is
-    unwritable (or ``use_mmap`` is False) the publish degrades to
-    :class:`InlineMatrix` — correct, just shipped per task by the
-    executor — and a failure after creation discards the half-written
-    file before re-raising.
+    unwritable the publish degrades to :class:`InlineMatrix` — correct,
+    just shipped per task by the executor — and a failure after creation
+    discards the half-written file before re-raising.
     """
-    if not use_mmap:
-        return InlineMatrix(matrix), lambda: None
     try:
         segment = MmapSegment(_next_mmap_path())
-    except OSError:  # pragma: no cover - temp dir unwritable
+    except OSError:  # the temp dir is unwritable
         return InlineMatrix(matrix), lambda: None
     try:
         segment.write(np.ascontiguousarray(matrix).tobytes())

@@ -100,13 +100,39 @@ class NegativeCover:
             count(NCOVER_GENERALIZATIONS_EVICTED, evicted)
         return True
 
-    def add_all(self, non_fds: Iterable[FD]) -> int:
-        """Insert many non-FDs; return the number that grew the cover.
+    def add_violations(self, agree: int, rhs_mask: int, pending: list[FD]) -> int:
+        """Insert ``agree -/-> A`` for each attribute ``A`` of ``rhs_mask``.
 
-        Mutates: self
+        The intake for one tuple pair's agree set: attributes go in
+        ascending order, and each non-FD that grew the cover is appended
+        to ``pending`` (the non-FDs not yet inverted).  Returns how many
+        grew it.
+
+        Mutates: self, pending
         Monotone: self via covers
         """
-        return sum(1 for non_fd in non_fds if self.add(non_fd))
+        added = 0
+        remaining = rhs_mask
+        while remaining:
+            bit = remaining & -remaining
+            remaining ^= bit
+            non_fd = FD(agree, bit.bit_length() - 1)
+            if self.add(non_fd):
+                pending.append(non_fd)
+                added += 1
+        return added
+
+    def add_empty_lhs(self, cardinalities: Sequence[int], pending: list[FD]) -> int:
+        """Insert ``{} -/-> A`` for each column with two or more values.
+
+        Sampling inside clusters never observes an empty agree set, so
+        these non-FDs are read off the column cardinalities instead.
+
+        Mutates: self, pending
+        Monotone: self via covers
+        """
+        varying = [a for a, cardinality in enumerate(cardinalities) if cardinality > 1]
+        return self.add_violations(attrset.EMPTY, attrset.from_indices(varying), pending)
 
     def covers(self, fd: FD) -> bool:
         """True when ``fd`` is known-invalid (generalizes a stored non-FD).

@@ -63,8 +63,6 @@ INVERTER_CANDIDATES_REMOVED = "inverter.candidates_removed"
 INVERTER_CANDIDATES_ADDED = "inverter.candidates_added"
 INCREMENTAL_PAIRS_COMPARED = "incremental.pairs_compared"
 INCREMENTAL_ROWS_TOTAL = "incremental.rows.total"
-INCREMENTAL_STORE_DELTA_APPLIED = "incremental.store.delta_applied"
-INCREMENTAL_STORE_DELTA_REBUILT = "incremental.store.delta_rebuilt"
 SAMPLER_PASSES = "sampler.passes"
 SAMPLER_CLUSTER_VISITS = "sampler.cluster_visits"
 SAMPLER_PAIRS_COMPARED = "sampler.pairs_compared"
@@ -127,8 +125,6 @@ CATALOG: dict[str, str] = {
     INVERTER_CANDIDATES_ADDED: "Specialized candidates added during inversion",
     INCREMENTAL_PAIRS_COMPARED: "Row pairs compared by incremental updates",
     INCREMENTAL_ROWS_TOTAL: "Rows ingested through the incremental append path",
-    INCREMENTAL_STORE_DELTA_APPLIED: "Cached partitions extended in place by a store delta",
-    INCREMENTAL_STORE_DELTA_REBUILT: "Cached partitions released by a store delta for on-demand re-derivation",
     SAMPLER_PASSES: "MLFQ sampling passes executed",
     SAMPLER_CLUSTER_VISITS: "Cluster visits across sampling passes",
     SAMPLER_PAIRS_COMPARED: "Row pairs compared by the sampler",
@@ -145,7 +141,7 @@ CATALOG: dict[str, str] = {
     AIDFD_PAIRS_COMPARED: "Row pairs swept by AID-FD",
     DISCOVER: "One algorithm run, from relation to FD set",
     PREPROCESS: "Label-matrix encoding and stripped partitions of a relation",
-    APPEND_ROWS: "Encoding an appended batch and extending the partition store",
+    APPEND_ROWS: "Encoding an appended batch and re-pinning the partition store",
     VALIDATE_MANY: "One batch of candidate FDs validated against the relation",
     POOL_MAP: "One worker-pool dispatch, from submit to the last result",
     CYCLE: "One EulerFD double cycle: sampling rounds, then one inversion",

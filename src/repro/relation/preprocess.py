@@ -69,27 +69,19 @@ def dtype_for_cardinality(cardinality: int) -> "np.dtype":
 class AppendDelta:
     """What one :meth:`PreprocessedRelation.append_rows` call changed.
 
-    ``touched[j]`` holds the post-append cluster tuples of attribute
-    ``j`` that contain at least one new row, ordered by first row (the
-    canonical stripped-partition order) — exactly the inverted-cluster-
-    index slice the incremental engine walks for partner discovery, and
-    what the partition store uses to place an appended row in its
-    single-attribute cluster.  ``cardinalities`` are the post-append
-    per-column distinct-label counts (labels are dense, so this is the
-    next free label).  ``promotion`` is the ``(old_dtype, new_dtype)``
-    dtype-ladder crossing of the label matrix, or None; ``cells_encoded``
-    counts the matrix cells dictionary-encoded by the append —
-    ``num_new × columns`` by construction, the figure the no-O(N)-rebuild
-    test asserts against.
+    The new rows are ``first_new .. num_rows - 1``.  ``touched[j]``
+    holds the post-append cluster tuples of attribute ``j`` that contain
+    at least one new row, ordered by first row (the canonical
+    stripped-partition order) — exactly the inverted-cluster-index slice
+    the incremental engine walks for partner discovery.
+    ``cardinalities`` are the post-append per-column distinct-label
+    counts (labels are dense, so this is the next free label).
     """
 
     first_new: int
-    num_new: int
     num_rows: int
     cardinalities: tuple[int, ...]
     touched: tuple[tuple[tuple[int, ...], ...], ...]
-    promotion: tuple[str, str] | None
-    cells_encoded: int
 
 
 class _DeltaState:
@@ -115,7 +107,6 @@ class _DeltaState:
         "multi",
         "grouped",
         "tuple_cache",
-        "appends",
     )
 
     def __init__(self, matrix: np.ndarray, null_equals_null: bool) -> None:
@@ -138,7 +129,6 @@ class _DeltaState:
         self.tuple_cache: list[dict[int, tuple[int, ...]]] = [
             {} for _ in range(num_columns)
         ]
-        self.appends = 0
 
     def adopt_column(
         self, j: int, labels: list[int], codes: dict[Any, int], next_label: int
@@ -212,8 +202,7 @@ class _DeltaState:
         Mutates: self, snapshot
         """
         first_new = self.size
-        num_new = len(rows)
-        num_rows = first_new + num_new
+        num_rows = first_new + len(rows)
         num_columns = len(self.codes)
         batch_labels: list[list[int]] = []
         touched: list[tuple[tuple[int, ...], ...]] = []
@@ -259,7 +248,6 @@ class _DeltaState:
                     )
                 )
                 touched.append(())
-        previous = self.matrix.dtype
         # dtype-ladder crossing: the one sanctioned O(N) moment, paid only
         # when the widest column outgrows the matrix width (at most twice
         # per lineage).
@@ -268,7 +256,6 @@ class _DeltaState:
         for j, labels in enumerate(batch_labels):
             matrix[first_new:num_rows, j] = labels
         self.size = num_rows
-        self.appends += 1
         data = _snapshot(
             snapshot.relation,
             matrix[:num_rows],
@@ -282,38 +269,12 @@ class _DeltaState:
             "_append_delta",
             AppendDelta(
                 first_new=first_new,
-                num_new=num_new,
                 num_rows=num_rows,
                 cardinalities=tuple(self.next_labels),
                 touched=tuple(touched),
-                promotion=(
-                    None
-                    if matrix.dtype == previous
-                    else (str(previous), str(matrix.dtype))
-                ),
-                cells_encoded=num_new * num_columns,
             ),
         )
         return data
-
-
-def _bootstrap_delta(data: "PreprocessedRelation") -> _DeltaState:
-    """Reconstruct retained encoder state for a non-delta snapshot.
-
-    One O(N) re-encode per column — the cold-start cost that
-    ``preprocess(delta=True)`` avoids; every later append is O(batch)
-    either way.  Only snapshots built by :func:`preprocess` ever need
-    this (append-built snapshots always carry their lineage's state), so
-    ``relation.columns`` is guaranteed to match the matrix rows, and the
-    deterministic encoder reproduces the matrix's labels exactly.
-
-    Pure: reads the snapshot only; returns fresh state.
-    """
-    state = _DeltaState(data.matrix.copy(), data.null_equals_null)
-    for j, column in enumerate(data.relation.columns):
-        labels, codes, next_label = _encode_column(column, data.null_equals_null)
-        state.adopt_column(j, labels, codes, next_label)
-    return state
 
 
 @dataclass(frozen=True)
@@ -386,10 +347,9 @@ class PreprocessedRelation:
         The returned snapshot's :attr:`append_delta` describes what
         changed; ``self`` stays valid as a read-only view of the
         pre-append prefix, but becomes *stale*: appends are linear, and
-        only the lineage's newest snapshot may grow again.  A snapshot
-        preprocessed without ``delta=True`` pays a one-time O(N) state
-        bootstrap here; steady-state appends are O(batch) plus
-        pointer-level cluster relisting either way.
+        only the lineage's newest snapshot may grow again.  Only a
+        snapshot of a ``preprocess(..., delta=True)`` lineage can grow;
+        any other raises ``ValueError``.
 
         Mutates: self
         """
@@ -401,8 +361,10 @@ class PreprocessedRelation:
                 )
         state = self.__dict__.get("_delta")
         if state is None:
-            state = _bootstrap_delta(self)
-            object.__setattr__(self, "_delta", state)
+            raise ValueError(
+                "append_rows on a snapshot built without delta=True: "
+                "preprocess the base relation with delta=True to grow it"
+            )
         if state.size != self.num_rows:
             raise ValueError(
                 "append_rows on a stale snapshot: only the newest snapshot "
@@ -503,9 +465,7 @@ def preprocess(
 
     ``delta=True`` retains the per-column encoder dictionaries and group
     membership lists so that :meth:`PreprocessedRelation.append_rows`
-    runs at O(batch) from the first append.  Without it the first append
-    pays a one-time O(N) bootstrap to reconstruct that state; either way
-    no append ever re-encodes already-encoded rows.
+    runs at O(batch); a snapshot built without it cannot be appended to.
     """
     num_rows = relation.num_rows
     num_columns = relation.num_columns

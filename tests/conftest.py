@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.engine.shm as shm
 from repro.datasets import patients
 from repro.relation import Relation
 
@@ -27,6 +28,17 @@ def tiny_relation() -> Relation:
         ["c0", "c1", "c2"],
         name="tiny",
     )
+
+
+@pytest.fixture()
+def unwritable_temp_dir(monkeypatch):
+    """Every mmap publish fails to create its file, as in a read-only
+    temp dir, so ``publish_matrix`` takes its inline fallback."""
+
+    def refuse(path):
+        raise OSError(f"cannot create {path}")
+
+    monkeypatch.setattr(shm, "MmapSegment", refuse)
 
 
 def relation_of(rows, name="test"):

@@ -26,7 +26,6 @@ from repro.engine.shm import (
     publish_matrix,
     resolve_matrix,
 )
-from repro.engine.store import partition_cost_bytes
 from repro.relation import Relation, preprocess
 from repro.relation.preprocess import agree_words
 from repro.relation.validate import constant_on, fold_group_keys
@@ -82,9 +81,9 @@ class TestMmapTransport:
         cleanup()
         assert not os.path.exists(handle.path)
 
-    def test_inline_fallback(self):
+    def test_inline_fallback(self, unwritable_temp_dir):
         matrix = _matrix_of_rows([(1, 2), (3, 4)])
-        handle, cleanup = publish_matrix(matrix, use_mmap=False)
+        handle, cleanup = publish_matrix(matrix)
         assert isinstance(handle, InlineMatrix)
         assert resolve_matrix(handle) is matrix
         cleanup()
@@ -132,8 +131,3 @@ class TestMmapTransport:
         assert _mmap_files() == before
         assert names.MMAP_FILES not in registry_.gauges
         assert names.MMAP_BYTES not in registry_.gauges
-
-
-class TestStoreCostModel:
-    def test_partition_cost_none_for_foreign_objects(self):
-        assert partition_cost_bytes(object()) is None

@@ -11,6 +11,7 @@ from repro.fd import (
     NegativeCover,
     PositiveCover,
     attribute_frequency_priority,
+    attrset,
     minimal_cover_from_fds,
 )
 
@@ -67,13 +68,23 @@ class TestNegativeCover:
         assert cover.covers(FD.of([A, B, G], M))
         assert not cover.covers(FD.of([A, B, M], N))
 
-    def test_add_all_counts_growth(self):
+    def test_add_violations_counts_growth(self):
         cover = NegativeCover(5)
-        added = cover.add_all(
-            [FD.of([A], B), FD.of([A], B), FD.of([A, G], B)]
-        )
-        assert added == 2  # duplicate skipped, specialization evicts
-        assert len(cover) == 1
+        pending: list[FD] = []
+        a, ag = attrset.from_indices([A]), attrset.from_indices([A, G])
+        b, bm = attrset.from_indices([B]), attrset.from_indices([B, M])
+        assert cover.add_violations(a, bm, pending) == 2
+        assert cover.add_violations(a, b, pending) == 0  # duplicate
+        # a specialization grows the cover by evicting its generalization
+        assert cover.add_violations(ag, b, pending) == 1
+        assert pending == [FD.of([A], B), FD.of([A], M), FD.of([A, G], B)]
+        assert set(cover) == {FD.of([A], M), FD.of([A, G], B)}
+
+    def test_add_empty_lhs_seeds_every_varying_column(self):
+        cover = NegativeCover(4)
+        pending: list[FD] = []
+        assert cover.add_empty_lhs((1, 5, 0, 2), pending) == 2
+        assert pending == [FD(0, 1), FD(0, 3)]
 
     def test_iteration_yields_fds(self):
         cover = NegativeCover(3)

@@ -280,11 +280,11 @@ class TestSanitizeProbes:
             calls.append(list(tasks))
             return [fn(*task)[0] for task in tasks]
 
-        def _call_task(fn, payload):  # wall-time payloads: not replayable
+        def _wall_time_task(fn, payload):  # not on the replayable list
             return (payload, 0.0)
 
         tasks = [(None, 1, 2), (None, 3, 4)]
-        mapper(self._FakePool(), _call_task, [(min, 1), (max, 2)])
+        mapper(self._FakePool(), _wall_time_task, [(min, 1), (max, 2)])
         serial = self._FakePool()
         serial.is_serial = True
         mapper(serial, self._task_fn(), tasks)

@@ -1,10 +1,10 @@
 """Tests for the delta execution engine (DESIGN.md §12).
 
-Covers the three delta-maintained layers bottom-up — preprocessing
-(``PreprocessedRelation.append_rows``), the partition store
+Covers the three layers an append passes through bottom-up —
+preprocessing (``PreprocessedRelation.append_rows``), the partition store
 (``PartitionStore.apply_delta``) and the execution context
-(``ExecutionContext.append_rows``) — plus the O(batch) operation-count
-guarantees the layers exist to provide.
+(``ExecutionContext.append_rows``) — plus the shared-buffer guarantees
+that keep an append O(batch).
 """
 
 from __future__ import annotations
@@ -37,14 +37,13 @@ def concatenated(base_rows, batches):
 
 
 class TestAppendRowsEquivalence:
-    @pytest.mark.parametrize("delta", [True, False])
     @pytest.mark.parametrize("null_equals_null", [True, False])
-    def test_matches_scratch_preprocess(self, delta, null_equals_null):
+    def test_matches_scratch_preprocess(self, null_equals_null):
         rng = random.Random(3)
         base = random_rows(rng, 20)
         batches = [random_rows(rng, 4), random_rows(rng, 1), random_rows(rng, 7)]
         data = preprocess(
-            Relation.from_rows(base, NAMES), null_equals_null, delta=delta
+            Relation.from_rows(base, NAMES), null_equals_null, delta=True
         )
         for index, batch in enumerate(batches):
             data = data.append_rows(batch)
@@ -81,11 +80,16 @@ class TestAppendRowsEquivalence:
         grown = data.append_rows([(1, 2, 1, 1), (3, 1, 1, 1)])
         delta = grown.append_delta
         assert delta.first_new == 2
-        assert delta.num_new == 2
         assert delta.num_rows == 4
-        assert len(delta.touched) == 4
-        # ops assertion: exactly batch x columns cells were encoded
-        assert delta.cells_encoded == 2 * 4
+        assert delta.cardinalities == (3, 2, 1, 1)
+        # column a: row 2 joins row 0's cluster; column b: rows 0, 1, 3
+        assert delta.touched == (((0, 2),), ((0, 1, 3),), ((0, 1, 2, 3),),
+                                 ((0, 1, 2, 3),))
+
+    def test_non_delta_snapshot_cannot_grow(self):
+        data = preprocess(Relation.from_rows([(1, 1, 1, 1)], NAMES))
+        with pytest.raises(ValueError, match="delta=True"):
+            data.append_rows([(2, 2, 2, 2)])
 
     def test_old_snapshot_is_isolated_and_stale(self):
         data = preprocess(
@@ -134,68 +138,30 @@ class TestMatrixDeltaMaintenance:
 
 
 class TestStoreDelta:
-    MASKS = [
-        attrset.from_indices([0, 1]),
-        attrset.from_indices([1, 2]),
-        attrset.from_indices([0, 2, 3]),
-        attrset.from_indices([2, 3]),
-    ]
-
-    def test_extended_entries_match_scratch_derivation(self):
-        rng = random.Random(7)
-        base = random_rows(rng, 40)
-        context = ExecutionContext(
-            Relation.from_rows(base, NAMES), delta=True
-        )
-        for mask in self.MASKS:
-            context.partition(mask)
-        batches = [random_rows(rng, 5), random_rows(rng, 2), random_rows(rng, 8)]
-        for index, batch in enumerate(batches):
-            context.append_rows(batch)
-            reference = PartitionStore(
-                preprocess(concatenated(base, batches[: index + 1]))
-            )
-            for mask in self.MASKS:
-                assert context.partitions.get(mask) == reference.get(mask)
-            for attribute in range(4):
-                singleton = attrset.singleton(attribute)
-                assert context.partitions.get(singleton) == reference.get(
-                    singleton
-                )
-            assert context.partitions.get(attrset.EMPTY) == reference.get(
-                attrset.EMPTY
-            )
-        stats = context.partitions.stats()
-        assert stats["delta_applied"] == len(self.MASKS) * len(batches)
-        assert stats["delta_rebuilt"] == 0
-
-    def test_cold_entries_are_released_not_extended(self, monkeypatch):
-        import repro.engine.store as store_module
-
-        monkeypatch.setattr(store_module, "DELTA_EXTEND_LIMIT", 4)
+    def test_cold_entries_are_released_not_extended(self):
+        """An append extends no derived entry: it drops them all, and each
+        one requested again is re-derived from the grown singletons and
+        equals a scratch store's."""
         rng = random.Random(19)
         base = random_rows(rng, 25, spreads=(3, 3, 3, 3))
         context = ExecutionContext(
             Relation.from_rows(base, NAMES), delta=True
         )
-        # more cached derived entries than the per-append extend budget
-        masks = [
-            mask
-            for mask in range(1, 16)
-            if attrset.size(mask) >= 2
-        ]
-        for mask in masks:
-            context.partition(mask)
-        batch = random_rows(rng, 3, spreads=(3, 3, 3, 3))
-        context.append_rows(batch)
-        stats = context.partitions.stats()
-        assert stats["delta_applied"] + stats["delta_rebuilt"] == len(masks)
-        assert stats["delta_applied"] == 4
-        assert stats["delta_rebuilt"] == len(masks) - 4
-        # every entry — extended or re-derived on demand — is exact
-        reference = PartitionStore(preprocess(concatenated(base, [batch])))
-        for mask in masks:
-            assert context.partitions.get(mask) == reference.get(mask)
+        masks = [mask for mask in range(1, 16) if attrset.size(mask) >= 2]
+        batches = [random_rows(rng, 3, spreads=(3, 3, 3, 3)) for _ in range(3)]
+        for index, batch in enumerate(batches):
+            for mask in masks:
+                context.partition(mask)
+            derives = context.partitions.derives
+            context.append_rows(batch)
+            assert not any(mask in context.partitions for mask in masks)
+            assert context.partitions.derives == derives
+            reference = PartitionStore(
+                preprocess(concatenated(base, batches[: index + 1]))
+            )
+            for mask in [attrset.EMPTY, *map(attrset.singleton, range(4)), *masks]:
+                assert context.partitions.get(mask) == reference.get(mask)
+            assert context.partitions.resident_bytes == reference.resident_bytes
 
     def test_sampling_clusters_refresh_after_append(self):
         rng = random.Random(23)

@@ -218,12 +218,6 @@ class TestPartitionStore:
         assert store.misses == 0
         assert store.hits == 4
 
-    def test_put_rejects_foreign_partition(self):
-        store = PartitionStore(preprocess(random_relation(2, rows=10)))
-        foreign = partition_from_labels([0, 0, 1], 3)
-        with pytest.raises(ValueError, match="different relation"):
-            store.put(0b11, foreign)
-
     def test_rejects_non_positive_cache_size(self):
         with pytest.raises(ValueError, match="cache_size"):
             PartitionStore(preprocess(random_relation(2)), cache_size=0)

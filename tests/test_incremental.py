@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import BruteForce
+from repro.algorithms import BruteForce, Fdep
 from repro.core import IncrementalEulerFD
-from repro.datasets import patients
+from repro.datasets import patients, registry
 from repro.fd import FD, inference
 from repro.relation import Relation
 
@@ -120,7 +120,7 @@ class TestValidation:
 class TestDeltaEquivalenceAcrossBackends:
     """K appended batches == from-scratch discovery, on every engine.
 
-    The delta path (in-place matrix growth, partition-store deltas,
+    The delta path (in-place matrix growth, re-pinned singletons,
     touched-cluster pair enumeration) must be invisible in the output:
     identical FD sets to a cold run over the concatenated relation, for
     every backend and for serial and process-parallel pools alike.
@@ -182,6 +182,47 @@ class TestDeltaEquivalenceAcrossBackends:
         assert FD.of([0], 1) in diff.retracted
         assert after.stats["fds_retracted"] >= 1
         assert all(fd in after.fds for fd in diff.added)
+
+
+class TestIngestStream:
+    """A 352-row base of fd-reduced-30[400] at seed 5, then three 16-row
+    batches: a 30-column stream, wider and longer than the ones above."""
+
+    BASE = 352
+    BATCH = 16
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        relation = registry.make("fd-reduced-30", rows=400, seed=5)
+        return relation.column_names, list(relation.iter_rows())
+
+    def _replay(self, stream, exhaustive_base):
+        """The session after the stream, and (rows so far, result) per batch."""
+        names, rows = stream
+        session = IncrementalEulerFD(
+            Relation.from_rows(rows[: self.BASE], names),
+            exhaustive_base=exhaustive_base,
+        )
+        results = []
+        for cursor in range(self.BASE, len(rows), self.BATCH):
+            batch = rows[cursor : cursor + self.BATCH]
+            results.append((cursor + len(batch), session.append(batch)))
+        return session, results
+
+    def test_exhaustive_base_matches_fdep_after_each_batch(self, stream):
+        names, rows = stream
+        _, results = self._replay(stream, exhaustive_base=True)
+        assert len(results) == 3
+        for cursor, result in results:
+            scratch = Fdep().discover(Relation.from_rows(rows[:cursor], names))
+            assert result.fds == scratch.fds, cursor
+
+    @pytest.mark.parametrize("exhaustive_base", [True, False])
+    def test_appends_derive_no_partition(self, stream, exhaustive_base):
+        """Appends read only the singleton partitions, so the store never
+        derives one: dropping its derived entries on append costs nothing."""
+        session, _ = self._replay(stream, exhaustive_base)
+        assert session.context.partitions.stats()["derives"] == 0
 
 
 class TestPropertyExactMaintenance:

@@ -39,7 +39,7 @@ from repro.engine import (
     close_all_pools,
     use_context,
 )
-from repro.engine.shm import publish_matrix
+from repro.engine.shm import InlineMatrix, publish_matrix
 from repro.engine.store import (
     CLUSTER_OVERHEAD_BYTES,
     ENTRY_OVERHEAD_BYTES,
@@ -466,50 +466,15 @@ class TestStoreByteAccounting:
             + ROW_REF_BYTES * partition.num_grouped_rows
         )
 
-    def test_cost_model_returns_none_off_shape(self):
-        assert partition_cost_bytes(object()) is None
-
     def test_resident_bytes_counts_pinned_entries(self):
         store = PartitionStore(preprocess(_wide_relation()))
         assert store.resident_bytes > 0
         assert store.stats()["evicted_bytes"] == 0
 
-    def test_byte_lru_bounds_a_wide_partition_burst(self):
-        data = preprocess(_wide_relation())
-        max_bytes = 4 * 1024
-        store = PartitionStore(data, cache_size=10_000, max_bytes=max_bytes)
-        assert store.max_bytes == max_bytes
-        pinned_only = store.resident_bytes
-        width = data.num_columns
-        for a in range(width):
-            for b in range(a + 1, width):
-                store.get(attrset.from_indices([a, b]))
-                # The byte bound holds after every store, not just at
-                # the end: non-pinned residency never exceeds max_bytes.
-                assert store.resident_bytes - pinned_only <= max_bytes
-        stats = store.stats()
-        assert stats["evictions"] > 0
-        assert stats["evicted_bytes"] > 0
-        assert store.evicted_bytes == stats["evicted_bytes"]
-
-    def test_unsizeable_entries_fall_back_to_entry_count(self):
-        data = preprocess(_wide_relation())
-
-        class OpaquePartition:
-            num_rows = data.num_rows
-
-        store = PartitionStore(data, cache_size=2)
-        before = store.resident_bytes
-        for offset in range(4):
-            store.put(1 << (10 + offset), OpaquePartition())
-        assert store.resident_bytes == before  # no byte accounting
-        assert store.stats()["evictions"] == 2  # entry-count LRU still caps
-        assert store.stats()["evicted_bytes"] == 0
-
     def test_registry_sees_resident_bytes_and_eviction_bytes(self):
         data = preprocess(_wide_relation())
         with collecting_metrics() as registry_:
-            store = PartitionStore(data, cache_size=10_000, max_bytes=2048)
+            store = PartitionStore(data, cache_size=4)
             store.get(attrset.singleton(0))  # pinned: a guaranteed hit
             width = data.num_columns
             for a in range(width):
@@ -518,6 +483,9 @@ class TestStoreByteAccounting:
         assert registry_.gauges[names.PARTITION_CACHE_RESIDENT_BYTES] == float(
             store.resident_bytes
         )
+        stats = store.stats()
+        assert stats["evictions"] == width * (width - 1) // 2 - 4
+        assert stats["evicted_bytes"] == store.evicted_bytes > 0
         assert store.hits > 0
         assert registry_.counters[names.PARTITION_CACHE_HIT] == store.hits
         assert registry_.counters[names.PARTITION_CACHE_EVICTED_BYTES] == float(
@@ -551,11 +519,12 @@ class TestShmGauges:
             cleanup()  # idempotent: a second call must not go negative
             assert registry_.gauges[names.MMAP_FILES] == 0.0
 
-    def test_inline_fallback_publishes_no_gauges(self):
+    def test_inline_fallback_publishes_no_gauges(self, unwritable_temp_dir):
         matrix = np.zeros((8, 2), dtype=np.uint8)
         with collecting_metrics() as registry_:
-            _, cleanup = publish_matrix(matrix, use_mmap=False)
+            handle, cleanup = publish_matrix(matrix)
             cleanup()
+        assert isinstance(handle, InlineMatrix)
         assert names.MMAP_FILES not in registry_.gauges
 
     def test_process_pool_publish_and_close(self):
@@ -658,11 +627,6 @@ class TestEndToEndDiscover:
         assert "repro_mem_phase_sampling_peak_bytes" in text
         # After close the live registry's file gauge drains to zero.
         assert registry_.gauges[names.MMAP_FILES] == 0.0
-
-    def test_max_cache_bytes_flows_into_the_store(self):
-        relation = registry.make("fd-reduced-30", rows=100, seed=5)
-        context = ExecutionContext(relation, max_cache_bytes=8 * 1024)
-        assert context.partitions.max_bytes == 8 * 1024
 
 
 # -- the append phase ------------------------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 import repro.engine.parallel as parallel
 import repro.engine.shm as shm
 from repro.algorithms import create
-from repro.bench.runner import run_algorithm, run_matrix
+from repro.bench.runner import run_algorithm
 from repro.datasets import registry
 from repro.engine import (
     ExecutionContext,
@@ -300,28 +300,23 @@ class TestMatrixTransport:
         finally:
             cleanup()
 
-    def test_inline_fallback_roundtrip(self, sample_data):
-        handle, cleanup = shm.publish_matrix(sample_data.matrix, use_mmap=False)
+    def test_inline_fallback_roundtrip(self, sample_data, unwritable_temp_dir):
+        handle, cleanup = shm.publish_matrix(sample_data.matrix)
         assert isinstance(handle, shm.InlineMatrix)
         assert shm.resolve_matrix(handle) is sample_data.matrix
         cleanup()
 
-    def test_pickle_fallback_roundtrip(self, sample_data):
+    def test_pickle_fallback_roundtrip(self, sample_data, unwritable_temp_dir):
         """Process pools ship the inline fallback by pickling it per task."""
-        handle, cleanup = shm.publish_matrix(sample_data.matrix, use_mmap=False)
+        handle, cleanup = shm.publish_matrix(sample_data.matrix)
         shipped = pickle.loads(pickle.dumps(handle))
         resolved = shm.resolve_matrix(shipped)
         assert resolved.dtype == sample_data.matrix.dtype
         assert (resolved == sample_data.matrix).all()
         cleanup()
 
-    def test_discovery_on_inline_fallback(self, monkeypatch, tiny_thresholds):
+    def test_discovery_on_inline_fallback(self, unwritable_temp_dir, tiny_thresholds):
         """An unwritable temp dir still parallelizes correctly."""
-        monkeypatch.setattr(
-            parallel,
-            "publish_matrix",
-            lambda matrix: shm.publish_matrix(matrix, use_mmap=False),
-        )
         relation = registry.make("fd-reduced-30", rows=300, seed=3)
         baseline = _discover("fdep", relation, "serial")
         result = _discover("fdep", relation, 2)
@@ -426,24 +421,6 @@ class TestMatrixTransport:
 
 
 class TestBenchIntegration:
-    def test_run_matrix_matches_serial(self, tiny_thresholds):
-        relations = [
-            registry.make("iris", rows=80, seed=1),
-            registry.make("fd-reduced-30", rows=150, seed=2),
-        ]
-        serial = run_matrix(relations, algorithms=["Fdep", "EulerFD"], jobs="serial")
-        fanned = run_matrix(
-            relations, algorithms=["Fdep", "EulerFD"], jobs="process:2"
-        )
-        assert list(serial) == list(fanned)
-        for key, run in serial.items():
-            assert fanned[key].fds == run.fds, key
-            assert fanned[key].stats == run.stats, key
-
-    def test_run_matrix_rejects_unknown_algorithm(self):
-        with pytest.raises(KeyError):
-            run_matrix([registry.make("iris", rows=20, seed=1)], algorithms=["Nope"])
-
     def test_parallel_efficiency_populated(self, tiny_thresholds):
         relation = registry.make("fd-reduced-30", rows=300, seed=3)
         serial = run_algorithm(create("fdep").__class__, relation, jobs="serial")

@@ -103,7 +103,6 @@ class TestLabelDtype:
         data = preprocess(Relation.from_rows(base, ["a", "b"]), delta=True)
         assert data.matrix.dtype == np.uint8
         grown = data.append_rows([(value, value % 7) for value in range(250, 300)])
-        assert grown.append_delta.promotion == ("uint8", "uint16")
         assert grown.matrix.dtype == np.uint16
         assert grown.matrix.flags.c_contiguous
         # the pre-append snapshot keeps its own narrow buffer
@@ -114,8 +113,8 @@ class TestLabelDtype:
         ))
         assert np.array_equal(grown.matrix, scratch.matrix)
         assert grown.matrix.dtype == scratch.matrix.dtype
-        # no crossing, no promotion
-        assert grown.append_rows([(1, 1)]).append_delta.promotion is None
+        # no crossing: the next append keeps the widened buffer
+        assert grown.append_rows([(1, 1)]).matrix.dtype == np.uint16
 
 
 class TestNullSemantics:
@@ -159,8 +158,8 @@ class TestNullSemantics:
             fds = create("tane").discover(relation).fds
         assert fds == {FD(0, 0), FD(0, 1)}
 
-    def test_bootstrapped_append_keeps_nan_as_null(self):
-        data = preprocess(Relation.from_rows([(float("nan"),)], ["a"]))
+    def test_append_keeps_nan_as_null(self):
+        data = preprocess(Relation.from_rows([(float("nan"),)], ["a"]), delta=True)
         grown = data.append_rows([(float("nan"),), (None,)])
         assert grown.matrix[:, 0].tolist() == [0, 0, 0]
 
