@@ -10,7 +10,10 @@ The example streams a day of orders at a time into the profiler and
 watches dependencies fall as real-world mess accumulates.  The whole
 session runs under the observability recorder (``repro.obs``), so at
 the end the per-phase wall-time tree shows where the maintenance work
-went — each day's ``append`` span with its nested ``inversion``.
+went — each day's ``append`` span with its nested steps:
+``append_rows`` (encoding the batch), ``append_compare`` (comparing the
+new rows with their cluster-mates), ``inversion`` (specializing the
+cover) and ``append_snapshot`` (the refreshed result).
 
 Run with:  python examples/incremental_profiling.py
 """

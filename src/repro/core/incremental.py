@@ -10,7 +10,8 @@ inversion machinery can absorb batches of new rows without starting over.
 :class:`IncrementalEulerFD` keeps the covers alive across appends:
 
 * the **base** relation is profiled once — either exhaustively (every
-  tuple pair, exact) or with EulerFD's sampling (approximate);
+  tuple pair, exact) or with EulerFD's sampling (approximate); the
+  sampler is dropped afterwards, since nothing samples an append;
 * each **append** flows through the delta execution engine
   (DESIGN.md §12): the owned :class:`~repro.engine.ExecutionContext`
   grows its preprocessed label matrix and singleton partitions in
@@ -19,13 +20,18 @@ inversion machinery can absorb batches of new rows without starting over.
   those touched clusters — every pair involving a new tuple that could
   violate anything, deduplicated across attributes in one vectorized
   ``np.unique`` — and their agree masks stream through the same
-  incremental inverter.
+  incremental inverter;
+* the **result** is a live FD set: the first snapshot seeds it from the
+  positive cover, and each later append replays the inverter's cover
+  edits onto it, so a snapshot is one frozenset copy and its
+  ``fds_added``/``fds_retracted`` are the edits' net effect.
 
 With an exhaustive base, the maintained cover stays exact after every
 append (property-tested against from-scratch discovery); with a sampled
 base it keeps EulerFD's approximation guarantees while doing only
 O(batch × cluster) work per append — no re-encoding, no per-row Python
-grouping loop, and no derived partition: the append path reads none.
+grouping loop, no derived partition (the append path reads none), and no
+rebuild of the result from the cover.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ from ..fd import FD, NegativeCover, attrset
 from ..obs import count, phase
 from ..obs.names import (
     APPEND,
+    APPEND_COMPARE,
+    APPEND_SNAPSHOT,
     INCREMENTAL_PAIRS_COMPARED,
     INCREMENTAL_ROWS_TOTAL,
     INVERSION,
@@ -50,7 +58,7 @@ from ..obs.names import (
 from ..relation.preprocess import AppendDelta, decode_agree_words
 from ..relation.relation import Relation
 from .config import EulerFDConfig
-from .inversion import Inverter
+from .inversion import CoverEdit, Inverter
 from .result import DiscoveryResult, Stopwatch, make_result
 from .sampler import SamplingModule
 
@@ -86,8 +94,12 @@ class IncrementalEulerFD:
         self.ncover = NegativeCover(self.num_attributes)
         self.inverter = Inverter(self.num_attributes)
         self._seen: dict[int, int] = {}
-        self._last_fds: frozenset[FD] | None = None
-        self.sampler: SamplingModule | None = None
+        # The cover as FDs, seeded by the first snapshot.  Each later
+        # append replays the inverter's edits onto it, and the next
+        # snapshot reports their net effect.
+        self._live: set[FD] | None = None
+        self._added = 0
+        self._retracted = 0
         self.appends = 0
         self.pairs_compared = 0
         self._profile_base()
@@ -102,7 +114,9 @@ class IncrementalEulerFD:
         """Insert ``rows`` and return the refreshed discovery result.
 
         The result's ``stats`` carry ``fds_added`` / ``fds_retracted``
-        relative to the previous snapshot; callers wanting the FDs
+        relative to the previous snapshot (this append's result, or a
+        :meth:`current_result` taken since); the first snapshot has no
+        previous one and carries neither.  Callers wanting the FDs
         themselves diff two results via :meth:`DiscoveryResult.diff`.
 
         Mutates: self
@@ -117,15 +131,18 @@ class IncrementalEulerFD:
         with phase(APPEND, batch=self.appends, rows=len(rows)):
             count(INCREMENTAL_ROWS_TOTAL, len(rows))
             delta = self.context.append_rows(rows)
-            if self.sampler is not None:
-                self.sampler.extend_clusters(delta, self.context.data)
-            pending = self._compare_new_rows(delta)
+            with phase(APPEND_COMPARE, batch=self.appends):
+                pending = self._compare_new_rows(delta)
             with phase(INVERSION, batch=self.appends):
-                self.inverter.process(pending)
-            return self._snapshot(watch)
+                self._invert(pending)
+            with phase(APPEND_SNAPSHOT, batch=self.appends):
+                return self._snapshot(watch)
 
     def current_result(self) -> DiscoveryResult:
-        """The current cover without new work."""
+        """The current cover without new work: a snapshot, like an append's.
+
+        Mutates: self
+        """
         return self._snapshot(Stopwatch())
 
     # -- internals ----------------------------------------------------------------
@@ -141,9 +158,6 @@ class IncrementalEulerFD:
                     self._admit(agree, self._universe & ~agree, pending)
                 self.pairs_compared += data.num_rows * (data.num_rows - 1) // 2
             else:
-                # The sampler outlives the base profile: appends extend its
-                # cluster states in place, so a streaming driver can keep
-                # sampling never-compared pairs of the grown relation.
                 sampler = SamplingModule(
                     data,
                     self.config,
@@ -158,7 +172,6 @@ class IncrementalEulerFD:
                         self._admit(agree, novel, pending)
                     sampler.revive()
                 self.pairs_compared += sampler.total_pairs
-                self.sampler = sampler
             self.inverter.process(pending)
 
     def _compare_new_rows(self, delta: AppendDelta) -> list[FD]:
@@ -216,23 +229,60 @@ class IncrementalEulerFD:
         self._seen[agree] = prior | novel
         self.ncover.add_violations(agree, novel, pending)
 
+    def _invert(self, pending: list[FD]) -> None:
+        """Invert ``pending`` and replay the cover's edits onto the live set.
+
+        Until the first snapshot seeds the live set, no edit is kept.  A
+        removed FD generalizes a processed non-FD, so it is invalid for
+        good (Lemma 1) and no later edit adds it back: an FD that the
+        batch both adds and removes was added first, and counts for
+        neither.
+
+        Mutates: self
+        """
+        live = self._live
+        if live is None:
+            self.inverter.process(pending)
+            return
+        edits: list[CoverEdit] = []
+        self.inverter.process(pending, edits)
+        born = {FD(lhs, rhs) for rhs, _, added in edits for lhs in added}
+        gone = {FD(lhs, rhs) for rhs, removed, _ in edits for lhs in removed}
+        size = len(live)
+        live -= gone
+        self._retracted += size - len(live)
+        born -= gone
+        live |= born
+        self._added += len(born)
+
     def _snapshot(self, watch: Stopwatch) -> DiscoveryResult:
-        # DiscoveryResult stores a frozenset and sorts when iterated, so
-        # sorting here first would only be thrown away.
-        fds = frozenset(self.inverter.pcover)  # pragma: repro-lint ordered
+        """The result over the live FD set.
+
+        The first snapshot seeds the set from the cover and reports no
+        ``fds_added``/``fds_retracted``: there is no previous result to
+        count them against.
+
+        Mutates: self
+        """
+        live = self._live
+        first = live is None
+        if live is None:
+            # DiscoveryResult stores a frozenset and sorts when iterated,
+            # so the live set needs no order.
+            live = self._live = set(self.inverter.pcover)  # pragma: repro-lint ordered
         stats: dict[str, Any] = {
             "appends": self.appends,
             "pairs_compared": self.pairs_compared,
             "ncover_size": len(self.ncover),
-            "pcover_size": len(fds),
+            "pcover_size": len(live),
             "exhaustive_base": self.exhaustive_base,
         }
-        previous = self._last_fds
-        if previous is not None:
-            stats["fds_added"] = len(fds - previous)
-            stats["fds_retracted"] = len(previous - fds)
-        result = make_result(
-            fds,
+        if not first:
+            stats["fds_added"] = self._added
+            stats["fds_retracted"] = self._retracted
+        self._added = self._retracted = 0
+        return make_result(
+            frozenset(live),
             "IncrementalEulerFD",
             self._name,
             self.num_rows,
@@ -241,5 +291,3 @@ class IncrementalEulerFD:
             watch,
             stats=stats,
         )
-        self._last_fds = fds
-        return result

@@ -32,6 +32,10 @@ from ..obs.names import (
 )
 
 
+CoverEdit = tuple[int, list[int], list[int]]
+"""One specialization's ``(rhs, removed LHS masks, added LHS masks)``."""
+
+
 @dataclass
 class InversionStats:
     """Bookkeeping of one inversion run."""
@@ -48,10 +52,17 @@ class Inverter:
         self.num_attributes = num_attributes
         self.pcover = PositiveCover(num_attributes)
 
-    def process(self, non_fds: Iterable[FD]) -> InversionStats:
+    def process(
+        self, non_fds: Iterable[FD], edits: list[CoverEdit] | None = None
+    ) -> InversionStats:
         """Invert a batch of non-FDs into the positive cover (Alg. 3, 11-20).
 
-        Mutates: self
+        When ``edits`` is given, every specialization that changed the
+        cover appends its ``(rhs, removed, added)`` LHS masks to it, in
+        the order applied, so a caller can replay the batch onto a copy
+        of the cover's FDs.
+
+        Mutates: self, edits
             (specializes ``self.pcover`` in place; the batch itself is
             only read)
         """
@@ -59,8 +70,10 @@ class Inverter:
         pcover = self.pcover
         for non_fd in sort_for_cover_insertion(non_fds):
             removed, added = pcover.specialize(non_fd)
-            stats.candidates_removed += removed
-            stats.candidates_added += added
+            if removed and edits is not None:
+                edits.append((non_fd.rhs, removed, added))
+            stats.candidates_removed += len(removed)
+            stats.candidates_added += len(added)
             stats.non_fds_processed += 1
         count(INVERTER_NON_FDS_INVERTED, stats.non_fds_processed)
         count(INVERTER_CANDIDATES_REMOVED, stats.candidates_removed)

@@ -191,10 +191,11 @@ class PositiveCover:
         ]
         self._size = num_attributes
 
-    def specialize(self, non_fd: FD) -> tuple[int, int]:
+    def specialize(self, non_fd: FD) -> tuple[list[int], list[int]]:
         """Apply one non-FD ``X -/-> A`` (Algorithm 3, lines 12-20).
 
-        Returns ``(removed, added)``.  Every stored ``g ⊆ X`` is invalid
+        Returns ``(removed, added)``, the LHS masks that left and entered
+        ``A``'s antichain.  Every stored ``g ⊆ X`` is invalid
         (Lemma 1) and is replaced by each ``g ∪ {b}``, ``b ∉ X ∪ {A}``,
         that has no stored generalization.  A surviving entry ``L`` is
         not a subset of ``X`` while ``g`` is, so ``L ⊆ g ∪ {b}`` exactly
@@ -215,14 +216,15 @@ class PositiveCover:
         for word, out in zip(words[1:], outside[1:]):
             invalid &= (word & out) == 0
         if not invalid.any():
-            return 0, 0
+            return [], []
         valid = ~invalid
         survivors = [word[valid] for word in words]
         generals = [word[invalid] for word in words]
         blocked = _single_bit_differences(survivors, generals)
         extensions = self._universe & ~non_fd.lhs & ~attrset.singleton(rhs)
+        removed = _join(generals)
         fresh: list[int] = []
-        for general, covered in zip(_join(generals), _join(blocked)):
+        for general, covered in zip(removed, _join(blocked)):
             free = extensions & ~covered
             while free:
                 bit = free & -free
@@ -232,9 +234,8 @@ class PositiveCover:
         self._words[rhs] = [
             np.concatenate((kept, new)) for kept, new in zip(survivors, added)
         ]
-        removed = len(generals[0])
-        self._size += len(fresh) - removed
-        return removed, len(fresh)
+        self._size += len(fresh) - len(removed)
+        return removed, fresh
 
     def lhs_masks(self, rhs: int) -> list[int]:
         """The stored minimal LHS masks for attribute ``rhs``, sorted.

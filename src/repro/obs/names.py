@@ -97,6 +97,8 @@ AGREE_SETS = "agree_sets"
 TANE_LEVEL = "level"
 PROFILE_BASE = "profile_base"
 APPEND = "append"
+APPEND_COMPARE = "append_compare"
+APPEND_SNAPSHOT = "append_snapshot"
 
 CATALOG: dict[str, str] = {
     PARTITION_CACHE_HIT: "Partition-store lookups served from cache",
@@ -153,6 +155,8 @@ CATALOG: dict[str, str] = {
     TANE_LEVEL: "One Tane lattice level",
     PROFILE_BASE: "The incremental profiler's base-relation profile",
     APPEND: "One incremental append, up to the refreshed result",
+    APPEND_COMPARE: "Comparing an append's new rows with their cluster-mates",
+    APPEND_SNAPSHOT: "Freezing the live FD set into an append's result",
 }
 """Every catalogued name mapped to its one-line help text."""
 

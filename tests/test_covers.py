@@ -145,24 +145,25 @@ class TestPositiveCover:
 
     def test_add_blocked_by_generalization(self):
         cover = PositiveCover(4)
-        assert cover.specialize(FD.of([0], 3)) == (1, 2)  # {} -> {1}, {2}
+        # {} -> {1}, {2}
+        assert cover.specialize(FD.of([0], 3)) == ([0], [0b010, 0b100])
         # {1} is invalid; {1, 0} is new but {1, 2} is blocked by {2}.
-        assert cover.specialize(FD.of([1], 3)) == (1, 1)
+        assert cover.specialize(FD.of([1], 3)) == ([0b010], [0b011])
         assert cover.lhs_masks(3) == [0b011, 0b100]
         assert len(cover) == 5
 
     def test_remove(self):
         cover = PositiveCover(3)
-        assert cover.specialize(FD(0, 1)) == (1, 2)
+        assert cover.specialize(FD(0, 1)) == ([0], [0b001, 0b100])
         assert FD(0, 1) not in cover
-        assert cover.specialize(FD(0, 1)) == (0, 0)
+        assert cover.specialize(FD(0, 1)) == ([], [])
         assert len(cover) == 4
 
     def test_find_generalizations(self):
         cover = PositiveCover(4)
         cover.specialize(FD(0, 3))  # {} -> {0}, {1}, {2}
         # {0} and {1} generalize {0, 1}; both extensions by 2 are blocked.
-        assert cover.specialize(FD.of([0, 1], 3)) == (2, 0)
+        assert cover.specialize(FD.of([0, 1], 3)) == ([0b001, 0b010], [])
         assert cover.lhs_masks(3) == [0b100]
         assert cover.lhs_masks(1) == [0]
 
@@ -181,7 +182,9 @@ class TestPositiveCover:
 
     def test_membership_across_words(self):
         cover = PositiveCover(70)
-        cover.specialize(FD(0, 69))
+        removed, added = cover.specialize(FD(0, 69))
+        assert removed == [0]
+        assert added == [1 << attribute for attribute in range(69)]
         assert FD.of([64], 69) in cover and FD.of([63], 69) in cover
         assert FD.of([63, 64], 69) not in cover
         assert FD.of([70], 69) not in cover  # outside the universe

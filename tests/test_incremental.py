@@ -196,33 +196,79 @@ class TestIngestStream:
         relation = registry.make("fd-reduced-30", rows=400, seed=5)
         return relation.column_names, list(relation.iter_rows())
 
-    def _replay(self, stream, exhaustive_base):
-        """The session after the stream, and (rows so far, result) per batch."""
+    @pytest.fixture(scope="class")
+    def replays(self, stream):
+        """Per base: the session after the stream, and per batch the rows
+        so far, the result and the inverter's cover at that point."""
         names, rows = stream
-        session = IncrementalEulerFD(
-            Relation.from_rows(rows[: self.BASE], names),
-            exhaustive_base=exhaustive_base,
-        )
-        results = []
-        for cursor in range(self.BASE, len(rows), self.BATCH):
-            batch = rows[cursor : cursor + self.BATCH]
-            results.append((cursor + len(batch), session.append(batch)))
-        return session, results
+        replays = {}
+        for exhaustive_base in (True, False):
+            session = IncrementalEulerFD(
+                Relation.from_rows(rows[: self.BASE], names),
+                exhaustive_base=exhaustive_base,
+            )
+            results = []
+            for cursor in range(self.BASE, len(rows), self.BATCH):
+                batch = rows[cursor : cursor + self.BATCH]
+                result = session.append(batch)
+                cover = frozenset(session.inverter.pcover)
+                results.append((cursor + len(batch), result, cover))
+            replays[exhaustive_base] = session, results
+        return replays
 
-    def test_exhaustive_base_matches_fdep_after_each_batch(self, stream):
+    def test_exhaustive_base_matches_fdep_after_each_batch(self, stream, replays):
         names, rows = stream
-        _, results = self._replay(stream, exhaustive_base=True)
+        _, results = replays[True]
         assert len(results) == 3
-        for cursor, result in results:
+        for cursor, result, _ in results:
             scratch = Fdep().discover(Relation.from_rows(rows[:cursor], names))
             assert result.fds == scratch.fds, cursor
 
     @pytest.mark.parametrize("exhaustive_base", [True, False])
-    def test_appends_derive_no_partition(self, stream, exhaustive_base):
+    def test_appends_derive_no_partition(self, replays, exhaustive_base):
         """Appends read only the singleton partitions, so the store never
         derives one: dropping its derived entries on append costs nothing."""
-        session, _ = self._replay(stream, exhaustive_base)
+        session, _ = replays[exhaustive_base]
         assert session.context.partitions.stats()["derives"] == 0
+
+    @pytest.mark.parametrize("exhaustive_base", [True, False])
+    def test_counts_are_exact(self, replays, exhaustive_base):
+        """Every result is the inverter's cover, and its counts are the
+        set differences from the previous result; the first result has
+        no previous one, so it carries no counts."""
+        _, results = replays[exhaustive_base]
+        previous = None
+        for _, result, cover in results:
+            assert result.fds == cover
+            if previous is None:
+                assert "fds_added" not in result.stats
+            else:
+                assert_counts_match_diff(previous, result)
+            previous = result
+
+    def test_counts_around_current_result(self, stream):
+        """A snapshot between appends reports 0/0, and the next append
+        counts against it."""
+        names, rows = stream
+        session = IncrementalEulerFD(
+            Relation.from_rows(rows[:16], names), exhaustive_base=True
+        )
+        before = session.current_result()
+        assert "fds_added" not in before.stats
+        first = session.append(rows[16:32])
+        assert_counts_match_diff(before, first)
+        between = session.current_result()
+        assert between.fds == first.fds
+        assert (between.stats["fds_added"], between.stats["fds_retracted"]) == (0, 0)
+        second = session.append(rows[32:48])
+        assert_counts_match_diff(between, second)
+        assert second.stats["fds_added"] > 0 and second.stats["fds_retracted"] > 0
+        assert second.fds == frozenset(session.inverter.pcover)
+
+
+def assert_counts_match_diff(previous, result):
+    assert result.stats["fds_added"] == len(result.fds - previous.fds)
+    assert result.stats["fds_retracted"] == len(previous.fds - result.fds)
 
 
 class TestPropertyExactMaintenance:

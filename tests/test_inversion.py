@@ -55,6 +55,19 @@ def reference_inversion(
     return fds, removed, added
 
 
+def replay_edits(fds: set[FD], edits) -> None:
+    """Apply an inverter's ``(rhs, removed, added)`` edits in order.
+
+    Every removed FD must be in ``fds`` and every added one must not.
+    """
+    for rhs, removed, added in edits:
+        for lhs in removed:
+            fds.remove(FD(lhs, rhs))
+        for lhs in added:
+            assert FD(lhs, rhs) not in fds
+            fds.add(FD(lhs, rhs))
+
+
 def wide_non_fds(width: int):
     """Non-FD lists over ``width`` attributes, biased to word boundaries.
 
@@ -137,9 +150,11 @@ class TestIncrementalEquivalence:
         inverter = Inverter(5)
         inverter.process(non_fds)
         snapshot = set(inverter.pcover)
-        stats = inverter.process(non_fds)
+        edits: list = []
+        stats = inverter.process(non_fds, edits)
         assert set(inverter.pcover) == snapshot
         assert stats.candidates_removed == 0
+        assert edits == []  # only a change of the cover is an edit
 
 
 class TestAgainstOracle:
@@ -202,9 +217,15 @@ class TestAcrossWordBoundaries:
         cut = data.draw(st.integers(min_value=0, max_value=len(non_fds)))
         batches = [non_fds[:cut], non_fds[cut:]]
         inverter = Inverter(width)
-        stats = [inverter.process(batch) for batch in batches]
+        edits: list = []
+        stats = [inverter.process(batch, edits) for batch in batches]
         expected, removed, added = reference_inversion(batches, width)
         assert list(inverter.pcover) == expected
+        replayed = set(Inverter(width).pcover)
+        replay_edits(replayed, edits)
+        assert replayed == set(inverter.pcover)
+        assert sum(len(lhss) for _, lhss, _ in edits) == removed
+        assert sum(len(lhss) for _, _, lhss in edits) == added
         assert len(inverter.pcover) == len(expected)
         assert sum(s.candidates_removed for s in stats) == removed
         assert sum(s.candidates_added for s in stats) == added

@@ -656,6 +656,35 @@ class TestAppendPhase:
         assert histogram.total == pytest.approx(1.0)
         assert registry_.counters[names.INCREMENTAL_ROWS_TOTAL] == 16.0
 
+    def test_each_append_step_is_a_phase_inside_the_append(self):
+        """Encode, compare, inversion and snapshot: one observation each
+        per append, together within the append's own time."""
+        relation = registry.make("fd-reduced-30", rows=80, seed=5)
+        rows = list(relation.iter_rows())
+        session = IncrementalEulerFD(
+            Relation.from_rows(rows[:48], relation.column_names)
+        )
+        # tick=1: every phase lasts a whole number of readings, so the
+        # sum below is exact.
+        clock = FakeClock(tick=1.0)
+        with collecting_metrics(MetricsRegistry(clock=clock)) as registry_:
+            session.append(rows[48:64])
+            session.append(rows[64:])
+        histograms = registry_.histograms
+        append = histograms[names.phase_seconds(names.APPEND)]
+        steps = [
+            histograms[names.phase_seconds(step)]
+            for step in (
+                names.APPEND_ROWS,
+                names.APPEND_COMPARE,
+                names.INVERSION,
+                names.APPEND_SNAPSHOT,
+            )
+        ]
+        assert append.count == 2
+        assert [step.count for step in steps] == [2, 2, 2, 2]
+        assert sum(step.total for step in steps) <= append.total
+
 
 # -- the zero-overhead-when-disabled promise -----------------------------------
 
