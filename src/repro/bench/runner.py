@@ -18,7 +18,7 @@ from typing import Any
 
 from ..algorithms import AidFd, EulerFD, Fdep, HyFD, Tane, TaneBudgetExceeded
 from ..core.result import DiscoveryResult
-from ..engine import Backend, ExecutionContext, PoolSpec, WorkerPool, use_context
+from ..engine import Backend, ExecutionContext, WorkerPool, use_context
 from ..fd import FD
 from ..metrics import fd_set_metrics, timed
 from ..obs import Recorder, RunTelemetry, recording
@@ -91,7 +91,7 @@ def run_algorithm(
     trace: bool = False,
     context: ExecutionContext | None = None,
     backend: str | Backend | None = None,
-    jobs: int | str | PoolSpec | WorkerPool | None = None,
+    jobs: int | str | WorkerPool | None = None,
 ) -> AlgorithmRun:
     """Run one algorithm, translating budget blow-ups into skip markers.
 
@@ -121,7 +121,7 @@ def _execute(
     repeats: int,
     context: ExecutionContext | None,
     backend: str | Backend | None,
-    jobs: int | str | PoolSpec | WorkerPool | None = None,
+    jobs: int | str | WorkerPool | None = None,
 ) -> AlgorithmRun:
     if context is None:
         context = ExecutionContext(relation, backend=backend, jobs=jobs)

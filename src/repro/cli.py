@@ -131,9 +131,10 @@ def add_backend_argument(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help=(
-            "worker pool for pair-sampling and validation: N or "
-            "process:N for a process pool, thread:N for threads, serial "
-            "to force the inline path (default: $REPRO_JOBS or serial)"
+            "worker processes for the agree-set sweeps and validation: "
+            "N or process:N for N workers, process for one per CPU, "
+            "serial or 1 for the inline path (default: $REPRO_JOBS or "
+            "serial); EulerFD's sampling always runs inline"
         ),
     )
 
@@ -145,7 +146,7 @@ def _engine_line(context: ExecutionContext) -> str:
     line = f"engine: backend={context.backend.name}"
     pool = context.pool
     if not pool.is_serial:
-        line += f" jobs={pool.kind}:{pool.jobs}"
+        line += f" jobs={pool.jobs}"
     return f"{line} partition-cache: {traffic}"
 
 

@@ -56,12 +56,7 @@ class EulerFD:
         pending: list[FD] = []
         ncover.add_empty_lhs(data.cardinalities, pending)
 
-        sampler = SamplingModule(
-            data,
-            config,
-            clusters=context.sampling_clusters(),
-            pool=context.pool,
-        )
+        sampler = SamplingModule(data, config, clusters=context.sampling_clusters())
         cycles = 0
         rounds = 0
         inversions = 0

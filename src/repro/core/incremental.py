@@ -159,10 +159,7 @@ class IncrementalEulerFD:
                 self.pairs_compared += data.num_rows * (data.num_rows - 1) // 2
             else:
                 sampler = SamplingModule(
-                    data,
-                    self.config,
-                    clusters=self.context.sampling_clusters(),
-                    pool=self.pool,
+                    data, self.config, clusters=self.context.sampling_clusters()
                 )
                 while sampler.has_more():
                     violations, stats = sampler.run_pass()

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..engine.parallel import WorkerPool, agree_masks_sharded
 from ..fd import attrset
 from ..obs import count, gauge
 from ..obs.names import (
@@ -44,7 +43,11 @@ from ..obs.names import (
     SAMPLER_REVIVED_CLUSTERS,
     SAMPLER_WINDOW_HITS,
 )
-from ..relation.preprocess import PreprocessedRelation, decode_agree_words
+from ..relation.preprocess import (
+    PreprocessedRelation,
+    agree_words,
+    decode_agree_words,
+)
 from .config import EulerFDConfig, MlfqPolicy
 from .mlfq import MultilevelFeedbackQueue
 
@@ -157,20 +160,21 @@ class RoundStats:
 
 
 class SamplingModule:
-    """Stateful sampler shared by both cycles of EulerFD."""
+    """Stateful sampler shared by both cycles of EulerFD.
+
+    Every comparison runs inline, never on a worker pool: the MLFQ works
+    through one small sample at a time, so a dispatch per sample would
+    add latency and no throughput.
+    """
 
     def __init__(
         self,
         data: PreprocessedRelation,
         config: EulerFDConfig,
         clusters: list[tuple[int, ...]],
-        pool: WorkerPool | None = None,
     ) -> None:
         self.data = data
         self.config = config
-        # The execution context's worker pool; None (standalone use)
-        # runs the agree-mask kernel inline.
-        self._pool = pool
         self._universe = attrset.universe(data.num_columns)
         # The execution context's shared, deduplicated cluster list.
         self._clusters = [
@@ -354,8 +358,8 @@ class SamplingModule:
             first = np.concatenate([np.arange(n) for n in counts])
             last = first + np.repeat(np.arange(window - 1, size), counts)
             rows = np.array([cluster.rows for cluster in members], dtype=np.intp)
-            table = agree_masks_sharded(
-                self._pool, self.data, rows[:, first].ravel(), rows[:, last].ravel()
+            table = agree_words(
+                self.data.matrix, rows[:, first].ravel(), rows[:, last].ravel()
             )
             for index, cluster in enumerate(members):
                 cluster.table = table
@@ -377,9 +381,8 @@ class SamplingModule:
             if cluster.row_index is None:
                 cluster.row_index = np.asarray(cluster.rows, dtype=np.intp)
             rows = cluster.row_index
-            words = agree_masks_sharded(
-                self._pool,
-                self.data,
+            words = agree_words(
+                self.data.matrix,
                 rows[:num_positions],
                 rows[window - 1 :],
                 distinct=True,

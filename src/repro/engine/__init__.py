@@ -13,13 +13,14 @@ validation work behind a pluggable :class:`Backend`:
   kernels over the narrow row-major label matrix and a dict-based
   pure-Python oracle, selectable per call, via ``--backend`` on the CLIs,
   or the ``REPRO_BACKEND`` environment variable;
-* :class:`WorkerPool` (:mod:`repro.engine.parallel`) — sharded
-  pair-sampling and validation across serial/thread/process executors,
-  selected via ``--jobs`` on the CLIs or the ``REPRO_JOBS`` environment
-  variable, with the label matrix written once to a memory-mapped temp
-  file that process workers attach to without any copy
-  (:mod:`repro.engine.shm`); chunk plans are fixed and merges happen by
-  chunk index, so results are byte-identical at any worker count.
+* :class:`WorkerPool` (:mod:`repro.engine.parallel`) — the agree-set
+  sweeps and validation sharded across a process pool of N workers (1
+  runs inline), selected via ``--jobs`` on the CLIs or the
+  ``REPRO_JOBS`` environment variable, with the label matrix written
+  once to a memory-mapped temp file that each worker task maps without
+  any copy (:mod:`repro.engine.shm`); chunk plans are fixed and merges
+  happen by chunk index, so results are byte-identical at any worker
+  count.
 
 Callers running several algorithms over one dataset install a shared
 context with :func:`use_context`; ``discover(relation)`` implementations
@@ -43,13 +44,12 @@ from .context import (
 )
 from .parallel import (
     JOBS_ENV,
-    PoolSpec,
     WorkerPool,
     agree_masks_sharded,
     close_all_pools,
     distinct_agree_masks_sharded,
     get_pool,
-    resolve_spec,
+    resolve_jobs,
 )
 from .store import DEFAULT_CACHE_SIZE, PartitionStore
 
@@ -61,7 +61,6 @@ __all__ = [
     "JOBS_ENV",
     "NumpyBackend",
     "PartitionStore",
-    "PoolSpec",
     "PythonBackend",
     "Validation",
     "WorkerPool",
@@ -73,6 +72,6 @@ __all__ = [
     "distinct_agree_masks_sharded",
     "get_backend",
     "get_pool",
-    "resolve_spec",
+    "resolve_jobs",
     "use_context",
 ]

@@ -40,7 +40,6 @@ from ..relation.relation import Relation
 from .backends import Backend, get_backend
 from .parallel import (
     MIN_GROUPS_PER_WORKER,
-    PoolSpec,
     WorkerPool,
     get_pool,
     validate_groups_sharded,
@@ -71,7 +70,7 @@ class ExecutionContext:
         *,
         backend: str | Backend | None = None,
         null_equals_null: bool = True,
-        jobs: int | str | PoolSpec | WorkerPool | None = None,
+        jobs: int | str | WorkerPool | None = None,
         delta: bool = False,
     ) -> None:
         self.backend = get_backend(backend)

@@ -1,10 +1,10 @@
-"""The worker pool: sharded pair-sampling and validation (DESIGN.md §9).
+"""The worker pool: sharded agree-set sweeps and validation (DESIGN.md §9).
 
-Every hot loop of the reproduction — cluster pair-sampling, the Fdep and
-incremental agree-set sweeps, batched candidate validation — is
-embarrassingly parallel *inside one step* while the control loop around
-it (MLFQ scheduling, capa feedback, the seen-dict, growth rates) must
-stay sequential for the paper's results to replicate.  This module
+The large kernels of the reproduction — HyFD's and AID-FD's per-distance
+sweeps, the Fdep and incremental agree-set sweeps, batched candidate
+validation — are embarrassingly parallel *inside one step* while the
+control loop around them (the seen-dict, covers, growth rates) must stay
+sequential for the paper's results to replicate.  This module
 supplies exactly that split: a :class:`WorkerPool` executes
 deterministic chunk plans, and the coordinator keeps every stateful
 merge.
@@ -14,31 +14,30 @@ Determinism is structural, not best-effort:
 * chunks are cut in fixed order (:func:`chunk_ranges` /
   :func:`chunk_pairs` are pure functions of the input sizes);
 * results are merged **by chunk index**, never by completion order;
-* all scheduling state (MLFQ, capa, seen-dicts, covers) lives on the
-  coordinator and consumes merged results in the same order the serial
-  code would produce them.
+* all state (seen-dicts, covers, growth rates) lives on the coordinator
+  and consumes merged results in the same order the serial code would
+  produce them.
 
 Hence FD sets, run statistics and witnesses are byte-identical at any
 worker count — the property the cross-worker determinism suite pins.
 
 Execution modes, selected via ``--jobs`` on the CLIs or ``$REPRO_JOBS``:
 
-========================  ====================================================
-``serial`` / ``1`` / unset  no executor, plain loop — the default; behaviour
-                            (including traces) is bit-for-bit the pre-parallel
-                            code path
-``N`` / ``process:N``       ``ProcessPoolExecutor`` with N workers; the label
-                            matrix ships once via a memory-mapped file
-                            (:mod:`repro.engine.shm`), tasks carry only row
-                            indices
-``thread:N``                ``ThreadPoolExecutor`` with N workers; no matrix
-                            shipping (shared address space), useful where the
-                            kernels release the GIL or processes are banned
-========================  ====================================================
+* ``serial``, ``1``, ``process:1`` or unset — no executor, a plain loop:
+  the default, whose behaviour (including traces) is bit-for-bit the
+  pre-parallel code path;
+* ``N`` or ``process:N`` — a ``ProcessPoolExecutor`` with N ≥ 2 workers;
+  the label matrix ships once via a memory-mapped file
+  (:mod:`repro.engine.shm`), and tasks carry only row indices;
+* ``process`` — the same with one worker per CPU, at least two.
 
-Pools are cached per spec (:func:`get_pool`) so repeated contexts reuse
-one executor, and every pool is closed at interpreter exit — shutting
-down executors and unlinking published matrix files.
+A pool is just its worker count.  EulerFD's sampler never fans out: its
+MLFQ compares one small sample at a time, so a dispatch per sample adds
+latency and no throughput.
+
+Pools are cached per worker count (:func:`get_pool`) so repeated
+contexts reuse one executor, and every pool is closed at interpreter
+exit — shutting down executors and unlinking published matrix files.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ import atexit
 import os
 import weakref
 from collections.abc import Callable, Sequence
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
 import numpy as np
@@ -63,13 +61,12 @@ from ..obs.names import (
     POOL_WORKERS,
 )
 from ..relation.preprocess import agree_words, first_occurrences
-from .shm import InlineMatrix, MatrixView, publish_matrix, resolve_matrix
+from .shm import MatrixView, publish_matrix, resolve_matrix
 
 JOBS_ENV = "REPRO_JOBS"
-"""Environment variable supplying the default worker-pool spec."""
+"""Environment variable supplying the default ``--jobs`` value."""
 
 SERIAL = "serial"
-THREAD = "thread"
 PROCESS = "process"
 
 MIN_PAIRS_PER_WORKER = 4096
@@ -82,60 +79,31 @@ CHUNKS_PER_WORKER = 4
 """Over-partitioning factor: more chunks than workers evens out skew."""
 
 
-@dataclass(frozen=True)
-class PoolSpec:
-    """Parsed worker-pool configuration: executor kind plus worker count."""
+def resolve_jobs(jobs: "int | str | None" = None) -> int:
+    """The worker count of a ``--jobs`` / ``$REPRO_JOBS`` value; 1 is serial.
 
-    kind: str
-    jobs: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in (SERIAL, THREAD, PROCESS):
-            raise ValueError(f"unknown pool kind {self.kind!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be positive, got {self.jobs}")
-        if self.kind == SERIAL and self.jobs != 1:
-            raise ValueError("serial pools have exactly one (inline) worker")
-
-    @property
-    def is_serial(self) -> bool:
-        return self.kind == SERIAL
-
-    @classmethod
-    def parse(cls, spec: "int | str | PoolSpec | None") -> "PoolSpec":
-        """Normalize a ``--jobs`` / ``$REPRO_JOBS`` value.
-
-        ``None``, ``""``, ``"serial"`` and ``1`` mean serial; a bare
-        number means a process pool with that many workers; ``kind:N``
-        selects the executor explicitly (``thread:4``, ``process:2``).
-
-        Pure: builds a fresh spec from the value.
-        """
-        if isinstance(spec, PoolSpec):
-            return spec
-        if spec is None:
-            return cls(SERIAL, 1)
-        if isinstance(spec, int):
-            return cls(SERIAL, 1) if spec == 1 else cls(PROCESS, spec)
-        text = spec.strip().lower()
-        if text in ("", SERIAL):
-            return cls(SERIAL, 1)
-        if ":" in text:
-            kind, count = text.split(":", 1)
-            return cls(kind, int(count))
-        if text in (THREAD, PROCESS):
-            return cls(text, max(os.cpu_count() or 1, 2))
-        return cls.parse(int(text))
-
-
-def resolve_spec(jobs: "int | str | PoolSpec | None" = None) -> PoolSpec:
-    """Resolution order: explicit argument, ``$REPRO_JOBS``, serial.
+    Resolution order: explicit argument, ``$REPRO_JOBS``, serial.
+    ``""``, ``"serial"``, ``1`` and ``"process:1"`` mean serial; ``N``
+    and ``"process:N"`` mean N process workers; a bare ``"process"``
+    means one worker per CPU, at least two.  Anything else raises a
+    :class:`ValueError` naming these forms.
 
     Pure: reads the environment only.
     """
-    if jobs is not None:
-        return PoolSpec.parse(jobs)
-    return PoolSpec.parse(os.environ.get(JOBS_ENV) or None)
+    if jobs is None:
+        jobs = os.environ.get(JOBS_ENV) or SERIAL
+    text = str(jobs).strip().lower()
+    if text in ("", SERIAL):
+        return 1
+    if text == PROCESS:
+        return max(os.cpu_count() or 1, 2)
+    number = text.removeprefix(f"{PROCESS}:")
+    if not number.isdecimal() or int(number) < 1:
+        raise ValueError(
+            f"invalid jobs {jobs!r}: expected serial, N, process or "
+            "process:N with N >= 1"
+        )
+    return int(number)
 
 
 # -- deterministic chunk plans -------------------------------------------------
@@ -277,9 +245,9 @@ class WorkerPool:
     ``engine.parallel.*`` telemetry and ``parallel_efficiency``.
     """
 
-    def __init__(self, spec: "PoolSpec | int | str | None" = None) -> None:
-        self.spec = PoolSpec.parse(spec) if not isinstance(spec, PoolSpec) else spec
-        self._executor: Executor | None = None
+    def __init__(self, jobs: "int | str" = 1) -> None:
+        self.jobs = resolve_jobs(jobs)
+        self._executor: ProcessPoolExecutor | None = None
         # id(matrix) -> (weakref to the matrix, handle, cleanup); the id
         # is re-validated through the weakref so a recycled id can never
         # alias a dead matrix's file.
@@ -292,19 +260,11 @@ class WorkerPool:
     # -- identity ---------------------------------------------------------
 
     @property
-    def jobs(self) -> int:
-        return self.spec.jobs
-
-    @property
-    def kind(self) -> str:
-        return self.spec.kind
-
-    @property
     def is_serial(self) -> bool:
-        return self.spec.is_serial
+        return self.jobs == 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WorkerPool({self.kind}:{self.jobs})"
+        return f"WorkerPool({self.jobs})"
 
     # -- statistics -------------------------------------------------------
 
@@ -318,17 +278,12 @@ class WorkerPool:
 
     # -- execution --------------------------------------------------------
 
-    def _ensure_executor(self) -> Executor:
+    def _ensure_executor(self) -> ProcessPoolExecutor:
         """Lazily build the executor the pool shuts down in :meth:`close`."""
         if self._closed:
             raise RuntimeError("worker pool is closed")
         if self._executor is None:
-            if self.kind == THREAD:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.jobs, thread_name_prefix="repro-worker"
-                )
-            else:
-                self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
         return self._executor
 
     def map_chunks(
@@ -377,13 +332,10 @@ class WorkerPool:
     def matrix_handle(self, matrix: Any) -> object:
         """The transport handle workers resolve the matrix through.
 
-        Serial and thread pools hand the array over in-process; process
-        pools publish it once to an mmap-backed temp file (inline
-        fallback when the temp dir is unwritable) and reuse the
-        publication for the matrix's lifetime.
+        The matrix is published once to an mmap-backed temp file (inline
+        fallback when the temp dir is unwritable) and the publication is
+        reused for the matrix's lifetime.
         """
-        if self.kind != PROCESS:
-            return InlineMatrix(matrix)
         if self._closed:
             # A closed pool must fail loudly here: publishing would
             # orphan the file (close() already ran and never reruns),
@@ -453,21 +405,21 @@ class WorkerPool:
 
 # -- the shared pool registry --------------------------------------------------
 
-_POOLS: dict[PoolSpec, WorkerPool] = {}
+_POOLS: dict[int, WorkerPool] = {}
 
 
-def get_pool(jobs: "int | str | PoolSpec | None" = None) -> WorkerPool:
-    """The shared pool for a jobs spec (argument → ``$REPRO_JOBS`` → serial).
+def get_pool(jobs: "int | str | None" = None) -> WorkerPool:
+    """The shared pool for a jobs value (argument → ``$REPRO_JOBS`` → serial).
 
-    Pools are cached per parsed spec so every context asking for
+    Pools are cached per worker count so every context asking for
     ``--jobs 4`` reuses one executor and one published copy of each
     matrix; :func:`close_all_pools` runs at interpreter exit.
     """
-    spec = resolve_spec(jobs)
-    pool = _POOLS.get(spec)
+    jobs = resolve_jobs(jobs)
+    pool = _POOLS.get(jobs)
     if pool is None or pool._closed:
-        pool = WorkerPool(spec)
-        _POOLS[spec] = pool
+        pool = WorkerPool(jobs)
+        _POOLS[jobs] = pool
     return pool
 
 
@@ -491,7 +443,7 @@ atexit.register(close_all_pools)
 
 
 def agree_masks_sharded(
-    pool: WorkerPool | None,
+    pool: WorkerPool,
     data: Any,
     rows_a: np.ndarray,
     rows_b: np.ndarray,
@@ -504,11 +456,11 @@ def agree_masks_sharded(
     seen-dicts and covers observe the serial sequence; with ``distinct``
     each chunk keeps first occurrences and the merge does once more, so
     the result is :func:`~repro.relation.preprocess.agree_words`'s at any
-    worker count.  No pool, or fewer than ``jobs ×``
+    worker count.  A serial pool, or fewer than ``jobs ×``
     :data:`MIN_PAIRS_PER_WORKER` pairs, runs inline: the comparison is
     one vectorized numpy call and not worth a dispatch.
     """
-    if pool is None or pool.is_serial or len(rows_a) < pool.jobs * MIN_PAIRS_PER_WORKER:
+    if pool.is_serial or len(rows_a) < pool.jobs * MIN_PAIRS_PER_WORKER:
         return agree_words(data.matrix, rows_a, rows_b, distinct)
     handle = pool.matrix_handle(data.matrix)
     chunks = chunk_pairs(rows_a, rows_b, pool.jobs * CHUNKS_PER_WORKER)

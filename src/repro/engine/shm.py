@@ -5,24 +5,25 @@ label matrix every kernel runs against.  Pickling the matrix into every
 task would ship ``rows × columns × itemsize`` bytes per chunk; instead
 the coordinator *publishes* the matrix once to a memory-mapped file
 under the temp directory (``repro_mmap_<pid>_<n>``) and tasks carry only
-a tiny :class:`MmapMatrixRef` descriptor.  Workers map the file
-read-only and cache the attachment per process: the kernel shares the
-page cache across every worker, so there is no per-worker copy, just a
-zero-copy ``np.frombuffer`` view.
+a tiny :class:`MmapMatrixRef` descriptor.  Each task maps the file
+read-only: the kernel shares the page cache across every worker, so
+there is no per-worker copy, just a zero-copy ``np.frombuffer`` view.
 
-Two handle flavors cover every execution mode:
+Two handle flavors:
 
-* :class:`InlineMatrix` — the array itself, for serial and thread pools
-  (same address space, nothing to ship), and the degradation path for
-  process pools when the temp dir is unwritable (the executor's own
-  pickling then ships it once per task);
-* :class:`MmapMatrixRef` — path + shape + dtype of a published file.
+* :class:`MmapMatrixRef` — path + shape + dtype of a published file;
+* :class:`InlineMatrix` — the array itself, the degradation path when
+  the temp dir is unwritable (the executor's own pickling then ships it
+  once per task).
 
 Lifecycle: :func:`publish_matrix` returns the handle plus a cleanup
 callable that closes *and unlinks* the file.  The worker pool owning the
 publication runs the cleanup when it shuts down (and at interpreter
 exit), so a clean exit leaves no ``repro_mmap_*`` temp file behind — the
-property the CI no-leak check asserts.
+property the CI no-leak check asserts.  A worker keeps no mapping
+between tasks: the array view :func:`resolve_matrix` returns holds the
+mapping, which closes when the task drops the view.  So once the pool
+unlinks a file, its pages are freed, even while the workers live on.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ directory)."""
 
 @dataclass(frozen=True)
 class InlineMatrix:
-    """The matrix itself — serial/thread handle and unwritable-temp-dir
-    fallback."""
+    """The matrix itself — the unwritable-temp-dir fallback."""
 
     matrix: np.ndarray
 
@@ -170,40 +170,27 @@ def publish_matrix(matrix: np.ndarray) -> tuple[object, Callable[[], None]]:
     return handle, cleanup
 
 
-# Per-process attachment cache: path -> (mmap object, matrix view).  The
-# mapping object pins the pages for the worker's lifetime; entries die
-# with the process (the coordinator owns the file's lifecycle).
-_ATTACHED: dict[str, tuple[object, np.ndarray]] = {}
-
-
 def _attach(ref: MmapMatrixRef) -> np.ndarray:
-    cached = _ATTACHED.get(ref.path)
-    if cached is not None:
-        return cached[1]
+    """Map a published file read-only; the view owns the mapping."""
     dtype = np.dtype(ref.dtype)
     if ref.shape[0] * ref.shape[1] == 0:
         # mmap rejects empty files; an empty matrix needs no backing
-        mapping = None
         array = np.empty(ref.shape, dtype=dtype)
     else:
-        file = open(ref.path, "rb")
-        try:
-            mapping = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
-        finally:
+        with open(ref.path, "rb") as file:
             # the mapping holds its own reference to the underlying pages
-            file.close()
+            mapping = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
         array = np.frombuffer(mapping, dtype=dtype).reshape(ref.shape)
     array.setflags(write=False)
-    _ATTACHED[ref.path] = (mapping, array)
     return array
 
 
 def resolve_matrix(handle: object) -> np.ndarray:
     """The label matrix behind any handle flavor (worker side).
 
-    Mmap attachments are cached per process; inline handles hand the
-    array straight through (the executor's pickling already rebuilt it
-    for process pools).
+    An mmap handle is mapped afresh on every call, and the mapping lives
+    as long as the returned view; inline handles hand the array straight
+    through (the executor's pickling already rebuilt it).
     """
     if isinstance(handle, InlineMatrix):
         return handle.matrix

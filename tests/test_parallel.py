@@ -1,5 +1,5 @@
-"""The parallel execution engine: pool specs, sharded kernels, and the
-cross-worker determinism guarantee.
+"""The parallel execution engine: ``--jobs`` parsing, sharded kernels, and
+the cross-worker determinism guarantee.
 
 The load-bearing suite here is :class:`TestCrossWorkerDeterminism`: FD
 sets *and* run statistics must be byte-identical for ``jobs`` in
@@ -23,15 +23,15 @@ import repro.engine.parallel as parallel
 import repro.engine.shm as shm
 from repro.algorithms import create
 from repro.bench.runner import run_algorithm
+from repro.core import IncrementalEulerFD
 from repro.datasets import registry
 from repro.engine import (
     ExecutionContext,
     JOBS_ENV,
-    PoolSpec,
     WorkerPool,
     close_all_pools,
     get_pool,
-    resolve_spec,
+    resolve_jobs,
     use_context,
 )
 from repro.engine.parallel import chunk_pairs, chunk_ranges, merge_chunked
@@ -78,36 +78,42 @@ class TestPoolSpec:
             (4, ("process", 4)),
             ("4", ("process", 4)),
             ("process:2", ("process", 2)),
-            ("thread:3", ("thread", 3)),
-            ("THREAD:3", ("thread", 3)),
+            ("process:1", ("serial", 1)),
         ],
     )
-    def test_parse(self, value, expected):
-        spec = PoolSpec.parse(value)
-        assert (spec.kind, spec.jobs) == expected
+    def test_parse(self, value, expected, monkeypatch):
+        """A pool is its worker count: 1 runs inline, N >= 2 is a
+        process pool."""
+        monkeypatch.delenv(JOBS_ENV, raising=False)
+        pool = WorkerPool(value)
+        assert ("serial" if pool.is_serial else "process", pool.jobs) == expected
 
     def test_bare_kind_uses_cpu_count(self):
-        assert PoolSpec.parse("thread").jobs >= 2
-        assert PoolSpec.parse("process").kind == "process"
+        assert resolve_jobs("process") >= 2
+        assert not WorkerPool("process").is_serial
 
-    @pytest.mark.parametrize("value", ["fiber:2", "process:0", "0"])
+    @pytest.mark.parametrize("value", ["fiber:2", "process:0", "0", "thread:2"])
     def test_rejects_invalid(self, value):
-        with pytest.raises(ValueError):
-            PoolSpec.parse(value)
+        with pytest.raises(ValueError, match="serial, N, process or process:N"):
+            resolve_jobs(value)
 
     def test_env_fallback(self, monkeypatch):
+        monkeypatch.setenv(JOBS_ENV, "process:2")
+        assert resolve_jobs() == 2
+        assert resolve_jobs("process:3") == 3
         monkeypatch.setenv(JOBS_ENV, "thread:2")
-        assert resolve_spec() == PoolSpec("thread", 2)
-        assert resolve_spec("process:3") == PoolSpec("process", 3)
+        with pytest.raises(ValueError, match="thread:2"):
+            resolve_jobs()
         monkeypatch.delenv(JOBS_ENV)
-        assert resolve_spec().is_serial
+        assert resolve_jobs() == 1
 
     def test_get_pool_caches_per_spec(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV, raising=False)
-        assert get_pool("thread:2") is get_pool("thread:2")
-        assert get_pool("thread:2") is not get_pool("thread:3")
+        assert get_pool("process:2") is get_pool(2)
+        assert get_pool("process:2") is not get_pool("process:3")
         serial = get_pool(None)
         assert serial.is_serial and serial is get_pool("serial")
+        assert serial is get_pool("process:1")
 
 
 # -- chunk plans ---------------------------------------------------------------
@@ -138,7 +144,7 @@ def sample_data():
     return preprocess(relation, True)
 
 
-KINDS = ["thread:2", "process:2"]
+KINDS = ["process:2"]
 
 
 class TestShardedKernels:
@@ -200,7 +206,7 @@ class TestShardedKernels:
         assert sharded == serial
 
     def test_small_batches_stay_inline(self, sample_data):
-        pool = get_pool("thread:2")
+        pool = get_pool("process:2")
         rows_a, rows_b = np.array([0, 1]), np.array([2, 3])
         assert np.array_equal(
             parallel.agree_masks_sharded(pool, sample_data, rows_a, rows_b),
@@ -233,12 +239,24 @@ class TestCrossWorkerDeterminism:
             assert result.fds == baseline.fds, f"jobs={jobs}"
             assert result.stats == baseline.stats, f"jobs={jobs}"
 
-    def test_thread_pool_matches_process_pool(self, tiny_thresholds):
+
+class TestSamplerStaysInline:
+    def test_eulerfd_sampling_dispatches_nothing(self, tiny_thresholds):
+        """EulerFD's sampler compares every sample inline, even when the
+        context's pool would shard a two-pair batch."""
         relation = registry.make("fd-reduced-30", rows=300, seed=3)
-        thread = _discover("hyfd", relation, "thread:2")
-        process = _discover("hyfd", relation, "process:2")
-        assert thread.fds == process.fds
-        assert thread.stats == process.stats
+        pool = get_pool("process:2")
+        pairs = [
+            (
+                _discover("eulerfd", relation, jobs),
+                IncrementalEulerFD(relation, jobs=jobs).current_result(),
+            )
+            for jobs in ("serial", pool)
+        ]
+        assert pool.tasks_dispatched == 0
+        for serial, fanned in zip(*pairs):
+            assert fanned.fds == serial.fds
+            assert fanned.stats == serial.stats
 
 
 # -- backend equivalence under every pool ------------------------------------
@@ -335,6 +353,20 @@ class TestMatrixTransport:
         close_all_pools()
         assert _mmap_files() - before == set()
 
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
+    )
+    def test_task_keeps_no_mapping(self, sample_data):
+        """A task maps the matrix only while it runs, so unlinking a file
+        frees its pages even while the worker process lives on."""
+        handle, cleanup = shm.publish_matrix(sample_data.matrix)
+        try:
+            parallel._distinct_masks_task(handle, 0, 5)
+        finally:
+            cleanup()
+        with open("/proc/self/maps") as maps:
+            assert handle.path not in maps.read()
+
     def test_worker_failure_surfaces_and_releases(self, sample_data):
         """A raising worker task reaches the caller as its own exception,
         and closing the pool still unlinks the file and drains the gauges."""
@@ -359,7 +391,7 @@ class TestMatrixTransport:
 
     def test_pool_is_a_context_manager(self, sample_data, tiny_thresholds):
         before = _mmap_files()
-        with WorkerPool(PoolSpec("process", 2)) as pool:
+        with WorkerPool(2) as pool:
             assert pool.jobs == 2
             parallel.agree_masks_sharded(
                 pool, sample_data, np.arange(100), np.arange(50, 150)
@@ -372,7 +404,7 @@ class TestMatrixTransport:
     ):
         """A failing cleanup neither stops the later unlinks nor is lost."""
         before = _mmap_files()
-        pool = WorkerPool(PoolSpec("process", 2))
+        pool = WorkerPool(2)
         matrices = [sample_data.matrix.copy() for _ in range(3)]
         handles = [pool.matrix_handle(matrix) for matrix in matrices]
         keys = list(pool._published)
@@ -395,8 +427,8 @@ class TestMatrixTransport:
         assert _mmap_files() - before == set()
 
     def test_close_all_pools_closes_the_rest_and_propagates(self, monkeypatch):
-        failing = get_pool("thread:2")
-        survivor = get_pool("process:2")
+        failing = get_pool("process:2")
+        survivor = get_pool("process:3")
 
         def broken_close():
             raise RuntimeError("close failed")
@@ -409,7 +441,7 @@ class TestMatrixTransport:
         WorkerPool.close(failing)
 
     def test_pool_context_manager_closes_on_error(self):
-        pool = WorkerPool(PoolSpec("thread", 2))
+        pool = WorkerPool(2)
         with pytest.raises(RuntimeError, match="boom"):
             with pool:
                 raise RuntimeError("boom")
@@ -426,7 +458,7 @@ class TestBenchIntegration:
         serial = run_algorithm(create("fdep").__class__, relation, jobs="serial")
         assert serial.jobs == 1 and serial.parallel_efficiency is None
         fanned = run_algorithm(
-            create("fdep").__class__, relation, jobs="thread:2"
+            create("fdep").__class__, relation, jobs="process:2"
         )
         assert fanned.jobs == 2
         assert fanned.parallel_efficiency is not None
