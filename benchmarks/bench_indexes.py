@@ -1,26 +1,24 @@
-"""E-IDX (index structures) — the extended binary tree vs the FD-tree.
+"""E-IDX (index structures) — the extended binary tree, the FD-tree and the word store.
 
 Section IV-D motivates the extended binary tree over the classic FD-tree
 ("consumes less memory while quickly searching for specializations and
 generalizations").  Those searches run in negative-cover construction
-(Algorithm 2): this benchmark replays an identical violation stream — the
-one EulerFD's sampler yields on the plista workload — into a
-``NegativeCover`` over each of the three LhsIndex implementations and
-times it; covers must come out identical.
+(Algorithm 2).  This benchmark replays one violation stream — the one
+EulerFD's sampler yields on the plista workload — three ways: Algorithm
+2's insertion into per-RHS ``BinaryLhsTree`` objects, the same into
+per-RHS ``FDTreeIndex`` objects, and the library's word-store
+``NegativeCover``, which takes each agree set for all its RHSs at once.
+The three covers must come out identical.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.datasets import registry
-from repro.fd import FD, BinaryLhsTree, BitsetLhsIndex, FDTreeIndex, NegativeCover
-
-FACTORIES = {
-    "binary-tree": BinaryLhsTree,
-    "fd-tree": FDTreeIndex,
-    "bitset": BitsetLhsIndex,
-}
+from repro.fd import FD, BinaryLhsTree, FDTreeIndex, NegativeCover, attrset
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +42,25 @@ def workload():
     return data.cardinalities, violations
 
 
-def ncover_with(factory, cardinalities, violations):
-    ncover = NegativeCover(len(cardinalities), index_factory=factory)
+def per_rhs_trees(tree_type, cardinalities, violations):
+    """Algorithm 2's insertion, one non-FD at a time, into one tree per RHS."""
+    trees = [tree_type() for _ in cardinalities]
+    varying = [a for a, cardinality in enumerate(cardinalities) if cardinality > 1]
+    stream = [(attrset.EMPTY, attrset.from_indices(varying)), *violations]
+    for agree, novel in stream:
+        for rhs in attrset.to_indices(novel):
+            tree = trees[rhs]
+            if tree.contains_superset(agree):
+                continue
+            for general in tree.find_subsets(agree):
+                tree.remove(general)
+            tree.add(agree)
+    return frozenset(FD(lhs, rhs) for rhs, tree in enumerate(trees) for lhs in tree)
+
+
+def word_store(cardinalities, violations):
+    """The library's negative cover: one whole-store step per agree set."""
+    ncover = NegativeCover(len(cardinalities))
     pending: list[FD] = []
     ncover.add_empty_lhs(cardinalities, pending)
     for agree, novel in violations:
@@ -53,13 +68,20 @@ def ncover_with(factory, cardinalities, violations):
     return frozenset(ncover)
 
 
-@pytest.mark.parametrize("index_name", list(FACTORIES))
-def test_ncover_with_index(benchmark, workload, index_name):
+BUILDERS = {
+    "binary-tree": partial(per_rhs_trees, BinaryLhsTree),
+    "fd-tree": partial(per_rhs_trees, FDTreeIndex),
+    "word-store": word_store,
+}
+
+
+@pytest.mark.parametrize("structure", list(BUILDERS))
+def test_ncover_with_index(benchmark, workload, structure):
     cardinalities, violations = workload
     result = benchmark.pedantic(
-        lambda: ncover_with(FACTORIES[index_name], cardinalities, violations),
-        rounds=1,
+        lambda: BUILDERS[structure](cardinalities, violations),
+        rounds=5,
         iterations=1,
     )
-    reference = ncover_with(BinaryLhsTree, cardinalities, violations)
-    assert result == reference  # all indexes must agree exactly
+    reference = per_rhs_trees(BinaryLhsTree, cardinalities, violations)
+    assert result == reference  # all three structures must agree exactly

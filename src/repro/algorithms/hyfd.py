@@ -71,11 +71,10 @@ class HyFD:
         ncover = NegativeCover(num_attributes)
         inverter = Inverter(num_attributes)
         pending: list[FD] = []
-        seen: dict[int, int] = {}
-        for attribute in range(num_attributes):
-            if data.cardinality(attribute) > 1:
-                self._admit(attrset.EMPTY, attrset.singleton(attribute), ncover,
-                            pending, seen)
+        ncover.add_empty_lhs(data.cardinalities, pending)
+        seen: dict[int, int] = {
+            attrset.EMPTY: attrset.from_indices(fd.rhs for fd in pending)
+        }
 
         clusters = context.sampling_clusters()
         distance = 1

@@ -27,7 +27,13 @@ from collections.abc import Sequence
 from .algorithms import available_algorithms, create
 from .bench.runner import GroundTruthCache, format_cell, print_table
 from .datasets import registry
-from .engine import ExecutionContext, backend_names, use_context
+from .engine import (
+    JOBS_ENV,
+    ExecutionContext,
+    backend_names,
+    resolve_jobs,
+    use_context,
+)
 from .metrics import fd_set_metrics, timed
 from .obs import (
     MetricsRegistry,
@@ -129,6 +135,7 @@ def add_backend_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         default=None,
+        type=_jobs_spec,
         metavar="SPEC",
         help=(
             "worker processes for the agree-set sweeps and validation: "
@@ -137,6 +144,28 @@ def add_backend_argument(parser: argparse.ArgumentParser) -> None:
             "serial); EulerFD's sampling always runs inline"
         ),
     )
+
+
+def _jobs_spec(text: str) -> str:
+    """A ``--jobs`` value, checked at parse time so a bad one is a usage error."""
+    try:
+        resolve_jobs(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return text
+
+
+def _parse(
+    parser: argparse.ArgumentParser, argv: Sequence[str] | None
+) -> argparse.Namespace:
+    """Parse ``argv``; without ``--jobs``, a bad ``$REPRO_JOBS`` is a usage error."""
+    args = parser.parse_args(argv)
+    if getattr(args, "jobs", "") is None:
+        try:
+            resolve_jobs()
+        except ValueError as error:
+            parser.error(f"${JOBS_ENV}: {error}")
+    return args
 
 
 def _engine_line(context: ExecutionContext) -> str:
@@ -446,7 +475,7 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(build_parser(), argv)
     return _HANDLERS[args.command](args)
 
 
@@ -457,7 +486,7 @@ def trace_main(argv: Sequence[str] | None = None) -> int:
         description="Trace an FD-discovery run and export the observability log",
     )
     add_trace_arguments(parser)
-    return _cmd_trace(parser.parse_args(argv))
+    return _cmd_trace(_parse(parser, argv))
 
 
 def metrics_main(argv: Sequence[str] | None = None) -> int:
@@ -470,7 +499,7 @@ def metrics_main(argv: Sequence[str] | None = None) -> int:
         ),
     )
     add_metrics_arguments(parser)
-    return _cmd_metrics(parser.parse_args(argv))
+    return _cmd_metrics(_parse(parser, argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,6 +1,6 @@
 # repro-lint: disable-file=RPR002 — bitmask tree kernel: membership tests
-# shift per visited node in the hottest query paths, and the attrset
-# helper-call overhead is measurable there (see fd/attrset.py).
+# shift per visited node in the query paths, and the attrset helper-call
+# overhead is measurable there (see fd/attrset.py).
 """The extended binary LHS tree of Section IV-D (after AID-FD [3]).
 
 The tree stores a set of LHS bitmasks (for one fixed RHS attribute).  Each
@@ -21,11 +21,16 @@ Two masks are maintained per internal node to terminate searches early:
 Compared with the classic FD-tree [11], a path is shared between LHSs only
 while they agree on the tested attributes, so memory stays proportional to
 the number of stored LHSs.
+
+The library's negative cover (:class:`~repro.fd.covers.NegativeCover`)
+is a flat word store that takes one agree set for all its RHSs at once;
+this tree is the paper's per-RHS structure, kept for the E-IDX benchmark
+and the property tests.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from . import attrset
 
@@ -72,26 +77,19 @@ class _Node:
 
 
 class BinaryLhsTree:
-    """Extended binary tree over LHS bitmasks (implements ``LhsIndex``).
+    """Extended binary tree over LHS bitmasks for one RHS attribute.
 
-    ``attr_priority`` optionally maps each attribute index to a rank; when
-    a leaf must be split, the distinguishing attribute with the smallest
-    rank is chosen.  The paper sorts attributes by ascending frequency so
-    that rare attributes discriminate close to the root; callers that know
-    attribute frequencies pass that ordering, everyone else gets the
-    identity ordering.
+    A leaf that must be split tests the lowest attribute distinguishing
+    its two LHSs.  (The paper orders attributes by ascending frequency
+    instead; replayed on EulerFD's intake streams that order was no
+    faster.)
     """
 
-    __slots__ = ("_root", "_size", "_priority")
+    __slots__ = ("_root", "_size")
 
-    def __init__(
-        self,
-        masks: Iterator[int] | None = None,
-        attr_priority: Sequence[int] | None = None,
-    ) -> None:
+    def __init__(self, masks: Iterator[int] | None = None) -> None:
         self._root: _Node | None = None
         self._size = 0
-        self._priority = attr_priority
         if masks is not None:
             for mask in masks:
                 self.add(mask)
@@ -116,7 +114,7 @@ class BinaryLhsTree:
             assert node is not None
         if node.lhs == lhs:
             return False
-        split = self._split_attribute(node.lhs, lhs)
+        split = attrset.lowest_bit(node.lhs ^ lhs)
         new_leaf = _Node.leaf(lhs)
         old_leaf = _Node.leaf(node.lhs)
         # Reuse ``node`` as the new internal node so the parent pointer
@@ -174,13 +172,6 @@ class BinaryLhsTree:
         self._size -= 1
         return True
 
-    def _split_attribute(self, stored: int, incoming: int) -> int:
-        """Pick the attribute distinguishing two unequal LHSs."""
-        difference = stored ^ incoming
-        if self._priority is None:
-            return attrset.lowest_bit(difference)
-        return min(attrset.to_indices(difference), key=self._priority.__getitem__)
-
     # -- queries -----------------------------------------------------------
 
     def __contains__(self, lhs: int) -> bool:
@@ -207,10 +198,10 @@ class BinaryLhsTree:
                 stack.append(node.left)
                 stack.append(node.right)
 
-    # The four lattice queries below are the negative cover's hot path
-    # (Algorithm 2 runs one or two per sampled non-FD), so they are
-    # written as explicit-stack loops over slot attributes rather than
-    # recursion, and test bits inline instead of via attrset helpers.
+    # The four lattice queries below are Algorithm 2's per-non-FD probes
+    # (one or two per insertion, timed by E-IDX), so they are written as
+    # explicit-stack loops over slot attributes rather than recursion,
+    # and test bits inline instead of via attrset helpers.
 
     def contains_superset(self, lhs: int) -> bool:
         """Specialization check (read-only).

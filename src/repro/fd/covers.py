@@ -1,81 +1,79 @@
-# repro-lint: disable-file=RPR002 — mask kernel: the positive cover
-# splits every LHS mask into 64-bit words and joins words back into
-# masks by shifting, once per entry it stores or reads.
-"""Negative and positive covers (Definition 5).
+# repro-lint: disable-file=RPR002 — mask kernel: both covers split every
+# LHS mask into 64-bit words and join words back into masks by shifting,
+# once per entry they store or read.
+"""Negative and positive covers (Definition 5), both as flat word stores.
 
 The *negative cover* collects non-FDs.  Because a non-FD ``X -/-> A``
 implies that every generalization ``Y ⊂ X`` is also a non-FD (Lemma 1),
 only the maximal invalid LHSs need storing; the cover therefore keeps, per
-RHS attribute, an antichain of maximal LHS masks.  Its subset/superset
-searches go through a pluggable :class:`~repro.fd.lhs_index.LhsIndex`; the
-default is the extended binary tree of Section IV-D.
+RHS attribute, an antichain of maximal LHS masks.
 
 The *positive cover* collects the minimal valid FDs produced by inversion
 (Algorithm 3); per RHS attribute it keeps an antichain of minimal LHS
-masks as a flat word store, ``⌈n/64⌉`` parallel ``uint64`` arrays, so
-that one non-FD specializes it with whole-array operations instead of
-index probes.
+masks.
+
+Both store an LHS mask as ``⌈n/64⌉`` parallel ``uint64`` arrays, one per
+64-attribute word, so that one agree set (negative cover) or one non-FD
+(positive cover) updates the store with whole-array sweeps instead of
+index probes.  The extended binary tree of Section IV-D
+(:mod:`repro.fd.binary_tree`) and the FD-tree (:mod:`repro.fd.fdtree`)
+answer the same subset and superset queries one mask at a time; the
+E-IDX benchmark replays one intake stream into all three.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 from ..obs import count
 from ..obs.names import NCOVER_ADDED, NCOVER_GENERALIZATIONS_EVICTED
 from . import attrset
-from .binary_tree import BinaryLhsTree
 from .fd import FD
-from .lhs_index import LhsIndex
-
-IndexFactory = Callable[[], LhsIndex]
-"""Zero-argument callable building an empty LHS index."""
 
 _WORD_BITS = 64
 _WORD_MASK = (1 << _WORD_BITS) - 1
 _ONE = np.uint64(1)
 
 
-def default_index_factory() -> LhsIndex:
-    """The negative cover's index: the extended binary LHS tree."""
-    return BinaryLhsTree()
-
-
 class NegativeCover:
-    """Per-RHS antichains of *maximal* invalid LHSs.
+    """Per-RHS antichains of *maximal* invalid LHSs, stored flat.
 
-    ``add`` implements the insertion step of Algorithm 2: a non-FD already
-    specialized by a stored one is redundant and is dropped; conversely a
-    newly inserted non-FD evicts every stored generalization so the
-    antichain property (and minimal storage) is preserved even when
+    Entry ``i`` is the non-FD ``L -/-> A``: like :class:`PositiveCover`,
+    its LHS ``L`` has ``self._words[w][i]`` as its word ``w`` (least
+    significant first), and ``self._rhs[i]`` is ``A``.  Every RHS shares
+    the arrays, so :meth:`add_violations` takes one agree set for all its
+    RHSs at once.  Entries are unordered; reads sort them.
+
+    Per RHS the intake is the insertion step of Algorithm 2: a non-FD
+    already specialized by a stored one is redundant and is dropped;
+    conversely a newly inserted non-FD evicts every stored generalization
+    so the antichain property (and minimal storage) is preserved even when
     insertions arrive across several sampling cycles in arbitrary order.
     """
 
-    __slots__ = ("num_attributes", "_trees", "_size")
+    __slots__ = ("num_attributes", "_words", "_rhs")
 
-    def __init__(
-        self,
-        num_attributes: int,
-        index_factory: IndexFactory | None = None,
-    ) -> None:
+    def __init__(self, num_attributes: int) -> None:
         if num_attributes <= 0:
             raise ValueError(
                 f"a relation needs at least one attribute, got {num_attributes}"
             )
-        # Resolved at call time so tests can swap the module-level default.
-        factory = index_factory if index_factory is not None else default_index_factory
+        width = -(-num_attributes // _WORD_BITS)
         self.num_attributes = num_attributes
-        self._trees: list[LhsIndex] = [factory() for _ in range(num_attributes)]
-        self._size = 0
+        self._words: list[np.ndarray] = [
+            np.zeros(0, dtype=np.uint64) for _ in range(width)
+        ]
+        self._rhs = np.zeros(0, dtype=np.intp)
 
     def add(self, non_fd: FD) -> bool:
-        """Insert a non-FD; return True when the cover grew.
+        """Insert one non-FD; return True when the cover grew.
 
-        Trivial "non-FDs" (RHS contained in LHS) cannot occur — a tuple
-        pair agreeing on the LHS agrees on every LHS attribute — and are
-        rejected loudly to catch caller bugs.
+        The one-RHS form of :meth:`add_violations`.  Trivial "non-FDs"
+        (RHS contained in LHS) cannot occur — a tuple pair agreeing on the
+        LHS agrees on every LHS attribute — and are rejected loudly to
+        catch caller bugs.
 
         Mutates: self
         Monotone: self via covers
@@ -83,44 +81,49 @@ class NegativeCover:
             generalizations stay covered by their evictor — the
             append-only promise inversion relies on between cycles)
         """
-        if non_fd.is_trivial():
-            raise ValueError(f"trivial non-FD cannot be violated: {non_fd}")
-        tree = self._trees[non_fd.rhs]
-        if tree.contains_superset(non_fd.lhs):
-            return False
-        evicted = 0
-        for general in tree.find_subsets(non_fd.lhs):
-            tree.remove(general)
-            self._size -= 1
-            evicted += 1
-        tree.add(non_fd.lhs)
-        self._size += 1
-        count(NCOVER_ADDED)
-        if evicted:
-            count(NCOVER_GENERALIZATIONS_EVICTED, evicted)
-        return True
+        return self.add_violations(non_fd.lhs, attrset.singleton(non_fd.rhs), []) > 0
 
     def add_violations(self, agree: int, rhs_mask: int, pending: list[FD]) -> int:
         """Insert ``agree -/-> A`` for each attribute ``A`` of ``rhs_mask``.
 
-        The intake for one tuple pair's agree set: attributes go in
-        ascending order, and each non-FD that grew the cover is appended
-        to ``pending`` (the non-FDs not yet inverted).  Returns how many
-        grew it.
+        The intake for one tuple pair's agree set ``X``, in three sweeps
+        over the whole store.  A stored ``L ⊇ X`` blocks its RHS; every
+        stored ``L ⊆ X`` of an admitted RHS is evicted; then ``X`` is
+        stored once per admitted RHS, in ascending order, and each
+        admitted non-FD is appended to ``pending`` (the non-FDs not yet
+        inverted).  Returns how many were admitted.
 
         Mutates: self, pending
         Monotone: self via covers
         """
-        added = 0
-        remaining = rhs_mask
-        while remaining:
-            bit = remaining & -remaining
-            remaining ^= bit
-            non_fd = FD(agree, bit.bit_length() - 1)
-            if self.add(non_fd):
-                pending.append(non_fd)
-                added += 1
-        return added
+        if agree & rhs_mask:
+            raise ValueError(
+                f"trivial non-FD cannot be violated: agree set {agree:#x} "
+                f"holds an RHS of {rhs_mask:#x}"
+            )
+        words, rhs = self._words, self._rhs
+        lhs = _split([agree], len(words))
+        # 1. Stored specializations block their RHSs.
+        admitted = _flags(rhs_mask, self.num_attributes)
+        admitted[rhs[_containing(words, lhs)]] = False
+        added = np.flatnonzero(admitted).tolist()
+        if not added:
+            return 0
+        # 2. Generalizations of an admitted RHS are evicted.
+        general = _within(words, [~word for word in lhs]) & admitted[rhs]
+        evicted = int(np.count_nonzero(general))
+        if evicted:
+            kept = ~general
+            words = [word[kept] for word in words]
+            rhs = rhs[kept]
+            count(NCOVER_GENERALIZATIONS_EVICTED, evicted)
+        # 3. X joins once per admitted RHS, ascending.
+        fresh = _split([agree] * len(added), len(words))
+        self._words = [np.concatenate((word, new)) for word, new in zip(words, fresh)]
+        self._rhs = np.concatenate((rhs, added))
+        pending.extend(FD(agree, attribute) for attribute in added)
+        count(NCOVER_ADDED, len(added))
+        return len(added)
 
     def add_empty_lhs(self, cardinalities: Sequence[int], pending: list[FD]) -> int:
         """Insert ``{} -/-> A`` for each column with two or more values.
@@ -137,30 +140,31 @@ class NegativeCover:
     def covers(self, fd: FD) -> bool:
         """True when ``fd`` is known-invalid (generalizes a stored non-FD).
 
-        Pure: a read-only superset query.
+        Pure: a read-only superset sweep.
         """
-        return self._trees[fd.rhs].contains_superset(fd.lhs)
+        lhs = _split([fd.lhs], len(self._words))
+        return bool(np.any(_containing(self._words, lhs) & (self._rhs == fd.rhs)))
 
     def lhs_masks(self, rhs: int) -> list[int]:
-        """The stored maximal invalid LHS masks for attribute ``rhs``.
+        """The stored maximal invalid LHS masks for attribute ``rhs``, sorted.
 
-        Pure: snapshots the index without touching it.
+        Pure: joins a copy of the matching entries.
         """
-        return list(self._trees[rhs])
+        mine = self._rhs == rhs
+        return sorted(_join([word[mine] for word in self._words]))
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._rhs)
 
     def __iter__(self) -> Iterator[FD]:
-        for rhs, tree in enumerate(self._trees):
-            for lhs in tree:
-                yield FD(lhs, rhs)
+        for rhs, lhs in sorted(zip(self._rhs.tolist(), _join(self._words))):
+            yield FD(lhs, rhs)
 
     def __contains__(self, non_fd: FD) -> bool:
-        return non_fd.lhs in self._trees[non_fd.rhs]
+        return non_fd.lhs in self.lhs_masks(non_fd.rhs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NegativeCover(attributes={self.num_attributes}, size={self._size})"
+        return f"NegativeCover(attributes={self.num_attributes}, size={len(self)})"
 
 
 class PositiveCover:
@@ -211,10 +215,7 @@ class PositiveCover:
             raise ValueError(f"trivial non-FD cannot be violated: {non_fd}")
         rhs = non_fd.rhs
         words = self._words[rhs]
-        outside = _split([self._universe & ~non_fd.lhs], len(words))
-        invalid = (words[0] & outside[0]) == 0
-        for word, out in zip(words[1:], outside[1:]):
-            invalid &= (word & out) == 0
+        invalid = _within(words, _split([self._universe & ~non_fd.lhs], len(words)))
         if not invalid.any():
             return [], []
         valid = ~invalid
@@ -285,6 +286,39 @@ def _join(words: list[np.ndarray]) -> list[int]:
     return masks
 
 
+def _flags(mask: int, size: int) -> np.ndarray:
+    """The low ``size`` bits of ``mask`` as a boolean array, bit 0 first.
+
+    Pure: unpacks a fresh array.
+    """
+    packed = np.frombuffer(mask.to_bytes(-(-size // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=size, bitorder="little").astype(bool)
+
+
+def _containing(words: list[np.ndarray], lhs: list[np.ndarray]) -> np.ndarray:
+    """Per entry: is its LHS a superset of ``lhs`` (one value per word)?
+
+    Pure: compares into a fresh boolean array.
+    """
+    found = (words[0] & lhs[0]) == lhs[0]
+    for word, value in zip(words[1:], lhs[1:]):
+        found &= (word & value) == value
+    return found
+
+
+def _within(words: list[np.ndarray], outside: list[np.ndarray]) -> np.ndarray:
+    """Per entry: does its LHS miss every bit of ``outside`` (one value per word)?
+
+    That is, is it a subset of ``outside``'s complement.
+
+    Pure: compares into a fresh boolean array.
+    """
+    found = (words[0] & outside[0]) == 0
+    for word, out in zip(words[1:], outside[1:]):
+        found &= (word & out) == 0
+    return found
+
+
 def _single_bit_differences(
     survivors: list[np.ndarray], generals: list[np.ndarray]
 ) -> list[np.ndarray]:
@@ -312,47 +346,3 @@ def _single_bit_differences(
         np.bitwise_or.reduce(difference, axis=1, where=single)
         for difference in differences
     ]
-
-
-def minimal_cover_from_fds(fds: Iterable[FD], num_attributes: int) -> set[FD]:
-    """Reduce an arbitrary FD collection to its non-trivial minimal members.
-
-    Utility for baselines and tests: drops trivial FDs and every FD with a
-    stored generalization over the same RHS.
-    """
-    by_rhs: dict[int, list[int]] = {}
-    for fd in fds:
-        if fd.is_trivial():
-            continue
-        by_rhs.setdefault(fd.rhs, []).append(fd.lhs)
-    minimal: set[FD] = set()
-    for rhs, masks in by_rhs.items():
-        masks.sort(key=attrset.size)
-        kept: list[int] = []
-        for mask in masks:
-            if any(kept_mask & ~mask == 0 for kept_mask in kept):
-                continue
-            kept.append(mask)
-        minimal.update(FD(mask, rhs) for mask in kept)
-    return minimal
-
-
-def attribute_frequency_priority(
-    non_fds: Iterable[FD], num_attributes: int
-) -> Sequence[int]:
-    """Rank attributes by ascending frequency across non-FD LHSs.
-
-    Algorithm 2 sorts LHS attributes in ascending order of frequency so
-    that rare attributes discriminate near the root of the binary tree;
-    this helper turns a non-FD sample into the corresponding priority
-    vector for :class:`~repro.fd.binary_tree.BinaryLhsTree`.
-    """
-    counts = [0] * num_attributes
-    for non_fd in non_fds:
-        for index in attrset.to_indices(non_fd.lhs):
-            counts[index] += 1
-    order = sorted(range(num_attributes), key=lambda i: (counts[i], i))
-    priority = [0] * num_attributes
-    for rank, index in enumerate(order):
-        priority[index] = rank
-    return priority

@@ -10,7 +10,7 @@ paper's Definition 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import attrset
 
@@ -88,15 +88,3 @@ def sort_for_cover_insertion(non_fds: Iterable[FD]) -> list[FD]:
     """
     return sorted(non_fds, key=lambda fd: (-attrset.size(fd.lhs), fd.rhs, fd.lhs))
 
-
-def violations_from_pair(agree_mask: int, num_attributes: int) -> Iterator[FD]:
-    """Expand one tuple-pair comparison into its non-FDs.
-
-    Given the agree set of a tuple pair (the attributes on which the two
-    tuples share a value), every attribute *outside* the agree set is
-    violated: ``agree_mask -/-> rhs`` for each differing ``rhs``.  This is
-    the Fdep induction step the sampling module relies on (Section IV-C).
-    """
-    diff = attrset.universe(num_attributes) & ~agree_mask
-    for rhs in attrset.to_indices(diff):
-        yield FD(agree_mask, rhs)

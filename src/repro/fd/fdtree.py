@@ -11,9 +11,8 @@ trie, skipping branches whose attribute order rules them out.
 The paper replaces this structure with the extended binary tree of
 Section IV-D "because the binary tree consumes less memory while quickly
 searching for specializations and generalizations"; this implementation
-exists as the faithful point of comparison (see the ablation benchmarks)
-and as a third independently-derived ``LhsIndex`` for the property tests
-to cross-check.
+exists as the faithful point of comparison (the E-IDX benchmark) and as
+an independently derived index for the property tests to cross-check.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ class _TrieNode:
 
 
 class FDTreeIndex:
-    """Set-trie over LHS bitmasks (implements ``LhsIndex``)."""
+    """Set-trie over LHS bitmasks for one RHS attribute."""
 
     __slots__ = ("_root", "_size")
 

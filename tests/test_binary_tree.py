@@ -7,9 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fd.binary_tree import BinaryLhsTree
-from repro.fd.lhs_index import BitsetLhsIndex
 
 masks = st.integers(min_value=0, max_value=(1 << 10) - 1)
+
+
+def supersets(stored: list[int], query: int) -> list[int]:
+    return sorted(mask for mask in set(stored) if query & ~mask == 0)
+
+
+def subsets(stored: list[int], query: int) -> list[int]:
+    return sorted(mask for mask in set(stored) if mask & ~query == 0)
 
 
 class TestStructure:
@@ -73,15 +80,6 @@ class TestStructure:
 
 
 class TestAttributePriority:
-    def test_priority_controls_split_attribute(self):
-        # With priority favouring attribute 2, the root split of
-        # {0b001, 0b100} tests attribute 2 instead of attribute 0.
-        tree = BinaryLhsTree(attr_priority=[2, 1, 0])
-        tree.add(0b001)
-        tree.add(0b100)
-        assert tree._root is not None and tree._root.attr == 2
-        tree.check_invariants()
-
     def test_default_priority_uses_lowest_index(self):
         tree = BinaryLhsTree()
         tree.add(0b001)
@@ -120,19 +118,18 @@ class TestPaperExample:
 
 
 class TestEquivalenceWithBitsetIndex:
-    """The tree and the reference index must agree on everything."""
+    """The tree must agree with a plain list of the stored masks."""
 
     @given(st.lists(masks, max_size=40), masks)
     @settings(max_examples=200)
     def test_same_query_results(self, stored, query):
         tree = BinaryLhsTree(iter(stored))
-        reference = BitsetLhsIndex(iter(stored))
-        assert len(tree) == len(reference)
-        assert list(tree) == list(reference)
-        assert tree.find_supersets(query) == reference.find_supersets(query)
-        assert tree.find_subsets(query) == reference.find_subsets(query)
-        assert tree.contains_superset(query) == reference.contains_superset(query)
-        assert tree.contains_subset(query) == reference.contains_subset(query)
+        assert len(tree) == len(set(stored))
+        assert list(tree) == sorted(set(stored))
+        assert tree.find_supersets(query) == supersets(stored, query)
+        assert tree.find_subsets(query) == subsets(stored, query)
+        assert tree.contains_superset(query) == bool(supersets(stored, query))
+        assert tree.contains_subset(query) == bool(subsets(stored, query))
         tree.check_invariants()
 
     @given(
@@ -142,16 +139,21 @@ class TestEquivalenceWithBitsetIndex:
     @settings(max_examples=200)
     def test_same_results_under_interleaved_removal(self, operations, query):
         tree = BinaryLhsTree()
-        reference = BitsetLhsIndex()
+        reference: list[int] = []
         for is_add, mask in operations:
+            present = mask in reference
             if is_add:
-                assert tree.add(mask) == reference.add(mask)
+                assert tree.add(mask) == (not present)
+                if not present:
+                    reference.append(mask)
             else:
-                assert tree.remove(mask) == reference.remove(mask)
+                assert tree.remove(mask) == present
+                if present:
+                    reference.remove(mask)
         tree.check_invariants()
-        assert list(tree) == list(reference)
-        assert tree.find_supersets(query) == reference.find_supersets(query)
-        assert tree.find_subsets(query) == reference.find_subsets(query)
+        assert list(tree) == sorted(reference)
+        assert tree.find_supersets(query) == supersets(reference, query)
+        assert tree.find_subsets(query) == subsets(reference, query)
 
     @given(st.lists(masks, min_size=1, max_size=40))
     def test_membership(self, stored):

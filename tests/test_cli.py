@@ -41,6 +41,23 @@ class TestDiscover:
         with pytest.raises(SystemExit):
             main(["discover", patients_csv, "--algorithm", "nope"])
 
+    def test_bad_jobs_flag_is_a_usage_error_before_reading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["discover", missing, "--jobs", "thread:2"])
+        assert exit_info.value.code == 2
+        assert "process:N" in capsys.readouterr().err
+
+    def test_bad_jobs_env_is_a_usage_error_before_reading(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_JOBS", "thread:2")
+        missing = str(tmp_path / "missing.csv")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["discover", missing])
+        assert exit_info.value.code == 2
+        assert "REPRO_JOBS" in capsys.readouterr().err
+
 
 class TestDiscoverJson:
     def test_json_output_roundtrips(self, patients_csv, capsys):

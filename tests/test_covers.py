@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fd import (
-    FD,
-    NegativeCover,
-    PositiveCover,
-    attribute_frequency_priority,
-    attrset,
-    minimal_cover_from_fds,
-)
+from repro.fd import FD, NegativeCover, PositiveCover, attrset
+from repro.obs import collecting_metrics
+from repro.obs.names import NCOVER_ADDED, NCOVER_GENERALIZATIONS_EVICTED
 
 # Attribute initials of the paper's patient schema: N=0, A=1, B=2, G=3, M=4.
 N, A, B, G, M = range(5)
@@ -104,7 +99,82 @@ class TestNegativeCover:
         }
 
 
+class _ListCover:
+    """Algorithm 2's insertion over one plain list of LHS masks per RHS."""
+
+    def __init__(self, num_attributes: int) -> None:
+        self.lhs: list[list[int]] = [[] for _ in range(num_attributes)]
+        self.added = 0
+        self.evicted = 0
+
+    def add_violations(self, agree: int, rhs_mask: int, pending: list[FD]) -> int:
+        grown = 0
+        for rhs in attrset.to_indices(rhs_mask):
+            stored = self.lhs[rhs]
+            if any(agree & ~lhs == 0 for lhs in stored):
+                continue  # a stored specialization covers it
+            kept = [lhs for lhs in stored if lhs & ~agree]
+            self.evicted += len(stored) - len(kept)
+            self.lhs[rhs] = kept + [agree]
+            pending.append(FD(agree, rhs))
+            grown += 1
+        self.added += grown
+        return grown
+
+
+def intake_calls(width: int):
+    """``(agree, rhs_mask)`` calls over ``width`` attributes, masks disjoint.
+
+    Masks draw from at most seven attributes, often ones next to a 64-bit
+    word boundary, so that calls specialize and generalize each other
+    across words.
+    """
+    edges = [a for a in (0, 62, 63, 64, 65, 127, 128, 129) if a < width]
+    attribute = st.one_of(st.integers(0, width - 1), st.sampled_from(edges))
+    active = st.lists(attribute, min_size=1, max_size=7, unique=True)
+
+    def calls(attributes: list[int]):
+        picks = st.lists(
+            st.booleans(), min_size=len(attributes), max_size=len(attributes)
+        )
+        masks = picks.map(
+            lambda chosen: attrset.from_indices(
+                a for a, pick in zip(attributes, chosen) if pick
+            )
+        )
+        return st.lists(st.tuples(masks, masks), min_size=10, max_size=60).map(
+            lambda pairs: [(agree, rhs & ~agree) for agree, rhs in pairs]
+        )
+
+    return active.flatmap(calls)
+
+
 class TestNegativeCoverAntichain:
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 63, 64, 65, 130])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_intake_matches_per_rhs_list_oracle(self, width, data):
+        calls = data.draw(intake_calls(width))
+        cover, oracle = NegativeCover(width), _ListCover(width)
+        pending: list[FD] = []
+        expected: list[FD] = []
+        with collecting_metrics() as registry:
+            for agree, rhs_mask in calls:
+                grown = cover.add_violations(agree, rhs_mask, pending)
+                assert grown == oracle.add_violations(agree, rhs_mask, expected)
+                assert pending == expected
+        stored = sorted(
+            (rhs, lhs) for rhs, masks in enumerate(oracle.lhs) for lhs in masks
+        )
+        assert [(fd.rhs, fd.lhs) for fd in cover] == stored
+        assert len(cover) == len(stored)
+        for agree, rhs_mask in calls:
+            for rhs in attrset.to_indices(rhs_mask):
+                assert cover.covers(FD(agree, rhs))
+        assert registry.counters.get(NCOVER_ADDED, 0) == oracle.added
+        evicted = registry.counters.get(NCOVER_GENERALIZATIONS_EVICTED, 0)
+        assert evicted == oracle.evicted
+
     @given(
         st.lists(
             st.tuples(
@@ -189,33 +259,3 @@ class TestPositiveCover:
         assert FD.of([63, 64], 69) not in cover
         assert FD.of([70], 69) not in cover  # outside the universe
         assert len(cover.lhs_masks(69)) == 69
-
-
-class TestMinimalCoverFromFds:
-    def test_drops_trivial(self):
-        fds = [FD.of([0, 1], 1), FD.of([0], 2)]
-        assert minimal_cover_from_fds(fds, 3) == {FD.of([0], 2)}
-
-    def test_drops_dominated(self):
-        fds = [FD.of([0], 2), FD.of([0, 1], 2)]
-        assert minimal_cover_from_fds(fds, 3) == {FD.of([0], 2)}
-
-    def test_keeps_incomparable(self):
-        fds = [FD.of([0], 2), FD.of([1], 2)]
-        assert minimal_cover_from_fds(fds, 3) == set(fds)
-
-    def test_empty(self):
-        assert minimal_cover_from_fds([], 3) == set()
-
-
-class TestAttributeFrequencyPriority:
-    def test_rare_attributes_ranked_first(self):
-        non_fds = [FD.of([0, 1], 2), FD.of([0], 2), FD.of([0, 1], 3)]
-        priority = attribute_frequency_priority(non_fds, 4)
-        # Attribute 0 appears 3x, 1 appears 2x, 2/3 never.
-        assert priority[2] < priority[0]
-        assert priority[3] < priority[1] < priority[0]
-
-    def test_ties_break_by_index(self):
-        priority = attribute_frequency_priority([], 3)
-        assert list(priority) == [0, 1, 2]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fd import FD, attrset, sort_for_cover_insertion, violations_from_pair
+from repro.fd import FD, sort_for_cover_insertion
 
 
 class TestFDValue:
@@ -90,15 +90,3 @@ class TestHelpers:
         assert sort_for_cover_insertion(fds) == sort_for_cover_insertion(
             list(reversed(fds))
         )
-
-    def test_violations_from_pair(self):
-        # Agreement on attributes {0, 2} of 4: attributes 1 and 3 violated.
-        got = set(violations_from_pair(0b0101, 4))
-        assert got == {FD(0b0101, 1), FD(0b0101, 3)}
-
-    def test_violations_from_identical_pair(self):
-        assert list(violations_from_pair(attrset.universe(3), 3)) == []
-
-    def test_violations_from_fully_disagreeing_pair(self):
-        got = set(violations_from_pair(0, 2))
-        assert got == {FD(0, 0), FD(0, 1)}

@@ -5,8 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fd import FD, FDTreeIndex, NegativeCover
-from repro.fd.lhs_index import BitsetLhsIndex
+from repro.fd import FDTreeIndex
 
 masks = st.integers(min_value=0, max_value=(1 << 10) - 1)
 
@@ -70,49 +69,34 @@ class TestQueries:
 
 
 class TestEquivalenceWithReference:
+    """The trie must agree with a plain list of the stored masks."""
+
     @given(st.lists(masks, max_size=40), masks)
     @settings(max_examples=200)
     def test_queries_match_bitset_index(self, stored, query):
         trie = FDTreeIndex(iter(stored))
-        reference = BitsetLhsIndex(iter(stored))
-        assert len(trie) == len(reference)
-        assert list(trie) == list(reference)
-        assert trie.find_supersets(query) == reference.find_supersets(query)
-        assert trie.find_subsets(query) == reference.find_subsets(query)
-        assert trie.contains_superset(query) == reference.contains_superset(query)
-        assert trie.contains_subset(query) == reference.contains_subset(query)
+        supersets = sorted(mask for mask in set(stored) if query & ~mask == 0)
+        subsets = sorted(mask for mask in set(stored) if mask & ~query == 0)
+        assert len(trie) == len(set(stored))
+        assert list(trie) == sorted(set(stored))
+        assert trie.find_supersets(query) == supersets
+        assert trie.find_subsets(query) == subsets
+        assert trie.contains_superset(query) == bool(supersets)
+        assert trie.contains_subset(query) == bool(subsets)
 
     @given(st.lists(st.tuples(st.booleans(), masks), max_size=50))
     @settings(max_examples=150)
     def test_mutation_matches_bitset_index(self, operations):
         trie = FDTreeIndex()
-        reference = BitsetLhsIndex()
+        reference: list[int] = []
         for is_add, mask in operations:
+            present = mask in reference
             if is_add:
-                assert trie.add(mask) == reference.add(mask)
+                assert trie.add(mask) == (not present)
+                if not present:
+                    reference.append(mask)
             else:
-                assert trie.remove(mask) == reference.remove(mask)
-        assert list(trie) == list(reference)
-
-
-class TestAsCoverIndex:
-    def test_negative_cover_index_swapped_to_fdtree(self, patient_relation):
-        """The negative cover is index-agnostic: EulerFD's result is
-        identical when its index is the classic FD-tree."""
-        from repro.core import EulerFD
-        from repro.fd import covers
-
-        baseline = EulerFD().discover(patient_relation).fds
-        original = covers.default_index_factory
-        covers.default_index_factory = FDTreeIndex
-        try:
-            with_fdtree = EulerFD().discover(patient_relation).fds
-        finally:
-            covers.default_index_factory = original
-        assert with_fdtree == baseline
-
-    def test_direct_cover_usage(self):
-        cover = NegativeCover(3, index_factory=FDTreeIndex)
-        assert cover.add(FD.of([0], 2))
-        assert not cover.add(FD(0, 2))  # generalizes the stored {0}
-        assert cover.covers(FD(0, 2)) and len(cover) == 1
+                assert trie.remove(mask) == present
+                if present:
+                    reference.remove(mask)
+        assert list(trie) == sorted(reference)

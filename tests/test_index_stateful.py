@@ -1,8 +1,8 @@
-"""Stateful property testing of the three LHS indexes.
+"""Stateful property testing of the two LHS trees.
 
 A hypothesis rule-based machine drives random add/remove/query sequences
-against all three index implementations simultaneously and a plain-set
-model; any divergence in any operation is a bug in one of them.
+against the extended binary tree and the FD-tree simultaneously and a
+plain-set model; any divergence in any operation is a bug in one of them.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.fd import BinaryLhsTree, BitsetLhsIndex, FDTreeIndex
+from repro.fd import BinaryLhsTree, FDTreeIndex
 
 MASKS = st.integers(min_value=0, max_value=(1 << 8) - 1)
 
@@ -23,7 +23,6 @@ class IndexMachine(RuleBasedStateMachine):
         self.indexes = {
             "binary": BinaryLhsTree(),
             "trie": FDTreeIndex(),
-            "bitset": BitsetLhsIndex(),
         }
 
     @rule(mask=MASKS)

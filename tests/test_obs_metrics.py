@@ -773,9 +773,10 @@ class TestDisabledOverhead:
         worker.join(timeout=120)
         assert not worker.is_alive()
         overhead = sum(calls[name] * costs[name] for name in calls) / 1e9
-        # ~8.7k counts: per-event sampler and ncover sites; inversion
-        # counts once per batch.
-        assert calls["count"] > 5_000 and calls["phase"] > 0, calls
+        # ~1.35k counts: per-event sampler sites (MLFQ demotions, window
+        # hits), one ncover count per agree set that grew the cover;
+        # inversion counts once per batch.
+        assert calls["count"] > 1_000 and calls["phase"] > 0, calls
         assert overhead <= 0.02 * best_wall, (
             f"{sum(calls.values())} disabled front-door calls cost "
             f"{overhead * 1e3:.2f} ms, over 2% of the {best_wall:.3f} s "
