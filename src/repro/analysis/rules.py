@@ -661,8 +661,8 @@ class StreamingEncodeDisciplineRule(Rule):
 
     The delta execution engine (DESIGN.md §12) makes appends O(batch):
     ``PreprocessedRelation.append_rows`` extends the label dictionaries,
-    the label matrix and the singleton stripped partitions in place, and
-    ``PartitionStore.apply_delta`` re-pins the grown singletons.  One
+    the label matrix and the label → rows lists in place, and
+    ``PartitionStore.apply_delta`` drops what the store built.  One
     stray ``preprocess(...)`` call on an append path silently
     reinstates the O(N) full re-encode the engine exists to avoid — and
     keeps working, so nothing but a profiler would notice.  Full encodes

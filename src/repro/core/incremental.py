@@ -14,13 +14,14 @@ inversion machinery can absorb batches of new rows without starting over.
   sampler is dropped afterwards, since nothing samples an append;
 * each **append** flows through the delta execution engine
   (DESIGN.md §12): the owned :class:`~repro.engine.ExecutionContext`
-  grows its preprocessed label matrix and singleton partitions in
-  place, and the returned :class:`~repro.relation.preprocess.AppendDelta`
-  names exactly the clusters the new rows landed in.  Pairs are read off
-  those touched clusters — every pair involving a new tuple that could
-  violate anything, deduplicated across attributes in one vectorized
-  ``np.unique`` — and their agree masks stream through the same
-  incremental inverter;
+  grows its preprocessed label matrix and label → rows lists in place,
+  building no partition, and the returned
+  :class:`~repro.relation.preprocess.AppendDelta` names exactly the
+  clusters the new rows landed in.  :func:`partner_pairs` reads every
+  pair involving a new tuple that could violate anything off those
+  touched clusters in one vectorized step, deduplicated across
+  attributes by one ``np.unique``, and their agree masks stream through
+  the same incremental inverter;
 * the **result** is a live FD set: the first snapshot seeds it from the
   positive cover, and each later append replays the inverter's cover
   edits onto it, so a snapshot is one frozenset copy and its
@@ -29,13 +30,14 @@ inversion machinery can absorb batches of new rows without starting over.
 With an exhaustive base, the maintained cover stays exact after every
 append (property-tested against from-scratch discovery); with a sampled
 base it keeps EulerFD's approximation guarantees while doing only
-O(batch × cluster) work per append — no re-encoding, no per-row Python
-grouping loop, no derived partition (the append path reads none), and no
+O(batch × cluster) work per append — no re-encoding, no partition
+(the append path reads none), no per-cluster Python loop, and no
 rebuild of the result from the cover.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -61,6 +63,38 @@ from .config import EulerFDConfig
 from .inversion import CoverEdit, Inverter
 from .result import DiscoveryResult, Stopwatch, make_result
 from .sampler import SamplingModule
+
+
+def partner_pairs(delta: AppendDelta) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct pair ``(a, b)``, ``a < b``, of cluster-mates with ``b`` new.
+
+    Within a touched cluster (ascending rows) every new member pairs with
+    all earlier members, which lists each pair involving a new row once
+    per attribute without regrouping the matrix.  With the clusters
+    concatenated, a new member at position ``p`` of a cluster starting
+    at ``start`` pairs with positions ``start .. start + p - 1``: one
+    ``np.repeat`` plus one ``arange`` list them all.  One ``np.unique``
+    over ``a * num_rows + b`` keys drops cross-attribute duplicates, and
+    its sorted order is the canonical admit order (RPR107).
+
+    Pure: reads the delta only; returns fresh ``intp`` arrays.
+    """
+    clusters = [cluster for column in delta.touched for cluster in column]
+    sizes = np.fromiter(map(len, clusters), dtype=np.int64, count=len(clusters))
+    members = np.fromiter(
+        chain.from_iterable(clusters), dtype=np.int64, count=int(sizes.sum())
+    )
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    new = np.flatnonzero(members >= delta.first_new)
+    # a new member's earlier cluster-mates: positions starts[i] .. i - 1
+    mates = new - starts[new]
+    first_pair = np.cumsum(mates) - mates
+    partners = np.arange(int(mates.sum()), dtype=np.int64) + np.repeat(
+        starts[new] - first_pair, mates
+    )
+    num_rows = delta.num_rows
+    keys = np.unique(members[partners] * num_rows + np.repeat(members[new], mates))
+    return (keys // num_rows).astype(np.intp), (keys % num_rows).astype(np.intp)
 
 
 class IncrementalEulerFD:
@@ -174,39 +208,15 @@ class IncrementalEulerFD:
     def _compare_new_rows(self, delta: AppendDelta) -> list[FD]:
         """Compare each new tuple against every cluster-mate (old and new).
 
-        Pairs come straight off the delta's touched clusters — the
-        post-append clusters containing at least one new row, per
-        attribute — instead of regrouping the whole matrix: within a
-        cluster (ascending rows) every new member pairs with all earlier
-        members, which enumerates each unordered pair involving a new
-        row exactly once per attribute.  Cross-attribute duplicates are
-        collapsed by one ``np.unique`` over ``a * num_rows + b`` keys,
-        whose sorted order also makes the admit sequence canonical
-        (RPR107).  Work is O(batch × cluster), never O(relation).
+        The pairs come from :func:`partner_pairs`, in canonical admit
+        order (RPR107).  Work is O(batch × cluster), never O(relation).
 
         Mutates: self
         """
         data = self.context.data
         pending: list[FD] = []
         self.ncover.add_empty_lhs(delta.cardinalities, pending)
-        first_new = delta.first_new
-        num_rows = delta.num_rows
-        pair_keys: list[np.ndarray] = []
-        for column_clusters in delta.touched:
-            for cluster in column_clusters:
-                members = np.asarray(cluster, dtype=np.int64)
-                split = int(np.searchsorted(members, first_new))
-                for position in range(split, members.size):
-                    # all earlier cluster-mates of one new row
-                    pair_keys.append(
-                        members[:position] * num_rows + members[position]
-                    )
-        if pair_keys:
-            keys = np.unique(np.concatenate(pair_keys))
-            rows_a = (keys // num_rows).astype(np.intp)
-            rows_b = (keys % num_rows).astype(np.intp)
-        else:
-            rows_a = rows_b = np.empty(0, dtype=np.intp)
+        rows_a, rows_b = partner_pairs(delta)
         self.pairs_compared += int(rows_a.size)
         count(INCREMENTAL_PAIRS_COMPARED, int(rows_a.size))
         if rows_a.size:

@@ -112,11 +112,11 @@ class ExecutionContext:
         """Ingest a batch of new rows; return what the batch changed.
 
         The change-batch API of the delta engine (DESIGN.md §12): the
-        preprocessed relation (label matrix and singleton partitions
-        included) grows in place at O(batch), with no re-encoding.  The
-        partition store re-pins the grown singletons and drops its
-        derived entries, which the next request re-derives, and the
-        sampling-cluster list is re-listed on next use.  The returned
+        preprocessed relation (label matrix and label → rows lists)
+        grows in place at O(batch), with no re-encoding and no partition
+        built.  The partition store drops its derived entries and built
+        pins, which the next request builds from the grown snapshot, and
+        the sampling-cluster list is re-listed on next use.  The returned
         :class:`AppendDelta` names the clusters the new rows landed in.
 
         Mutates: self

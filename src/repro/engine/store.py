@@ -7,8 +7,9 @@ and repeated bench runs used to rebuild identical partitions from the
 columns every time.  :class:`PartitionStore` centralizes them:
 
 * **Keying** — one entry per attribute-set bitmask.  The empty set and
-  every singleton are *pinned*: they come straight from preprocessing,
-  cost nothing to keep, and anchor every derivation.
+  every singleton are *pinned*: each is built from the preprocessed
+  relation on its first :meth:`~PartitionStore.get`, is never evicted,
+  and anchors every derivation.
 * **Derivation** — a missing partition is never recomputed from the
   columns.  It is derived by the stripped-partition product of its
   one-smaller parents ``X ∖ {a}``, found by ``|X|`` key probes rather
@@ -88,6 +89,11 @@ class PartitionStore:
         if cache_size < 1:
             raise ValueError(f"cache_size must be positive, got {cache_size}")
         self._cache_size = cache_size
+        self._data = data
+        # π(∅) and every singleton: pinned, each built on its first get
+        self._pinnable = {
+            attrset.EMPTY, *map(attrset.singleton, range(data.num_columns))
+        }
         self._pinned: dict[int, StrippedPartition] = {}
         self._pinned_bytes = 0
         self._cache: OrderedDict[int, StrippedPartition] = OrderedDict()
@@ -98,15 +104,14 @@ class PartitionStore:
         self.derives = 0
         self.evictions = 0
         self.evicted_bytes = 0
-        self._pin(data)
 
     @property
     def resident_bytes(self) -> int:
-        """Estimated bytes held by the store, pinned entries included."""
+        """Estimated bytes held by the store, built pinned entries included."""
         return self._pinned_bytes + self._cached_bytes
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self._pinned or mask in self._cache
+        return mask in self._pinnable or mask in self._cache
 
     def stats(self) -> dict[str, int]:
         """Cache-traffic snapshot: monotonic counts, safe to delta."""
@@ -125,7 +130,7 @@ class PartitionStore:
 
         Mutates: self
         """
-        pinned = self._pinned.get(mask)
+        pinned = self._pinned_entry(mask)
         if pinned is not None:
             self.hits += 1
             count(PARTITION_CACHE_HIT)
@@ -147,36 +152,40 @@ class PartitionStore:
     def apply_delta(self, data: PreprocessedRelation) -> None:
         """Advance the store to the post-append snapshot ``data``.
 
-        π(∅) and the singletons re-point at ``data``, whose cluster
-        tuples the preprocessing delta already extended.  Derived entries
-        are dropped; the next :meth:`get` re-derives each one from the
-        grown singletons.
+        Derived entries and built pins are dropped: the next :meth:`get`
+        builds π(∅) and the singletons from ``data``, and re-derives each
+        derived entry from them.
 
         Mutates: self
         """
+        self._data = data
+        self._pinned.clear()
         self._cache.clear()
         self._costs.clear()
-        self._cached_bytes = 0
-        self._pin(data)
+        self._pinned_bytes = self._cached_bytes = 0
+        gauge(PARTITION_CACHE_RESIDENT_BYTES, 0.0)
 
-    def _pin(self, data: PreprocessedRelation) -> None:
-        """Pin π(∅) and every singleton partition of ``data``.
+    def _pinned_entry(self, mask: int) -> StrippedPartition | None:
+        """The pinned partition on ``mask``, built on first use; else None.
 
         Mutates: self
         """
-        num_rows = data.num_rows
-        # π(∅): one class holding every tuple (empty when it could not
-        # possibly violate anything, i.e. fewer than two rows).
-        empty = StrippedPartition.from_tuples(
-            (tuple(range(num_rows)),) if num_rows > 1 else (), num_rows
-        )
-        self._pinned = {attrset.EMPTY: empty}
-        for attribute, partition in enumerate(data.stripped):
-            self._pinned[attrset.singleton(attribute)] = partition
-        self._pinned_bytes = sum(
-            partition_cost_bytes(partition) for partition in self._pinned.values()
-        )
+        partition = self._pinned.get(mask)
+        if partition is not None or mask not in self._pinnable:
+            return partition
+        num_rows = self._data.num_rows
+        if mask == attrset.EMPTY:
+            # π(∅): one class holding every tuple (empty when it could not
+            # possibly violate anything, i.e. fewer than two rows).
+            partition = StrippedPartition.from_tuples(
+                (tuple(range(num_rows)),) if num_rows > 1 else (), num_rows
+            )
+        else:
+            partition = self._data.stripped(attrset.lowest_bit(mask))
+        self._pinned[mask] = partition
+        self._pinned_bytes += partition_cost_bytes(partition)
         gauge(PARTITION_CACHE_RESIDENT_BYTES, float(self.resident_bytes))
+        return partition
 
     # -- derivation ------------------------------------------------------------
 
@@ -196,7 +205,7 @@ class PartitionStore:
         count(PARTITION_CACHE_DERIVE)
         parents: list[tuple[int, int, StrippedPartition]] = []
         for parent_mask in attrset.subsets_one_smaller(mask):
-            parent = self._pinned.get(parent_mask)
+            parent = self._pinned_entry(parent_mask)
             if parent is None:
                 parent = self._cache.get(parent_mask)
             if parent is not None:
@@ -210,7 +219,8 @@ class PartitionStore:
             # the first one-smaller subset drops the lowest attribute
             parent_mask = next(attrset.subsets_one_smaller(mask))
             parent = self.get(parent_mask)
-        return parent.product(self._pinned[mask ^ parent_mask])
+        # the one attribute the parent lacks: a pinned singleton
+        return parent.product(self._pinned_entry(mask ^ parent_mask))
 
     def _store(self, mask: int, partition: StrippedPartition) -> None:
         """Cache a freshly derived ``mask``, evicting LRU entries past the bound.

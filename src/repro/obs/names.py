@@ -142,8 +142,8 @@ CATALOG: dict[str, str] = {
     HYFD_VIOLATED_CANDIDATES: "HyFD candidates refuted by validation",
     AIDFD_PAIRS_COMPARED: "Row pairs swept by AID-FD",
     DISCOVER: "One algorithm run, from relation to FD set",
-    PREPROCESS: "Label-matrix encoding and stripped partitions of a relation",
-    APPEND_ROWS: "Encoding an appended batch and re-pinning the partition store",
+    PREPROCESS: "Label-matrix encoding of a relation",
+    APPEND_ROWS: "Encoding an appended batch and resetting the partition store",
     VALIDATE_MANY: "One batch of candidate FDs validated against the relation",
     POOL_MAP: "One worker-pool dispatch, from submit to the last result",
     CYCLE: "One EulerFD double cycle: sampling rounds, then one inversion",

@@ -49,12 +49,11 @@ class StrippedPartition:
     ) -> "StrippedPartition":
         """Wrap already-validated cluster tuples without per-row copies.
 
-        The delta-maintenance path of :mod:`repro.relation.preprocess`
-        rebuilds a partition per append while reusing every untouched
-        cluster tuple; re-tupling them through ``__init__`` would copy
-        every grouped row and turn an O(batch) append into O(N).  The
-        caller vouches that ``clusters`` is a tuple of int tuples, each
-        of size >= 2 — the same invariant ``__init__`` enforces.
+        For builders that tuple their clusters themselves (a delta
+        snapshot's partitions, π(∅)), where ``__init__`` would re-tuple
+        and re-check every cluster.  The caller vouches that
+        ``clusters`` is a tuple of int tuples, each of size >= 2 — the
+        same invariant ``__init__`` enforces.
 
         Pure: wraps the given tuples; nothing is copied or mutated.
         """

@@ -14,19 +14,25 @@ reads ``matrix[:, j]`` columns at 1, 2 or 4 bytes per cell (DESIGN.md
 §11).  NULL is ``None`` or a float NaN (any value with ``v != v``); both
 encode identically under either NULL semantics.
 
+A column's stripped partition is built on the first
+:meth:`PreprocessedRelation.stripped` call for it and cached on the
+snapshot: a reader of one column builds no other.
+
 Streaming appends (DESIGN.md §12): :meth:`PreprocessedRelation.append_rows`
-extends the label dictionaries, the label matrix and the per-attribute
-stripped partitions **in place** — O(batch) work per append instead of
-re-encoding the table.  The retained encoder state lives in a
-:class:`_DeltaState` shared by every snapshot of one append lineage;
-snapshots stay frozen and their matrices are read-only prefixes of one
-amortized-growth buffer, so an old snapshot never observes newer rows.
-Appends are linear: only the newest snapshot may be appended to (a stale
-snapshot raises), which is what keeps the shared buffer single-writer.
+extends the label dictionaries, the label matrix and the per-column
+label → rows lists **in place** — O(batch) work per append instead of
+re-encoding the table — and builds no partition.  The retained encoder
+state lives in a :class:`_DeltaState` shared by every snapshot of one
+append lineage; snapshots stay frozen and their matrices are read-only
+prefixes of one amortized-growth buffer, so an old snapshot never
+observes newer rows.  Appends are linear: only the newest snapshot may
+be appended to (a stale snapshot raises), which is what keeps the shared
+buffer single-writer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any
 
@@ -90,11 +96,10 @@ class _DeltaState:
     One instance backs every snapshot produced by successive
     ``append_rows`` calls: the writable amortized-growth matrix buffer
     behind the snapshots' read-only views, the value→label dictionaries,
-    and per-column full group membership (label → ascending member rows)
-    from which stripped partitions are materialized with structural
-    sharing — untouched cluster tuples are reused, never re-tupled.
-    Only the newest snapshot (``size`` rows) may append, which keeps the
-    shared buffer single-writer; the state is not thread-safe.
+    and per-column full group membership (label → ascending member rows),
+    from which any snapshot's stripped partitions are built on first
+    read.  Only the newest snapshot (``size`` rows) may append, which
+    keeps the shared buffer single-writer; the state is not thread-safe.
     """
 
     __slots__ = (
@@ -104,9 +109,6 @@ class _DeltaState:
         "codes",
         "next_labels",
         "members",
-        "multi",
-        "grouped",
-        "tuple_cache",
     )
 
     def __init__(self, matrix: np.ndarray, null_equals_null: bool) -> None:
@@ -119,16 +121,6 @@ class _DeltaState:
         self.next_labels: list[int] = [0] * num_columns
         # label -> member rows (ascending): the full, unstripped grouping.
         self.members: list[list[list[int]]] = [[] for _ in range(num_columns)]
-        # labels with >= 2 members -> their first row; re-sorted by first
-        # row at materialization, which restores the canonical
-        # first-occurrence cluster order of ``partition_from_labels``.
-        self.multi: list[dict[int, int]] = [{} for _ in range(num_columns)]
-        self.grouped: list[int] = [0] * num_columns
-        # label -> materialized cluster tuple; dropped when the cluster
-        # grows, so unchanged clusters share one tuple across snapshots.
-        self.tuple_cache: list[dict[int, tuple[int, ...]]] = [
-            {} for _ in range(num_columns)
-        ]
 
     def adopt_column(
         self, j: int, labels: list[int], codes: dict[Any, int], next_label: int
@@ -143,36 +135,24 @@ class _DeltaState:
         for row, label in enumerate(labels):
             members[label].append(row)
         self.members[j] = members
-        multi = self.multi[j]
-        grouped = 0
-        for label, rows in enumerate(members):
-            if len(rows) >= 2:
-                multi[label] = rows[0]
-                grouped += len(rows)
-        self.grouped[j] = grouped
 
-    def materialize(self, j: int, num_rows: int) -> StrippedPartition:
-        """Column ``j``'s stripped partition at ``num_rows`` rows.
+    def partition(self, j: int, num_rows: int, cardinality: int) -> StrippedPartition:
+        """Column ``j``'s stripped partition over the first ``num_rows`` rows.
 
-        Pointer-level work only: every cluster tuple is served from the
-        per-label tuple cache when its membership did not change, and the
-        sort restores first-occurrence order from the per-label first
-        rows.
-
-        Mutates: self
+        Labels number values in first-occurrence order, so label order is
+        the canonical cluster order.  A stale snapshot's prefix cuts the
+        label range at its own ``cardinality`` and each ascending member
+        list at its own ``num_rows``: it never sees newer rows.
         """
-        cache = self.tuple_cache[j]
-        members = self.members[j]
-        clusters: list[tuple[int, ...]] = []
-        for label, _first in sorted(self.multi[j].items(), key=lambda kv: kv[1]):
-            cluster = cache.get(label)
-            if cluster is None:
-                cluster = tuple(members[label])
-                cache[label] = cluster
-            clusters.append(cluster)
-        return StrippedPartition.from_tuples(
-            tuple(clusters), num_rows, self.grouped[j]
-        )
+        clusters = []
+        grouped = 0
+        for rows in self.members[j][:cardinality]:
+            if len(rows) > 1 and rows[1] < num_rows:
+                if rows[-1] >= num_rows:
+                    rows = rows[: bisect_left(rows, num_rows)]
+                clusters.append(tuple(rows))
+                grouped += len(rows)
+        return StrippedPartition.from_tuples(tuple(clusters), num_rows, grouped)
 
     def _reserve(self, num_rows: int, dtype: "np.dtype") -> None:
         """Make the buffer hold ``num_rows`` rows of ``dtype`` labels.
@@ -203,14 +183,9 @@ class _DeltaState:
         """
         first_new = self.size
         num_rows = first_new + len(rows)
-        num_columns = len(self.codes)
         batch_labels: list[list[int]] = []
         touched: list[tuple[tuple[int, ...], ...]] = []
-        partitions: list[StrippedPartition] = []
-        for j in range(num_columns):
-            members = self.members[j]
-            multi = self.multi[j]
-            cache = self.tuple_cache[j]
+        for j, members in enumerate(self.members):
             labels, _, self.next_labels[j] = _encode_column(
                 [row[j] for row in rows],
                 self.null_equals_null,
@@ -218,36 +193,15 @@ class _DeltaState:
                 self.next_labels[j],
             )
             batch_labels.append(labels)
-            touched_multi: dict[int, None] = {}
+            grown: set[int] = set()
             for row_index, label in enumerate(labels, start=first_new):
                 if label == len(members):
                     members.append([row_index])
                     continue
-                group = members[label]
-                group.append(row_index)
-                if len(group) == 2:
-                    multi[label] = group[0]
-                    self.grouped[j] += 2
-                else:
-                    self.grouped[j] += 1
-                cache.pop(label, None)
-                touched_multi[label] = None
-            if touched_multi:
-                partitions.append(self.materialize(j, num_rows))
-                ordered = sorted(
-                    touched_multi, key=lambda label: members[label][0]
-                )
-                touched.append(tuple(cache[label] for label in ordered))
-            else:
-                # No cluster changed shape: share the previous snapshot's
-                # cluster tuples wholesale, only num_rows moves.
-                old = snapshot.stripped[j]
-                partitions.append(
-                    StrippedPartition.from_tuples(
-                        old.clusters, num_rows, old.num_grouped_rows
-                    )
-                )
-                touched.append(())
+                members[label].append(row_index)
+                grown.add(label)
+            # ascending labels: first-occurrence, the canonical cluster order
+            touched.append(tuple(tuple(members[label]) for label in sorted(grown)))
         # dtype-ladder crossing: the one sanctioned O(N) moment, paid only
         # when the widest column outgrows the matrix width (at most twice
         # per lineage).
@@ -259,7 +213,6 @@ class _DeltaState:
         data = _snapshot(
             snapshot.relation,
             matrix[:num_rows],
-            tuple(partitions),
             tuple(self.next_labels),
             self.null_equals_null,
         )
@@ -285,7 +238,7 @@ class PreprocessedRelation:
     labels of different attributes are independent namespaces and may
     repeat (Example 5).  ``cardinalities[j]`` is the number of distinct
     labels of column ``j`` (labels are dense, so also its next free
-    label).
+    label).  :meth:`stripped` builds a column's partition on first read.
 
     Snapshots grown by :meth:`append_rows` keep ``relation`` pointing at
     the cold-start schema snapshot — row counts always come from the
@@ -294,7 +247,6 @@ class PreprocessedRelation:
 
     relation: Relation
     matrix: np.ndarray
-    stripped: tuple[StrippedPartition, ...]
     cardinalities: tuple[int, ...]
     null_equals_null: bool
 
@@ -329,6 +281,32 @@ class PreprocessedRelation:
         """The dense label vector of one column."""
         return self.matrix[:, column]
 
+    def stripped(self, column: int) -> StrippedPartition:
+        """The stripped partition of one column, clusters ordered by first row.
+
+        Built on the first call for ``column`` and cached on the snapshot;
+        no other column is built.
+
+        Mutates: self
+        """
+        cache = self.__dict__.get("_stripped")
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_stripped", cache)
+        partition = cache.get(column)
+        if partition is None:
+            state = self.__dict__.get("_delta")
+            if state is None:
+                partition = partition_from_labels(
+                    self.labels(column).tolist(), self.num_rows
+                )
+            else:
+                partition = state.partition(
+                    column, self.num_rows, self.cardinalities[column]
+                )
+            cache[column] = partition
+        return partition
+
     @property
     def append_delta(self) -> "AppendDelta | None":
         """The :class:`AppendDelta` that produced this snapshot, if any.
@@ -342,8 +320,9 @@ class PreprocessedRelation:
     ) -> "PreprocessedRelation":
         """O(batch) append: the next snapshot, sharing this one's buffer.
 
-        Extends the label dictionaries, the label matrix and the stripped
-        partitions with the new rows — never re-encoding existing ones.
+        Extends the label dictionaries, the label matrix and the label →
+        rows lists with the new rows — never re-encoding existing ones,
+        and building no partition.
         The returned snapshot's :attr:`append_delta` describes what
         changed; ``self`` stays valid as a read-only view of the
         pre-append prefix, but becomes *stale*: appends are linear, and
@@ -433,7 +412,6 @@ def decode_agree_words(words: np.ndarray) -> list[int]:
 def _snapshot(
     relation: Relation,
     matrix: np.ndarray,
-    stripped: tuple[StrippedPartition, ...],
     cardinalities: tuple[int, ...],
     null_equals_null: bool,
 ) -> PreprocessedRelation:
@@ -446,7 +424,6 @@ def _snapshot(
     return PreprocessedRelation(
         relation=relation,
         matrix=view,
-        stripped=stripped,
         cardinalities=cardinalities,
         null_equals_null=null_equals_null,
     )
@@ -476,22 +453,16 @@ def preprocess(
     staging = np.empty((num_rows, num_columns), dtype=np.uint32)
     state = _DeltaState(staging, null_equals_null) if delta else None
     cardinalities = []
-    partitions = []
     for j, column in enumerate(relation.columns):
         labels, codes, next_label = _encode_column(column, null_equals_null)
         staging[:, j] = labels
         cardinalities.append(next_label)
-        if state is None:
-            partitions.append(partition_from_labels(labels, num_rows))
-        else:
+        if state is not None:
             state.adopt_column(j, labels, codes, next_label)
-            partitions.append(state.materialize(j, num_rows))
     matrix = staging.astype(
         dtype_for_cardinality(max(cardinalities)), copy=False
     )
-    data = _snapshot(
-        relation, matrix, tuple(partitions), tuple(cardinalities), null_equals_null
-    )
+    data = _snapshot(relation, matrix, tuple(cardinalities), null_equals_null)
     if state is not None:
         state.matrix = matrix
         object.__setattr__(data, "_delta", state)

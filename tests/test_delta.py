@@ -36,26 +36,62 @@ def concatenated(base_rows, batches):
     return Relation.from_rows(rows, NAMES)
 
 
+def assert_matches_prefix(data, rows, null_equals_null):
+    """``data`` equals a scratch preprocess of its ``num_rows``-row prefix."""
+    scratch = preprocess(
+        Relation.from_rows(rows[: data.num_rows], NAMES), null_equals_null
+    )
+    assert np.array_equal(data.matrix, scratch.matrix)
+    assert data.cardinalities == scratch.cardinalities
+    for j in range(data.num_columns):
+        grown, reference = data.stripped(j), scratch.stripped(j)
+        # canonical (first-occurrence) cluster order, not just set
+        # equality: downstream sampling iterates in order
+        assert grown.clusters == reference.clusters
+        assert grown.num_rows == reference.num_rows
+        assert grown.num_grouped_rows == reference.num_grouped_rows
+
+
 class TestAppendRowsEquivalence:
-    @pytest.mark.parametrize("null_equals_null", [True, False])
-    def test_matches_scratch_preprocess(self, null_equals_null):
+    @pytest.mark.parametrize(
+        ("null_equals_null", "read_late"),
+        [
+            pytest.param(True, False, id="True"),
+            pytest.param(False, False, id="False"),
+            pytest.param(True, True, id="late-True"),
+            pytest.param(False, True, id="late-False"),
+        ],
+    )
+    def test_matches_scratch_preprocess(self, null_equals_null, read_late):
+        """Every snapshot of a lineage equals a scratch preprocess of its
+        own prefix.  Read late, a snapshot builds its partitions only
+        after the last append, from label → rows lists that newer rows
+        have grown, and must still see its prefix alone.  The third
+        batch widens the label matrix from u8 to u16 mid-lineage."""
         rng = random.Random(3)
         base = random_rows(rng, 20)
-        batches = [random_rows(rng, 4), random_rows(rng, 1), random_rows(rng, 7)]
+        widening = [(value, value % 3, None, 1) for value in range(300)]
+        batches = [
+            random_rows(rng, 4),
+            random_rows(rng, 1),
+            widening,
+            random_rows(rng, 7),
+        ]
+        rows = [row for batch in [base, *batches] for row in batch]
         data = preprocess(
             Relation.from_rows(base, NAMES), null_equals_null, delta=True
         )
-        for index, batch in enumerate(batches):
+        lineage = []
+        for batch in batches:
             data = data.append_rows(batch)
-            scratch = preprocess(
-                concatenated(base, batches[: index + 1]), null_equals_null
-            )
-            assert np.array_equal(data.matrix, scratch.matrix)
-            for grown, reference in zip(data.stripped, scratch.stripped):
-                # canonical (first-occurrence) cluster order, not just
-                # set equality: downstream sampling iterates in order
-                assert grown.clusters == reference.clusters
-                assert grown.num_rows == reference.num_rows
+            lineage.append(data)
+            if not read_late:
+                assert_matches_prefix(data, rows, null_equals_null)
+        assert lineage[1].matrix.dtype == np.uint8
+        assert lineage[2].matrix.dtype == np.uint16
+        if read_late:
+            for data in lineage:
+                assert_matches_prefix(data, rows, null_equals_null)
 
     def test_nulls_with_distinct_null_semantics(self):
         rows = [(None, 1, 1, 1), (None, 1, 2, 1), (0, 2, 2, 2)]
@@ -69,8 +105,8 @@ class TestAppendRowsEquivalence:
             ),
             False,
         )
-        for grown_partition, reference in zip(grown.stripped, scratch.stripped):
-            assert grown_partition == reference
+        for j in range(grown.num_columns):
+            assert grown.stripped(j) == scratch.stripped(j)
 
     def test_append_delta_shape(self):
         data = preprocess(

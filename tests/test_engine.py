@@ -214,7 +214,7 @@ class TestPartitionStore:
         data = preprocess(random_relation(1, columns=4))
         store = PartitionStore(data)
         for attribute in range(4):
-            assert store.get(attrset.singleton(attribute)) == data.stripped[attribute]
+            assert store.get(attrset.singleton(attribute)) == data.stripped(attribute)
         assert store.misses == 0
         assert store.hits == 4
 

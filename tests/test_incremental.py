@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import BruteForce, Fdep
 from repro.core import IncrementalEulerFD
+from repro.core.incremental import partner_pairs
 from repro.datasets import patients, registry
 from repro.fd import FD, inference
 from repro.relation import Relation
+from repro.relation.partition import StrippedPartition
+from repro.relation.preprocess import preprocess
 
 
 def rows_of(*rows):
@@ -120,8 +124,8 @@ class TestValidation:
 class TestDeltaEquivalenceAcrossBackends:
     """K appended batches == from-scratch discovery, on every engine.
 
-    The delta path (in-place matrix growth, re-pinned singletons,
-    touched-cluster pair enumeration) must be invisible in the output:
+    The delta path (in-place matrix growth, partitions built on first
+    read, touched-cluster pair enumeration) must be invisible in the output:
     identical FD sets to a cold run over the concatenated relation, for
     every backend and for serial and process-parallel pools alike.
     """
@@ -198,8 +202,9 @@ class TestIngestStream:
 
     @pytest.fixture(scope="class")
     def replays(self, stream):
-        """Per base: the session after the stream, and per batch the rows
-        so far, the result and the inverter's cover at that point."""
+        """Per base: the session after the stream, per batch the rows so
+        far, the result and the inverter's cover at that point, and the
+        partitions built during the appends."""
         names, rows = stream
         replays = {}
         for exhaustive_base in (True, False):
@@ -208,17 +213,19 @@ class TestIngestStream:
                 exhaustive_base=exhaustive_base,
             )
             results = []
-            for cursor in range(self.BASE, len(rows), self.BATCH):
-                batch = rows[cursor : cursor + self.BATCH]
-                result = session.append(batch)
-                cover = frozenset(session.inverter.pcover)
-                results.append((cursor + len(batch), result, cover))
-            replays[exhaustive_base] = session, results
+            with pytest.MonkeyPatch.context() as patch:
+                builds = count_partition_builds(patch)
+                for cursor in range(self.BASE, len(rows), self.BATCH):
+                    batch = rows[cursor : cursor + self.BATCH]
+                    result = session.append(batch)
+                    cover = frozenset(session.inverter.pcover)
+                    results.append((cursor + len(batch), result, cover))
+            replays[exhaustive_base] = session, results, builds
         return replays
 
     def test_exhaustive_base_matches_fdep_after_each_batch(self, stream, replays):
         names, rows = stream
-        _, results = replays[True]
+        _, results, _ = replays[True]
         assert len(results) == 3
         for cursor, result, _ in results:
             scratch = Fdep().discover(Relation.from_rows(rows[:cursor], names))
@@ -226,9 +233,12 @@ class TestIngestStream:
 
     @pytest.mark.parametrize("exhaustive_base", [True, False])
     def test_appends_derive_no_partition(self, replays, exhaustive_base):
-        """Appends read only the singleton partitions, so the store never
-        derives one: dropping its derived entries on append costs nothing."""
-        session, _ = replays[exhaustive_base]
+        """Appends read no partition: they construct none, the store
+        builds no pin and derives nothing, so dropping its entries on
+        append costs nothing."""
+        session, _, builds = replays[exhaustive_base]
+        assert builds == []
+        assert session.context.partitions.resident_bytes == 0
         assert session.context.partitions.stats()["derives"] == 0
 
     @pytest.mark.parametrize("exhaustive_base", [True, False])
@@ -236,7 +246,7 @@ class TestIngestStream:
         """Every result is the inverter's cover, and its counts are the
         set differences from the previous result; the first result has
         no previous one, so it carries no counts."""
-        _, results = replays[exhaustive_base]
+        _, results, _ = replays[exhaustive_base]
         previous = None
         for _, result, cover in results:
             assert result.fds == cover
@@ -264,6 +274,25 @@ class TestIngestStream:
         assert_counts_match_diff(between, second)
         assert second.stats["fds_added"] > 0 and second.stats["fds_retracted"] > 0
         assert second.fds == frozenset(session.inverter.pcover)
+
+
+def count_partition_builds(patch):
+    """Record every ``StrippedPartition`` constructed while ``patch`` holds."""
+    builds = []
+    init = StrippedPartition.__init__
+    from_tuples = StrippedPartition.from_tuples.__func__
+
+    def counted_init(self, *args, **kwargs):
+        builds.append("init")
+        init(self, *args, **kwargs)
+
+    def counted_from_tuples(cls, *args, **kwargs):
+        builds.append("from_tuples")
+        return from_tuples(cls, *args, **kwargs)
+
+    patch.setattr(StrippedPartition, "__init__", counted_init)
+    patch.setattr(StrippedPartition, "from_tuples", classmethod(counted_from_tuples))
+    return builds
 
 
 def assert_counts_match_diff(previous, result):
@@ -294,3 +323,57 @@ class TestPropertyExactMaintenance:
             Relation.from_rows(rows, ["a", "b", "c"])
         )
         assert result.fds == scratch.fds
+
+
+def loop_partner_pairs(delta):
+    """The per-cluster loop :func:`partner_pairs` replaced: the reference."""
+    first_new = delta.first_new
+    num_rows = delta.num_rows
+    pair_keys = []
+    for column_clusters in delta.touched:
+        for cluster in column_clusters:
+            members = np.asarray(cluster, dtype=np.int64)
+            split = int(np.searchsorted(members, first_new))
+            for position in range(split, members.size):
+                # all earlier cluster-mates of one new row
+                pair_keys.append(members[:position] * num_rows + members[position])
+    if pair_keys:
+        keys = np.unique(np.concatenate(pair_keys))
+        rows_a = (keys // num_rows).astype(np.intp)
+        rows_b = (keys % num_rows).astype(np.intp)
+    else:
+        rows_a = rows_b = np.empty(0, dtype=np.intp)
+    return rows_a, rows_b
+
+
+ROWS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([0, 1, None]),
+    ),
+    max_size=12,
+)
+
+
+class TestPartnerPairs:
+    @given(ROWS, ROWS, st.booleans())
+    @example([(0, 0, 0), (1, 1, 1)], [(0, 2, 2), (0, 3, 2), (0, 2, 2)], True)
+    @example([(0, 0, 0), (1, 1, 1)], [(0, 0, 0), (1, 1, 1)], True)
+    @example([(0, 0, 0), (1, 1, 1)], [(2, 2, None), (3, 3, None)], False)
+    @example([(0, 0, 0), (1, 1, 1), (0, 1, 1)], [(0, 1, 1)], True)
+    @settings(max_examples=80, deadline=None)
+    def test_vectorized_step_matches_the_loop(self, base, batch, null_equals_null):
+        """Equal ``(rows_a, rows_b)`` arrays, in the same order, on real
+        deltas.  The examples: several new rows in one cluster, one pair
+        reached through several attributes, a batch touching no cluster
+        (distinct NULLs stay apart), and a one-row batch."""
+        data = preprocess(
+            Relation.from_rows(base, ["a", "b", "c"]), null_equals_null, delta=True
+        )
+        delta = data.append_rows(batch).append_delta
+        rows_a, rows_b = partner_pairs(delta)
+        expected_a, expected_b = loop_partner_pairs(delta)
+        assert rows_a.dtype == rows_b.dtype == np.intp
+        assert np.array_equal(rows_a, expected_a)
+        assert np.array_equal(rows_b, expected_b)

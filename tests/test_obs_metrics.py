@@ -461,7 +461,7 @@ def _wide_relation(rows: int = 60, width: int = 6):
 class TestStoreByteAccounting:
     def test_cost_model_matches_the_formula(self):
         data = preprocess(_wide_relation())
-        partition = data.stripped[0]
+        partition = data.stripped(0)
         cost = partition_cost_bytes(partition)
         assert cost == (
             ENTRY_OVERHEAD_BYTES
@@ -470,8 +470,17 @@ class TestStoreByteAccounting:
         )
 
     def test_resident_bytes_counts_pinned_entries(self):
-        store = PartitionStore(preprocess(_wide_relation()))
-        assert store.resident_bytes > 0
+        """Pinned entries count once built: a fresh store holds nothing
+        (π(∅) and the singletons are still members), and the first get
+        of a singleton adds exactly its cost, gauge included."""
+        with collecting_metrics() as registry_:
+            store = PartitionStore(preprocess(_wide_relation()))
+            assert attrset.EMPTY in store and attrset.singleton(1) in store
+            assert store.resident_bytes == 0
+            partition = store.get(attrset.singleton(1))
+        cost = partition_cost_bytes(partition)
+        assert store.resident_bytes == cost
+        assert registry_.gauges[names.PARTITION_CACHE_RESIDENT_BYTES] == cost
         assert store.stats()["evicted_bytes"] == 0
 
     def test_registry_sees_resident_bytes_and_eviction_bytes(self):

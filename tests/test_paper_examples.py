@@ -88,13 +88,13 @@ class TestExample5And6AndFigure2:
 
     def test_partition_age(self):
         clusters = sorted(
-            tuple(c) for c in self.data.stripped[A].clusters
+            tuple(c) for c in self.data.stripped(A).clusters
         )
         assert clusters == [(1, 4, 6), (3, 5)]  # {t2,t5,t7}, {t4,t6}
 
     def test_partition_gender(self):
         clusters = sorted(
-            tuple(c) for c in self.data.stripped[G].clusters
+            tuple(c) for c in self.data.stripped(G).clusters
         )
         assert clusters == [(0, 2, 3, 4, 5, 6), (1, 7)]
 

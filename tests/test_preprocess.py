@@ -302,12 +302,12 @@ class TestStrippedPartitions:
     def test_clusters_iteration(self, patient_relation):
         data = preprocess(patient_relation)
         # Name is a key: no clusters; Age has 2; Blood 2; Gender 2; Medicine 3.
-        counts = [len(partition.clusters) for partition in data.stripped]
+        counts = [len(data.stripped(j).clusters) for j in range(data.num_columns)]
         assert counts == [0, 2, 2, 2, 3]
 
     def test_partition_of_key_column_is_empty(self, patient_relation):
         data = preprocess(patient_relation)
-        assert data.stripped[0].is_superkey()
+        assert data.stripped(0).is_superkey()
 
     def test_labels_view(self, patient_relation):
         data = preprocess(patient_relation)

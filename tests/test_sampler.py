@@ -158,7 +158,8 @@ class TestRounds:
         expected = 0
         brute: set[tuple[int, int]] = set()
         registered = set()
-        for rows in (rows for column in data.stripped for rows in column.clusters):
+        columns = range(data.num_columns)
+        for rows in (rows for j in columns for rows in data.stripped(j).clusters):
             if rows in registered:
                 continue
             registered.add(rows)
