@@ -8,7 +8,7 @@ so the benchmark harness can sweep it.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 
@@ -53,6 +53,11 @@ class MlfqPolicy:
             )
         if self.lower_bounds[-1] != 0.0:
             raise ValueError("the lowest-priority queue must reach capa 0")
+        # Negated, the bounds ascend: the first queue whose bound is <= c
+        # is the first key >= -c, one bisect_left.
+        object.__setattr__(
+            self, "_keys", tuple(-bound for bound in self.lower_bounds)
+        )
 
     @property
     def num_queues(self) -> int:
@@ -60,12 +65,9 @@ class MlfqPolicy:
 
     def queue_for(self, capa: float) -> int:
         """Queue index (0 = highest priority) for a capa value."""
-        if capa < 0 or math.isnan(capa):
+        if not capa >= 0:
             raise ValueError(f"capa must be a non-negative number, got {capa}")
-        for index, bound in enumerate(self.lower_bounds):
-            if capa >= bound:
-                return index
-        return self.num_queues - 1
+        return bisect_left(self._keys, -capa)
 
     @classmethod
     def with_queues(cls, num_queues: int, adaptive: bool = False) -> "MlfqPolicy":

@@ -25,7 +25,6 @@ cycle decides that sampling should continue.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +66,8 @@ class ClusterState:
         "rows",
         "row_index",
         "window",
-        "history",
+        "retire_history",
+        "zeros",
         "samples",
         "last_capa",
         "queue_level",
@@ -75,7 +75,9 @@ class ClusterState:
         "cursor",
     )
 
-    def __init__(self, rows: tuple[int, ...], initial_window: int, history: int) -> None:
+    def __init__(
+        self, rows: tuple[int, ...], initial_window: int, retire_history: int
+    ) -> None:
         self.rows = rows
         self.row_index: np.ndarray | None = None
         """``rows`` as an index array, built on the first gathered sample:
@@ -83,7 +85,12 @@ class ClusterState:
         the agree-mask kernel zero-copy views.  Clusters served by the
         window table never need one."""
         self.window = initial_window
-        self.history: deque[float] = deque(maxlen=history)
+        self.retire_history = retire_history
+        self.zeros = 0
+        """Zero-capa samples in a row, since the last non-zero capa or the
+        last revive.  Capas are never negative, so the last
+        ``retire_history`` capas average 0 exactly when this streak
+        reaches ``retire_history``."""
         self.samples = 0
         self.last_capa = 0.0
         self.queue_level: int | None = None
@@ -100,19 +107,20 @@ class ClusterState:
 
     @property
     def retired(self) -> bool:
-        """Recent samples all came up empty (average capa of history == 0)."""
-        return len(self.history) == self.history.maxlen and not any(self.history)
+        """The last ``retire_history`` samples all came up empty (average
+        capa 0, Algorithm 1 line 17)."""
+        return self.zeros >= self.retire_history
 
     @property
     def active(self) -> bool:
         return not self.exhausted and not self.retired
 
     def record(self, capa: float) -> None:
-        """Feed one sample's capa into the retirement history.
+        """Feed one sample's capa into the zero streak.
 
         Mutates: self
         """
-        self.history.append(capa)
+        self.zeros = 0 if capa else self.zeros + 1
         self.last_capa = capa
         self.samples += 1
 
@@ -121,7 +129,7 @@ class ClusterState:
 
         Mutates: self
         """
-        self.history.clear()
+        self.zeros = 0
 
     def extend(self, rows: tuple[int, ...]) -> None:
         """Grow the cluster in place after an append delta.
@@ -140,7 +148,7 @@ class ClusterState:
         self.rows = rows
         self.row_index = None
         self.table = None
-        self.history.clear()
+        self.zeros = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -323,7 +331,7 @@ class SamplingModule:
             cluster = self._queue.pop()
             capa = self._sample(cluster, violations, stats)
             stats.cluster_samples += 1
-            if not cluster.exhausted and not cluster.retired:
+            if cluster.active:
                 self._push(cluster, capa)
         stats.queue_occupancy = self._queue.queue_sizes()
         self.rounds_run += 1

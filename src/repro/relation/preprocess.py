@@ -38,7 +38,7 @@ from typing import Any
 
 import numpy as np
 
-from .partition import StrippedPartition, partition_from_labels
+from .partition import StrippedPartition
 from .relation import Relation
 
 _NULL = object()
@@ -297,8 +297,8 @@ class PreprocessedRelation:
         if partition is None:
             state = self.__dict__.get("_delta")
             if state is None:
-                partition = partition_from_labels(
-                    self.labels(column).tolist(), self.num_rows
+                partition = _stripped_from_labels(
+                    self.labels(column), self.cardinalities[column]
                 )
             else:
                 partition = state.partition(
@@ -371,11 +371,20 @@ def agree_words(
     order: a repeated mask can never carry a novel violation, so every
     novelty loop reaches the same outcome from fewer masks.
 
+    The comparison lands in a zeroed bool buffer whose rows are padded to
+    whole bytes, so one flat ``packbits`` packs every pair at once rather
+    than row by row; the packed bytes then widen to whole words.
+
     Pure: reads the matrix and row indices only; returns a fresh array.
     """
-    packed = np.packbits(matrix[rows_a] == matrix[rows_b], axis=1, bitorder="little")
-    words = np.zeros((len(packed), -(-matrix.shape[1] // 64) * 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
+    right = matrix[rows_b]  # one row per pair in either form
+    pairs, width = len(right), matrix.shape[1]
+    num_bytes = -(-width // 8)
+    equal = np.zeros((pairs, 8 * num_bytes), dtype=bool)
+    np.equal(matrix[rows_a], right, out=equal[:, :width])
+    packed = np.packbits(equal, bitorder="little").reshape(pairs, num_bytes)
+    words = np.zeros((pairs, -(-width // 64) * 8), dtype=np.uint8)
+    words[:, :num_bytes] = packed
     words = words.view("<u8")
     return first_occurrences(words) if distinct else words
 
@@ -407,6 +416,30 @@ def decode_agree_words(words: np.ndarray) -> list[int]:
         int.from_bytes(data[offset : offset + width], "little")
         for offset in range(0, len(data), width)
     ]
+
+
+def _stripped_from_labels(labels: np.ndarray, cardinality: int) -> StrippedPartition:
+    """The stripped partition of one dense label column, by numpy grouping.
+
+    Labels number values in first-occurrence order, so ascending label
+    order is the canonical cluster order, and a stable sort keeps each
+    cluster's rows ascending: one ``bincount`` and one stable ``argsort``
+    of the grouped rows give :func:`partition_from_labels`'s clusters,
+    in its order, and only the clusters are tupled.
+
+    Pure: reads the labels only; returns a fresh partition.
+    """
+    sizes = np.bincount(labels, minlength=cardinality)
+    multi = sizes > 1
+    grouped = multi[labels]
+    order = np.argsort(labels[grouped], kind="stable")
+    rows = np.flatnonzero(grouped)[order].tolist()
+    counts = sizes[multi]
+    clusters = tuple(
+        tuple(rows[end - size : end])
+        for end, size in zip(np.cumsum(counts).tolist(), counts.tolist())
+    )
+    return StrippedPartition.from_tuples(clusters, len(labels), len(rows))
 
 
 def _snapshot(

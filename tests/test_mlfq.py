@@ -43,6 +43,11 @@ class TestScheduling:
         assert queue.push("x", 100.0) == 0
         assert queue.push("y", 0.5) == 2
         assert queue.push("z", 0.0) == 3
+        assert queue.push("unsampled", float("inf")) == 0
+        # lower bounds are inclusive
+        assert queue.push("at 10", 10.0) == 0
+        assert queue.push("at 1", 1.0) == 1
+        assert queue.push("at 0.1", 0.1) == 2
 
     def test_zero_capa_lands_in_lowest_queue(self):
         queue = make_queue()

@@ -11,6 +11,7 @@ from repro.datasets import patients
 from repro.engine import ExecutionContext
 from repro.fd import FD, attrset
 from repro.relation import Relation, preprocess
+from repro.relation.partition import partition_from_labels
 from repro.engine.parallel import distinct_agree_masks_sharded
 from repro.engine.shm import MatrixView
 from repro.relation.preprocess import (
@@ -270,10 +271,12 @@ class TestAgreeMasksBulk:
         for a, b, mask in zip(rows_a, rows_b, bulk(data, rows_a, rows_b)):
             assert mask == data.agree_mask(a, b)
 
-    @pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("width", [1, 8, 9, 16, 17, 63, 64, 65, 130])
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
     def test_word_boundary_widths_and_label_dtypes(self, width, dtype):
-        """Every kernel mode at and around the 64-attribute word boundary."""
+        """Every kernel mode at and around the byte and 64-attribute word
+        boundaries: comparison rows that need no byte padding (8, 16, 64)
+        and rows that do (9, 17, 63)."""
         rng = np.random.default_rng(width)
         base = np.iinfo(dtype).max - 2  # labels from the top of the dtype
         matrix = (base + rng.integers(0, 3, size=(24, width))).astype(dtype)
@@ -312,3 +315,36 @@ class TestStrippedPartitions:
     def test_labels_view(self, patient_relation):
         data = preprocess(patient_relation)
         assert list(data.labels(3)) == [0, 1, 0, 0, 0, 0, 0, 1, 2]
+
+    @pytest.mark.parametrize("null_equals_null", [True, False])
+    @pytest.mark.parametrize(
+        "rows,dtype",
+        [
+            ([], np.uint8),
+            ([("x", 1, 0)], np.uint8),
+            (
+                [(None, 1, 0), (float("nan"), 1, 1), ("x", 1, 2), (None, 1, 3),
+                 ("x", 1, 4), (float("nan"), 1, 5), ("y", 1, 6)],
+                np.uint8,
+            ),
+            ([((i * 7) % 13, 1, i) for i in range(40)], np.uint8),
+            ([((i * 7) % 300, 1, i) for i in range(700)], np.uint16),
+        ],
+        ids=["empty", "one-row", "nulls", "u8", "u16"],
+    )
+    def test_cold_partitions_match_the_label_grouping(
+        self, rows, dtype, null_equals_null
+    ):
+        """A cold snapshot's numpy-grouped clusters are
+        ``partition_from_labels``' clusters, tuple for tuple and in its
+        order (``StrippedPartition.__eq__`` sorts, so it cannot see
+        order), with a constant and an all-unique column."""
+        relation = Relation.from_rows(rows, ["a", "const", "key"])
+        data = preprocess(relation, null_equals_null)
+        assert data.matrix.dtype == dtype
+        for j in range(data.num_columns):
+            expected = partition_from_labels(data.labels(j).tolist(), data.num_rows)
+            built = data.stripped(j)
+            assert built.clusters == expected.clusters
+            assert built.num_rows == expected.num_rows
+            assert built.num_grouped_rows == expected.num_grouped_rows

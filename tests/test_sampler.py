@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+from collections import Counter, deque
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.core import EulerFDConfig, SamplingModule
+from repro.core import EulerFDConfig, MlfqPolicy, SamplingModule
 import repro.core.sampler as sampler_module
 from repro.core.sampler import SMALL_CLUSTER_ROWS, ClusterState
 from repro.datasets import patients
 from repro.engine import ExecutionContext
 from repro.fd import attrset
+from repro.obs import collecting_metrics
 from repro.relation import Relation
 
 
@@ -31,6 +35,180 @@ def mixed_cluster_relation() -> Relation:
         for j in range(1, 70)
     ]
     return Relation.from_rows(list(zip(*columns)))
+
+
+class ReferenceDrain:
+    """Algorithm 1 written out plainly, as the sampler's reference.
+
+    Each cluster keeps its last ``retire_history`` capas in a deque, the
+    MLFQ picks a queue with a loop over its bounds, and every window
+    position is one ``data.agree_mask`` call: no kernel, window table or
+    dedup.  Counters are tallied per event under the sampler's names.
+    """
+
+    def __init__(self, data, config, clusters):
+        self.data = data
+        self.policy = config.mlfq
+        self.clusters = [
+            SimpleNamespace(
+                rows=rows,
+                window=config.initial_window,
+                history=deque(maxlen=config.retire_history),
+                samples=0,
+                last_capa=0.0,
+                queue_level=None,
+            )
+            for rows in clusters
+        ]
+        self.queues = [deque() for _ in self.policy.lower_bounds]
+        self.seen: dict[int, int] = {}
+        self.counters: Counter[str] = Counter()
+
+    @staticmethod
+    def retired(cluster) -> bool:
+        history = cluster.history
+        return len(history) == history.maxlen and not any(history)
+
+    def active(self, cluster) -> bool:
+        return cluster.window <= len(cluster.rows) and not self.retired(cluster)
+
+    def push(self, cluster, capa: float) -> None:
+        bounds = self.policy.lower_bounds
+        level = next(i for i, bound in enumerate(bounds) if capa >= bound)
+        self.queues[level].append(cluster)
+        if cluster.queue_level is not None and level != cluster.queue_level:
+            up = level < cluster.queue_level
+            self.counters["mlfq.promotions" if up else "mlfq.demotions"] += 1
+        cluster.queue_level = level
+
+    def sample(self, cluster, out: list, stats) -> float:
+        rows, window = cluster.rows, cluster.window
+        positions = len(rows) - window + 1
+        universe = attrset.universe(self.data.num_columns)
+        found = 0
+        for i in range(positions):
+            agree = self.data.agree_mask(rows[i], rows[i + window - 1])
+            prior = self.seen.get(agree, 0)
+            novel = universe & ~agree & ~prior
+            if novel:
+                self.seen[agree] = prior | novel
+                found += novel.bit_count()
+                out.append((agree, novel))
+        stats.pairs_compared += positions
+        stats.new_non_fds += found
+        self.counters["sampler.window_hits"] += found > 0
+        capa = found / positions
+        cluster.history.append(capa)
+        cluster.last_capa = capa
+        cluster.samples += 1
+        cluster.window += 1
+        return capa
+
+    def run_pass(self, max_samples=None):
+        out: list = []
+        stats = sampler_module.RoundStats()
+        if not any(self.queues):
+            if self.policy.adaptive:
+                adapted = sampler_module._adapted_policy(self.policy, self.clusters)
+                self.policy = adapted
+                self.queues = [deque() for _ in self.policy.lower_bounds]
+            for cluster in self.clusters:
+                if self.active(cluster):
+                    capa = cluster.last_capa if cluster.samples else float("inf")
+                    self.push(cluster, capa)
+        while any(self.queues) and (
+            max_samples is None or stats.cluster_samples < max_samples
+        ):
+            cluster = next(queue for queue in self.queues if queue).popleft()
+            capa = self.sample(cluster, out, stats)
+            stats.cluster_samples += 1
+            if self.active(cluster):
+                self.push(cluster, capa)
+        stats.queue_occupancy = tuple(len(queue) for queue in self.queues)
+        self.counters["sampler.passes"] += 1
+        self.counters["sampler.cluster_visits"] += stats.cluster_samples
+        self.counters["sampler.pairs_compared"] += stats.pairs_compared
+        self.counters["sampler.new_non_fds"] += stats.new_non_fds
+        return out, stats
+
+    def revive(self) -> int:
+        revived = [
+            cluster
+            for cluster in self.clusters
+            if self.retired(cluster) and cluster.window <= len(cluster.rows)
+        ]
+        for cluster in revived:
+            cluster.history.clear()
+        self.counters["sampler.revived_clusters"] += len(revived)
+        return len(revived)
+
+
+def generated_relation(seed: int) -> Relation:
+    """60 rows of seven skewed low-cardinality columns."""
+    rng = np.random.default_rng(seed)
+    columns = [
+        (rng.integers(0, card, size=60) ** 2 % card).tolist()
+        for card in rng.integers(2, 12, size=7)
+    ]
+    return Relation.from_rows(list(zip(*columns)))
+
+
+class TestReferenceDrain:
+    @pytest.mark.parametrize("seed", [None, 3, 8])
+    @pytest.mark.parametrize("queues", [1, 4, 6])
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("retire_history", [1, 3])
+    @pytest.mark.parametrize("initial_window", [2, 3])
+    def test_drain_matches_algorithm_1(
+        self, seed, queues, adaptive, retire_history, initial_window
+    ):
+        """Pass by pass, with revives between passes and one bounded
+        pass, the sampler draws what the reference draws: the same
+        violations in the same order, the same round statistics, the same
+        per-cluster state and the same counter totals.  ``seed`` None is
+        the 70-attribute relation whose clusters straddle the window-table
+        limit."""
+        if seed is None:
+            context = ExecutionContext(mixed_cluster_relation())
+        else:
+            context = ExecutionContext(generated_relation(seed))
+        config = EulerFDConfig(
+            mlfq=MlfqPolicy.with_queues(queues, adaptive),
+            retire_history=retire_history,
+            initial_window=initial_window,
+        )
+        clusters = context.sampling_clusters()
+        sampler = SamplingModule(context.data, config, clusters)
+        reference = ReferenceDrain(context.data, config, clusters)
+        with collecting_metrics() as registry:
+            for step in range(6):
+                bound = 5 if step == 0 else None
+                assert sampler.run_pass(bound) == reference.run_pass(bound)
+                for state, expected in zip(sampler._clusters, reference.clusters):
+                    assert (
+                        state.window,
+                        state.samples,
+                        state.last_capa,
+                        state.queue_level,
+                        state.retired,
+                        state.exhausted,
+                    ) == (
+                        expected.window,
+                        expected.samples,
+                        expected.last_capa,
+                        expected.queue_level,
+                        reference.retired(expected),
+                        expected.window > len(expected.rows),
+                    )
+                if step:
+                    assert sampler.revive() == reference.revive()
+        totals = {
+            name: value
+            for name, value in registry.counters.items()
+            if name.startswith(("sampler.", "mlfq.")) and value
+        }
+        assert totals == {name: n for name, n in reference.counters.items() if n}
+        assert reference.counters["sampler.revived_clusters"] > 0
 
 
 class TestClusterState:
