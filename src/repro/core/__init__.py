@@ -6,10 +6,9 @@ from .incremental import IncrementalEulerFD
 from .inversion import Inverter, InversionStats
 from .mlfq import MultilevelFeedbackQueue
 from .result import DiscoveryResult, Stopwatch, make_result
-from .sampler import ClusterState, RoundStats, SamplingModule
+from .sampler import RoundStats, SamplingModule
 
 __all__ = [
-    "ClusterState",
     "DiscoveryResult",
     "EulerFD",
     "EulerFDConfig",

@@ -8,8 +8,9 @@ so the benchmark harness can sweep it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 
 def mlfq_ranges(num_queues: int) -> tuple[float, ...]:
@@ -54,20 +55,18 @@ class MlfqPolicy:
         if self.lower_bounds[-1] != 0.0:
             raise ValueError("the lowest-priority queue must reach capa 0")
         # Negated, the bounds ascend: the first queue whose bound is <= c
-        # is the first key >= -c, one bisect_left.
-        object.__setattr__(
-            self, "_keys", tuple(-bound for bound in self.lower_bounds)
-        )
+        # is the first key >= -c, one left-side binary search.
+        object.__setattr__(self, "_keys", -np.array(self.lower_bounds))
 
     @property
     def num_queues(self) -> int:
         return len(self.lower_bounds)
 
-    def queue_for(self, capa: float) -> int:
-        """Queue index (0 = highest priority) for a capa value."""
-        if not capa >= 0:
-            raise ValueError(f"capa must be a non-negative number, got {capa}")
-        return bisect_left(self._keys, -capa)
+    def queues_for(self, capas: np.ndarray) -> np.ndarray:
+        """Queue index (0 = highest priority) of each capa value."""
+        if not (capas >= 0).all():
+            raise ValueError(f"capas must be non-negative numbers, got {capas}")
+        return np.searchsorted(self._keys, -capas)
 
     @classmethod
     def with_queues(cls, num_queues: int, adaptive: bool = False) -> "MlfqPolicy":

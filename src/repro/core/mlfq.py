@@ -10,6 +10,7 @@ yielded many new non-FDs are scheduled before clusters that went quiet.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from typing import Generic, TypeVar
 
 from .config import MlfqPolicy
@@ -20,9 +21,12 @@ T = TypeVar("T")
 class MultilevelFeedbackQueue(Generic[T]):
     """Priority buckets of FIFO queues, keyed by capa ranges.
 
-    ``push`` assigns an item to the queue matching its capa and appends it
-    at the tail (Algorithm 1: "reassigns it to the tail of a new queue");
-    ``pop`` removes the head of the highest-priority non-empty queue.
+    The caller picks each item's queue with ``policy.queues_for`` and
+    ``extend`` appends it at that queue's tail (Algorithm 1: "reassigns it
+    to the tail of a new queue").  Items are served off the head of the
+    highest-priority non-empty queue: ``head_level`` names that queue,
+    ``take`` removes items off its head, and ``give_back`` returns
+    untouched ones to the head.
     """
 
     __slots__ = ("policy", "_queues", "_size")
@@ -32,24 +36,39 @@ class MultilevelFeedbackQueue(Generic[T]):
         self._queues: list[deque[T]] = [deque() for _ in range(policy.num_queues)]
         self._size = 0
 
-    def push(self, item: T, capa: float) -> int:
-        """Enqueue ``item`` by its capa; return the queue index used."""
-        index = self.policy.queue_for(capa)
-        self._queues[index].append(item)
-        self._size += 1
-        return index
+    def extend(self, level: int, items: Iterable[T]) -> None:
+        """Append ``items``, in order, to the tail of queue ``level``."""
+        queue = self._queues[level]
+        before = len(queue)
+        queue.extend(items)
+        self._size += len(queue) - before
 
-    def pop(self) -> T:
-        """Dequeue from the highest-priority non-empty queue.
+    def head_level(self) -> int:
+        """Index of the highest-priority non-empty queue.
 
-        Raises ``IndexError`` when the MLFQ is empty, mirroring
-        ``deque.popleft``.
+        Raises ``IndexError`` when the MLFQ is empty.
         """
-        for queue in self._queues:
+        for level, queue in enumerate(self._queues):
             if queue:
-                self._size -= 1
-                return queue.popleft()
-        raise IndexError("pop from an empty multilevel feedback queue")
+                return level
+        raise IndexError("the multilevel feedback queue is empty")
+
+    def take(self, level: int, limit: int) -> list[T]:
+        """Remove up to ``limit`` items off the head of queue ``level``, in
+        queue order."""
+        queue = self._queues[level]
+        if limit >= len(queue):
+            items = list(queue)
+            queue.clear()
+        else:
+            items = [queue.popleft() for _ in range(limit)]
+        self._size -= len(items)
+        return items
+
+    def give_back(self, level: int, items: list[T]) -> None:
+        """Return items taken off queue ``level`` to its head, in order."""
+        self._queues[level].extendleft(reversed(items))
+        self._size += len(items)
 
     def queue_sizes(self) -> tuple[int, ...]:
         """Current occupancy per queue, highest priority first."""

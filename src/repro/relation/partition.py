@@ -49,8 +49,8 @@ class StrippedPartition:
     ) -> "StrippedPartition":
         """Wrap already-validated cluster tuples without per-row copies.
 
-        For builders that tuple their clusters themselves (a delta
-        snapshot's partitions, π(∅)), where ``__init__`` would re-tuple
+        For builders that tuple their clusters themselves (a snapshot's
+        label-column grouping, π(∅)), where ``__init__`` would re-tuple
         and re-check every cluster.  The caller vouches that
         ``clusters`` is a tuple of int tuples, each of size >= 2 — the
         same invariant ``__init__`` enforces.

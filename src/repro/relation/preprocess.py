@@ -32,7 +32,6 @@ buffer single-writer.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any
 
@@ -97,8 +96,8 @@ class _DeltaState:
     ``append_rows`` calls: the writable amortized-growth matrix buffer
     behind the snapshots' read-only views, the value→label dictionaries,
     and per-column full group membership (label → ascending member rows),
-    from which any snapshot's stripped partitions are built on first
-    read.  Only the newest snapshot (``size`` rows) may append, which
+    from which each append reads the clusters it touched.  Only the
+    newest snapshot (``size`` rows) may append, which
     keeps the shared buffer single-writer; the state is not thread-safe.
     """
 
@@ -135,24 +134,6 @@ class _DeltaState:
         for row, label in enumerate(labels):
             members[label].append(row)
         self.members[j] = members
-
-    def partition(self, j: int, num_rows: int, cardinality: int) -> StrippedPartition:
-        """Column ``j``'s stripped partition over the first ``num_rows`` rows.
-
-        Labels number values in first-occurrence order, so label order is
-        the canonical cluster order.  A stale snapshot's prefix cuts the
-        label range at its own ``cardinality`` and each ascending member
-        list at its own ``num_rows``: it never sees newer rows.
-        """
-        clusters = []
-        grouped = 0
-        for rows in self.members[j][:cardinality]:
-            if len(rows) > 1 and rows[1] < num_rows:
-                if rows[-1] >= num_rows:
-                    rows = rows[: bisect_left(rows, num_rows)]
-                clusters.append(tuple(rows))
-                grouped += len(rows)
-        return StrippedPartition.from_tuples(tuple(clusters), num_rows, grouped)
 
     def _reserve(self, num_rows: int, dtype: "np.dtype") -> None:
         """Make the buffer hold ``num_rows`` rows of ``dtype`` labels.
@@ -295,15 +276,9 @@ class PreprocessedRelation:
             object.__setattr__(self, "_stripped", cache)
         partition = cache.get(column)
         if partition is None:
-            state = self.__dict__.get("_delta")
-            if state is None:
-                partition = _stripped_from_labels(
-                    self.labels(column), self.cardinalities[column]
-                )
-            else:
-                partition = state.partition(
-                    column, self.num_rows, self.cardinalities[column]
-                )
+            partition = _stripped_from_labels(
+                self.labels(column), self.cardinalities[column]
+            )
             cache[column] = partition
         return partition
 
@@ -396,11 +371,19 @@ def first_occurrences(words: np.ndarray) -> np.ndarray:
     """
     if len(words) < 2:
         return words
+    return words[first_rows(words)]
+
+
+def first_rows(words: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row.
+
+    Pure: reads the words only; returns a fresh index array.
+    """
     # One word sorts as uint64; wider rows as opaque byte strings.
     width = words.shape[1]
     keys = words[:, 0] if width == 1 else words.view(f"V{8 * width}").ravel()
     _, first = np.unique(keys, return_index=True)
-    return words[np.sort(first)]
+    return np.sort(first)
 
 
 def decode_agree_words(words: np.ndarray) -> list[int]:

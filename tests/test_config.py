@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import EulerFDConfig, MlfqPolicy, mlfq_ranges
+
+
+def queue_for(policy: MlfqPolicy, capa: float) -> int:
+    """The queue ``policy`` picks for one capa value."""
+    return int(policy.queues_for(np.array([capa]))[0])
 
 
 class TestMlfqRanges:
@@ -38,21 +44,26 @@ class TestMlfqPolicy:
 
     def test_queue_for_assigns_by_range(self):
         policy = MlfqPolicy.with_queues(4)  # bounds 10, 1, 0.1, 0
-        assert policy.queue_for(25.0) == 0
-        assert policy.queue_for(10.0) == 0  # inclusive lower bound
-        assert policy.queue_for(1.25) == 1  # the paper's Fig. 3 example
-        assert policy.queue_for(0.8) == 2  # capa 0.8 -> q3 in Fig. 3
-        assert policy.queue_for(0.0) == 3
+        assert queue_for(policy, 25.0) == 0
+        assert queue_for(policy, 10.0) == 0  # inclusive lower bound
+        assert queue_for(policy, 1.25) == 1  # the paper's Fig. 3 example
+        assert queue_for(policy, 0.8) == 2  # capa 0.8 -> q3 in Fig. 3
+        assert queue_for(policy, 0.0) == 3
+        # one call places a whole batch, each capa as on its own
+        capas = np.array([25.0, 10.0, 1.25, 0.8, 0.0])
+        assert policy.queues_for(capas).tolist() == [0, 0, 1, 2, 3]
 
     def test_queue_for_infinity_is_top(self):
-        assert MlfqPolicy().queue_for(float("inf")) == 0
+        assert queue_for(MlfqPolicy(), float("inf")) == 0
 
     def test_queue_for_rejects_negative_and_nan(self):
         policy = MlfqPolicy()
         with pytest.raises(ValueError):
-            policy.queue_for(-0.1)
+            queue_for(policy, -0.1)
         with pytest.raises(ValueError):
-            policy.queue_for(float("nan"))
+            queue_for(policy, float("nan"))
+        with pytest.raises(ValueError):
+            policy.queues_for(np.array([1.0, -0.1, 0.0]))
 
     def test_bounds_must_descend(self):
         with pytest.raises(ValueError):

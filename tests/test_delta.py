@@ -18,6 +18,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.store import PartitionStore
 from repro.fd import attrset
 from repro.relation import Relation
+from repro.relation.partition import partition_from_labels
 from repro.relation.preprocess import preprocess
 
 NAMES = ["a", "b", "c", "d"]
@@ -50,6 +51,9 @@ def assert_matches_prefix(data, rows, null_equals_null):
         assert grown.clusters == reference.clusters
         assert grown.num_rows == reference.num_rows
         assert grown.num_grouped_rows == reference.num_grouped_rows
+        # ... and the grouping of the snapshot's own label column
+        labels = data.labels(j).tolist()
+        assert grown.clusters == partition_from_labels(labels, data.num_rows).clusters
 
 
 class TestAppendRowsEquivalence:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import EulerFDConfig, MlfqPolicy, SamplingModule
 import repro.core.sampler as sampler_module
-from repro.core.sampler import SMALL_CLUSTER_ROWS, ClusterState
+from repro.core.sampler import SMALL_CLUSTER_ROWS
 from repro.datasets import patients
 from repro.engine import ExecutionContext
 from repro.fd import attrset
@@ -41,9 +41,12 @@ class ReferenceDrain:
     """Algorithm 1 written out plainly, as the sampler's reference.
 
     Each cluster keeps its last ``retire_history`` capas in a deque, the
-    MLFQ picks a queue with a loop over its bounds, and every window
-    position is one ``data.agree_mask`` call: no kernel, window table or
-    dedup.  Counters are tallied per event under the sampler's names.
+    MLFQ is one deque per queue served one cluster at a time, a queue is
+    picked with a loop over its bounds, and every window position is one
+    ``data.agree_mask`` call: no kernel, window table, dedup or rounds.
+    Counters are tallied per event under the sampler's names;
+    ``drain_promotions`` also counts the promotions made while draining,
+    the places where the sampler must cut a round short.
     """
 
     def __init__(self, data, config, clusters):
@@ -63,6 +66,7 @@ class ReferenceDrain:
         self.queues = [deque() for _ in self.policy.lower_bounds]
         self.seen: dict[int, int] = {}
         self.counters: Counter[str] = Counter()
+        self.drain_promotions = 0
 
     @staticmethod
     def retired(cluster) -> bool:
@@ -80,6 +84,29 @@ class ReferenceDrain:
             up = level < cluster.queue_level
             self.counters["mlfq.promotions" if up else "mlfq.demotions"] += 1
         cluster.queue_level = level
+
+    def adapted_policy(self) -> MlfqPolicy:
+        """Section VI's re-division: the new bounds are the positive last
+        capas found 1/q, 2/q, ... of the way down their descending order,
+        each halved below its predecessor when not strictly lower; with
+        fewer such capas than queues, or a bound that is not positive,
+        the policy stays."""
+        observed = sorted(
+            (c.last_capa for c in self.clusters if c.samples and c.last_capa > 0),
+            reverse=True,
+        )
+        queues = self.policy.num_queues
+        if queues == 1 or len(observed) < queues:
+            return self.policy
+        bounds: list[float] = []
+        for k in range(1, queues):
+            bound = observed[min(len(observed) * k // queues, len(observed) - 1)]
+            if bounds and bound >= bounds[-1]:
+                bound = bounds[-1] / 2
+            bounds.append(bound)
+        if min(bounds) <= 0:
+            return self.policy
+        return MlfqPolicy((*bounds, 0.0), adaptive=True)
 
     def sample(self, cluster, out: list, stats) -> float:
         rows, window = cluster.rows, cluster.window
@@ -109,8 +136,7 @@ class ReferenceDrain:
         stats = sampler_module.RoundStats()
         if not any(self.queues):
             if self.policy.adaptive:
-                adapted = sampler_module._adapted_policy(self.policy, self.clusters)
-                self.policy = adapted
+                self.policy = self.adapted_policy()
                 self.queues = [deque() for _ in self.policy.lower_bounds]
             for cluster in self.clusters:
                 if self.active(cluster):
@@ -123,7 +149,9 @@ class ReferenceDrain:
             capa = self.sample(cluster, out, stats)
             stats.cluster_samples += 1
             if self.active(cluster):
+                level = cluster.queue_level
                 self.push(cluster, capa)
+                self.drain_promotions += cluster.queue_level < level
         stats.queue_occupancy = tuple(len(queue) for queue in self.queues)
         self.counters["sampler.passes"] += 1
         self.counters["sampler.cluster_visits"] += stats.cluster_samples
@@ -167,7 +195,8 @@ class TestReferenceDrain:
         violations in the same order, the same round statistics, the same
         per-cluster state and the same counter totals.  ``seed`` None is
         the 70-attribute relation whose clusters straddle the window-table
-        limit."""
+        limit.  With 4 and 6 queues the reference promotes clusters while
+        draining, so the sampler's rounds are cut."""
         if seed is None:
             context = ExecutionContext(mixed_cluster_relation())
         else:
@@ -184,22 +213,25 @@ class TestReferenceDrain:
             for step in range(6):
                 bound = 5 if step == 0 else None
                 assert sampler.run_pass(bound) == reference.run_pass(bound)
-                for state, expected in zip(sampler._clusters, reference.clusters):
-                    assert (
-                        state.window,
-                        state.samples,
-                        state.last_capa,
-                        state.queue_level,
-                        state.retired,
-                        state.exhausted,
-                    ) == (
+                state = zip(
+                    sampler.window.tolist(),
+                    sampler.samples.tolist(),
+                    sampler.last_capa.tolist(),
+                    sampler.queue_level.tolist(),
+                    sampler.retired().tolist(),
+                    sampler.exhausted().tolist(),
+                )
+                assert list(state) == [
+                    (
                         expected.window,
                         expected.samples,
                         expected.last_capa,
-                        expected.queue_level,
+                        -1 if expected.queue_level is None else expected.queue_level,
                         reference.retired(expected),
                         expected.window > len(expected.rows),
                     )
+                    for expected in reference.clusters
+                ]
                 if step:
                     assert sampler.revive() == reference.revive()
         totals = {
@@ -209,53 +241,79 @@ class TestReferenceDrain:
         }
         assert totals == {name: n for name, n in reference.counters.items() if n}
         assert reference.counters["sampler.revived_clusters"] > 0
+        assert (reference.drain_promotions > 0) == (queues > 1)
 
 
 class TestClusterState:
-    def make(self, size=6, window=2, history=3):
-        return ClusterState(tuple(range(size)), window, history)
+    """The per-cluster state arrays, on relations whose only clusters are
+    the groups of their ``g`` column."""
+
+    def make(self, sizes=(6,), window=2, history=3) -> SamplingModule:
+        groups = [g for g, size in enumerate(sizes) for _ in range(size)]
+        sampler = sampler_for(
+            Relation.from_rows(list(zip(groups, range(len(groups)))), ["g", "id"]),
+            initial_window=window,
+            retire_history=history,
+        )
+        assert sampler.size.tolist() == list(sizes)
+        return sampler
+
+    @staticmethod
+    def record(sampler: SamplingModule, *capas: float) -> None:
+        clusters = np.arange(sampler.num_clusters)
+        for capa in capas:
+            sampler.record(clusters, np.full(len(clusters), capa))
 
     def test_initial_state(self):
-        cluster = self.make()
-        assert not cluster.exhausted
-        assert not cluster.retired
-        assert cluster.active
+        sampler = self.make()
+        assert sampler.active().tolist() == [True]
+        assert not sampler.exhausted()[0]
+        assert not sampler.retired()[0]
+        assert sampler.queue_level.tolist() == [-1]
 
     def test_exhaustion(self):
-        cluster = self.make(size=3, window=4)
-        assert cluster.exhausted
-        assert not cluster.active
+        sampler = self.make(sizes=(3,), window=4)
+        assert sampler.exhausted()[0]
+        assert not sampler.active()[0]
 
     def test_window_equal_to_size_not_exhausted(self):
-        # window == len(rows) still yields exactly one pair (ends of cluster).
-        cluster = self.make(size=3, window=3)
-        assert not cluster.exhausted
+        # window == size still yields exactly one pair (ends of cluster);
+        # only the window past it exhausts the cluster.
+        sampler = self.make(sizes=(3,), window=3)
+        assert not sampler.exhausted()[0]
+        self.record(sampler, 0.5)
+        assert sampler.window.tolist() == [4]
+        assert sampler.exhausted()[0]
 
     def test_retirement_after_zero_streak(self):
-        cluster = self.make(history=3)
-        for capa in (0.0, 0.0, 0.0):
-            cluster.record(capa)
-        assert cluster.retired
+        sampler = self.make(history=3)
+        self.record(sampler, 0.0, 0.0)
+        assert not sampler.retired()[0]
+        self.record(sampler, 0.0)
+        assert sampler.retired()[0]
+        assert (sampler.zeros[0], sampler.samples[0]) == (3, 3)
 
     def test_recent_nonzero_prevents_retirement(self):
-        cluster = self.make(history=3)
-        for capa in (0.0, 0.5, 0.0):
-            cluster.record(capa)
-        assert not cluster.retired
+        sampler = self.make(history=3)
+        self.record(sampler, 0.0, 0.5, 0.0)
+        assert not sampler.retired()[0]
+        assert (sampler.zeros[0], sampler.last_capa[0]) == (1, 0.0)
 
     def test_old_capa_falls_out_of_history(self):
-        cluster = self.make(history=2)
-        cluster.record(5.0)
-        cluster.record(0.0)
-        cluster.record(0.0)
-        assert cluster.retired  # the 5.0 fell out of the window
+        sampler = self.make(history=2)
+        self.record(sampler, 5.0, 0.0, 0.0)
+        assert sampler.retired()[0]  # the 5.0 fell out of the window
 
     def test_revive_clears_streak(self):
-        cluster = self.make(history=1)
-        cluster.record(0.0)
-        assert cluster.retired
-        cluster.revive()
-        assert cluster.active
+        """``revive`` clears the streak of a retired cluster but skips one
+        that is also exhausted."""
+        sampler = self.make(sizes=(6, 2), history=1)
+        self.record(sampler, 0.0)
+        assert sampler.retired().tolist() == [True, True]
+        assert sampler.exhausted().tolist() == [False, True]
+        assert sampler.revive() == 1
+        assert sampler.active().tolist() == [True, False]
+        assert sampler.zeros.tolist() == [0, 1]
 
 
 class TestClusterCollection:
