@@ -20,8 +20,8 @@ inversion machinery can absorb batches of new rows without starting over.
   clusters the new rows landed in.  :func:`partner_pairs` reads every
   pair involving a new tuple that could violate anything off those
   touched clusters in one vectorized step, deduplicated across
-  attributes by one ``np.unique``, and their agree masks stream through
-  the same incremental inverter;
+  attributes by one sort, and their agree masks stream through the same
+  incremental inverter;
 * the **result** is a live FD set: the first snapshot seeds it from the
   positive cover, and each later append replays the inverter's cover
   edits onto it, so a snapshot is one frozenset copy and its
@@ -73,9 +73,9 @@ def partner_pairs(delta: AppendDelta) -> tuple[np.ndarray, np.ndarray]:
     per attribute without regrouping the matrix.  With the clusters
     concatenated, a new member at position ``p`` of a cluster starting
     at ``start`` pairs with positions ``start .. start + p - 1``: one
-    ``np.repeat`` plus one ``arange`` list them all.  One ``np.unique``
-    over ``a * num_rows + b`` keys drops cross-attribute duplicates, and
-    its sorted order is the canonical admit order (RPR107).
+    ``np.repeat`` plus one ``arange`` list them all.  One in-place sort of
+    the ``a * num_rows + b`` keys drops cross-attribute duplicates in the
+    canonical admit order (RPR107); ``np.unique`` would load ``numpy.ma``.
 
     Pure: reads the delta only; returns fresh ``intp`` arrays.
     """
@@ -93,7 +93,9 @@ def partner_pairs(delta: AppendDelta) -> tuple[np.ndarray, np.ndarray]:
         starts[new] - first_pair, mates
     )
     num_rows = delta.num_rows
-    keys = np.unique(members[partners] * num_rows + np.repeat(members[new], mates))
+    keys = members[partners] * num_rows + np.repeat(members[new], mates)
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
     return (keys // num_rows).astype(np.intp), (keys % num_rows).astype(np.intp)
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable
 
 from ..fd import FD, PositiveCover
+from ..fd.covers import CoverEdit
 from ..fd.fd import sort_for_cover_insertion
 from ..obs import count
 from ..obs.names import (
@@ -30,10 +31,6 @@ from ..obs.names import (
     PCOVER_ADDED,
     PCOVER_REMOVED,
 )
-
-
-CoverEdit = tuple[int, list[int], list[int]]
-"""One specialization's ``(rhs, removed LHS masks, added LHS masks)``."""
 
 
 @dataclass
@@ -57,24 +54,26 @@ class Inverter:
     ) -> InversionStats:
         """Invert a batch of non-FDs into the positive cover (Alg. 3, 11-20).
 
-        When ``edits`` is given, every specialization that changed the
-        cover appends its ``(rhs, removed, added)`` LHS masks to it, in
-        the order applied, so a caller can replay the batch onto a copy
-        of the cover's FDs.
+        Different RHSs' antichains never interact, so round ``k`` applies
+        the ``k``-th non-FD of every RHS, in cover-insertion order.  When
+        ``edits`` is given, each RHS a round changed appends its
+        ``(rhs, removed, added)`` LHS masks to it, so a caller can replay
+        the batch onto a copy of the cover's FDs.
 
         Mutates: self, edits
             (specializes ``self.pcover`` in place; the batch itself is
             only read)
         """
         stats = InversionStats()
-        pcover = self.pcover
+        queues: list[list[FD]] = [[] for _ in range(self.num_attributes)]
         for non_fd in sort_for_cover_insertion(non_fds):
-            removed, added = pcover.specialize(non_fd)
-            if removed and edits is not None:
-                edits.append((non_fd.rhs, removed, added))
-            stats.candidates_removed += len(removed)
-            stats.candidates_added += len(added)
-            stats.non_fds_processed += 1
+            queues[non_fd.rhs].append(non_fd)
+        for step in range(max(map(len, queues))):
+            batch = [queue[step] for queue in queues if step < len(queue)]
+            removed, added = self.pcover.specialize_round(batch, edits)
+            stats.candidates_removed += removed
+            stats.candidates_added += added
+            stats.non_fds_processed += len(batch)
         count(INVERTER_NON_FDS_INVERTED, stats.non_fds_processed)
         count(INVERTER_CANDIDATES_REMOVED, stats.candidates_removed)
         count(INVERTER_CANDIDATES_ADDED, stats.candidates_added)

@@ -13,9 +13,9 @@ The *positive cover* collects the minimal valid FDs produced by inversion
 masks.
 
 Both store an LHS mask as ``⌈n/64⌉`` parallel ``uint64`` arrays, one per
-64-attribute word, so that one agree set (negative cover) or one non-FD
-(positive cover) updates the store with whole-array sweeps instead of
-index probes.  The extended binary tree of Section IV-D
+64-attribute word, so that one agree set (negative cover) or one
+non-FD per RHS (positive cover) updates the store with whole-array
+sweeps instead of index probes.  The extended binary tree of Section IV-D
 (:mod:`repro.fd.binary_tree`) and the FD-tree (:mod:`repro.fd.fdtree`)
 answer the same subset and superset queries one mask at a time; the
 E-IDX benchmark replays one intake stream into all three.
@@ -24,6 +24,7 @@ E-IDX benchmark replays one intake stream into all three.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import islice
 
 import numpy as np
 
@@ -36,21 +37,16 @@ _WORD_BITS = 64
 _WORD_MASK = (1 << _WORD_BITS) - 1
 _ONE = np.uint64(1)
 
+CoverEdit = tuple[int, list[int], list[int]]
+"""One RHS's ``(rhs, removed LHS masks, added LHS masks)`` in one step."""
 
-class NegativeCover:
-    """Per-RHS antichains of *maximal* invalid LHSs, stored flat.
 
-    Entry ``i`` is the non-FD ``L -/-> A``: like :class:`PositiveCover`,
-    its LHS ``L`` has ``self._words[w][i]`` as its word ``w`` (least
-    significant first), and ``self._rhs[i]`` is ``A``.  Every RHS shares
-    the arrays, so :meth:`add_violations` takes one agree set for all its
-    RHSs at once.  Entries are unordered; reads sort them.
+class _WordStore:
+    """Per-RHS antichains of LHS masks, every RHS in one set of arrays.
 
-    Per RHS the intake is the insertion step of Algorithm 2: a non-FD
-    already specialized by a stored one is redundant and is dropped;
-    conversely a newly inserted non-FD evicts every stored generalization
-    so the antichain property (and minimal storage) is preserved even when
-    insertions arrive across several sampling cycles in arbitrary order.
+    Entry ``i`` is ``L -> A`` (or ``L -/-> A``): its LHS ``L`` has
+    ``self._words[w][i]`` as its word ``w`` (least significant first),
+    and ``self._rhs[i]`` is ``A``.  Reads sort the entries.
     """
 
     __slots__ = ("num_attributes", "_words", "_rhs")
@@ -62,10 +58,44 @@ class NegativeCover:
             )
         width = -(-num_attributes // _WORD_BITS)
         self.num_attributes = num_attributes
-        self._words: list[np.ndarray] = [
-            np.zeros(0, dtype=np.uint64) for _ in range(width)
-        ]
+        self._words = [np.zeros(0, dtype=np.uint64) for _ in range(width)]
         self._rhs = np.zeros(0, dtype=np.intp)
+
+    def lhs_masks(self, rhs: int) -> list[int]:
+        """The stored LHS masks for attribute ``rhs``, sorted.
+
+        Pure: joins a copy of the matching entries.
+        """
+        mine = self._rhs == rhs
+        return sorted(_join([word[mine] for word in self._words]))
+
+    def __contains__(self, fd: FD) -> bool:
+        return fd.rhs < self.num_attributes and fd.lhs in self.lhs_masks(fd.rhs)
+
+    def __iter__(self) -> Iterator[FD]:
+        for rhs in range(self.num_attributes):
+            for lhs in self.lhs_masks(rhs):
+                yield FD(lhs, rhs)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        name = type(self).__name__
+        return f"{name}(attributes={self.num_attributes}, size={len(self)})"
+
+
+class NegativeCover(_WordStore):
+    """Per-RHS antichains of *maximal* invalid LHSs, stored flat.
+
+    Every RHS shares the arrays, so :meth:`add_violations` takes one
+    agree set for all its RHSs at once.
+
+    Per RHS the intake is the insertion step of Algorithm 2: a non-FD
+    already specialized by a stored one is redundant and is dropped;
+    conversely a newly inserted non-FD evicts every stored generalization
+    so the antichain property (and minimal storage) is preserved even when
+    insertions arrive across several sampling cycles in arbitrary order.
+    """
+
+    __slots__ = ()
 
     def add(self, non_fd: FD) -> bool:
         """Insert one non-FD; return True when the cover grew.
@@ -110,7 +140,9 @@ class NegativeCover:
         if not added:
             return 0
         # 2. Generalizations of an admitted RHS are evicted.
-        general = _within(words, [~word for word in lhs]) & admitted[rhs]
+        general = admitted[rhs]
+        for word, value in zip(words, lhs):
+            general &= (word & ~value) == 0
         evicted = int(np.count_nonzero(general))
         if evicted:
             kept = ~general
@@ -145,119 +177,124 @@ class NegativeCover:
         lhs = _split([fd.lhs], len(self._words))
         return bool(np.any(_containing(self._words, lhs) & (self._rhs == fd.rhs)))
 
-    def lhs_masks(self, rhs: int) -> list[int]:
-        """The stored maximal invalid LHS masks for attribute ``rhs``, sorted.
-
-        Pure: joins a copy of the matching entries.
-        """
-        mine = self._rhs == rhs
-        return sorted(_join([word[mine] for word in self._words]))
-
     def __len__(self) -> int:
         return len(self._rhs)
 
-    def __iter__(self) -> Iterator[FD]:
-        for rhs, lhs in sorted(zip(self._rhs.tolist(), _join(self._words))):
-            yield FD(lhs, rhs)
 
-    def __contains__(self, non_fd: FD) -> bool:
-        return non_fd.lhs in self.lhs_masks(non_fd.rhs)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NegativeCover(attributes={self.num_attributes}, size={len(self)})"
-
-
-class PositiveCover:
+class PositiveCover(_WordStore):
     """Per-RHS antichains of *minimal* valid LHSs, stored flat.
 
-    Attribute ``A``'s antichain lives in ``W = ⌈n/64⌉`` parallel 1-D
-    ``uint64`` arrays, one per 64-attribute word: entry ``i``'s LHS has
-    ``self._words[A][w][i]`` as its word ``w`` (least significant
-    first).  Entries are unordered; reads sort them.  A fresh cover
-    holds the most general candidate ``{} -> A`` for every attribute
-    (Algorithm 3, lines 1-2), and :meth:`specialize` applies one non-FD
-    at a time with whole-array operations.
+    A fresh cover holds the most general candidate ``{} -> A`` for every
+    attribute (Algorithm 3, lines 1-2).  A removed entry is marked dead
+    in place (RHS ``num_attributes``, every bit set) and dropped by one
+    compaction once the dead outnumber the live; new entries are
+    appended, so each RHS's entries keep the order they joined in.
     """
 
-    __slots__ = ("num_attributes", "_universe", "_words", "_size")
+    __slots__ = ("_size", "_units")
 
     def __init__(self, num_attributes: int) -> None:
-        if num_attributes <= 0:
-            raise ValueError(
-                f"a relation needs at least one attribute, got {num_attributes}"
-            )
-        width = -(-num_attributes // _WORD_BITS)
-        self.num_attributes = num_attributes
-        self._universe = attrset.universe(num_attributes)
-        self._words: list[list[np.ndarray]] = [
-            [np.zeros(1, dtype=np.uint64) for _ in range(width)]
-            for _ in range(num_attributes)
-        ]
+        super().__init__(num_attributes)
+        self._words = [np.zeros(num_attributes, dtype=np.uint64) for _ in self._words]
+        self._rhs = np.arange(num_attributes, dtype=np.intp)
         self._size = num_attributes
+        # The singleton {b} of every attribute b, as words indexed by b.
+        self._units = _split([1 << b for b in range(num_attributes)], len(self._words))
 
     def specialize(self, non_fd: FD) -> tuple[list[int], list[int]]:
-        """Apply one non-FD ``X -/-> A`` (Algorithm 3, lines 12-20).
+        """Apply one non-FD; return the LHS masks its RHS lost and gained.
 
-        Returns ``(removed, added)``, the LHS masks that left and entered
-        ``A``'s antichain.  Every stored ``g ⊆ X`` is invalid
-        (Lemma 1) and is replaced by each ``g ∪ {b}``, ``b ∉ X ∪ {A}``,
-        that has no stored generalization.  A surviving entry ``L`` is
-        not a subset of ``X`` while ``g`` is, so ``L ⊆ g ∪ {b}`` exactly
-        when ``L - g`` is the single bit ``b``: one reduction over the
-        survivors' single-bit differences yields every blocked ``b``.  No
-        fresh candidate can generalize a survivor (which would then
-        contain ``g``) or another fresh one (their ``g`` form an
-        antichain), so nothing is evicted.
+        The one-non-FD form of :meth:`specialize_round`.
 
         Mutates: self
         """
-        if non_fd.is_trivial():
-            raise ValueError(f"trivial non-FD cannot be violated: {non_fd}")
-        rhs = non_fd.rhs
-        words = self._words[rhs]
-        invalid = _within(words, _split([self._universe & ~non_fd.lhs], len(words)))
-        if not invalid.any():
-            return [], []
-        valid = ~invalid
-        survivors = [word[valid] for word in words]
-        generals = [word[invalid] for word in words]
-        blocked = _single_bit_differences(survivors, generals)
-        extensions = self._universe & ~non_fd.lhs & ~attrset.singleton(rhs)
-        removed = _join(generals)
-        fresh: list[int] = []
-        for general, covered in zip(removed, _join(blocked)):
-            free = extensions & ~covered
-            while free:
-                bit = free & -free
-                free ^= bit
-                fresh.append(general | bit)
-        added = _split(fresh, len(words))
-        self._words[rhs] = [
-            np.concatenate((kept, new)) for kept, new in zip(survivors, added)
-        ]
-        self._size += len(fresh) - len(removed)
-        return removed, fresh
+        edits: list[CoverEdit] = []
+        self.specialize_round([non_fd], edits)
+        return (edits[0][1], edits[0][2]) if edits else ([], [])
 
-    def lhs_masks(self, rhs: int) -> list[int]:
-        """The stored minimal LHS masks for attribute ``rhs``, sorted.
+    def specialize_round(
+        self, non_fds: Sequence[FD], edits: list[CoverEdit] | None
+    ) -> tuple[int, int]:
+        """Apply non-FDs ``X_A -/-> A`` of distinct RHSs at once (Alg. 3, 12-20).
 
-        Pure: joins a copy of the word arrays.
+        Returns how many entries left and joined the cover.  Each stored
+        ``g ⊆ X_A`` of RHS ``A`` is invalid (Lemma 1) and gives way to
+        every ``g ∪ {b}``, ``b ∉ X_A ∪ {A}``, that no survivor ``L``
+        generalizes.  As ``L ⊄ X_A``, ``L ⊆ g ∪ {b}`` needs
+        ``L & ~X_A == {b}`` and ``L - {b} ⊆ g``: each general meets only
+        its RHS's *near* survivors, with one bit outside ``X_A``.  Nothing
+        is evicted: no fresh candidate is a subset of a survivor (which
+        would contain ``g``) or of another (the ``g`` form an antichain).
+        With ``edits``, each RHS that changed appends ``(A, removed,
+        added)``, in ascending RHS order.
+
+        Mutates: self, edits
         """
-        return sorted(_join(self._words[rhs]))
+        n, words, rhs, units = self.num_attributes, self._words, self._rhs, self._units
+        inside = {fd.rhs: fd.lhs | 1 << fd.rhs for fd in non_fds}
+        if len(inside) < len(non_fds) or any(map(FD.is_trivial, non_fds)):
+            raise ValueError(f"need non-trivial non-FDs of distinct RHSs: {non_fds}")
+        # Per RHS, the bits outside X_A ∪ {A}: all off the round and for the dead.
+        outside = _split([~inside.get(a, 0) for a in range(n + 1)], len(words))
+        # One sweep keeps the entries with at most one bit outside per word.
+        few = np.ones(len(rhs), dtype=bool)
+        for word, table in zip(words, outside):
+            beyond = table[rhs]
+            beyond &= word
+            beyond &= beyond - _ONE
+            few &= beyond == 0
+        taking = np.zeros(n + 1, dtype=bool)
+        taking[list(inside)] = True
+        kept = np.flatnonzero(few)
+        kept = kept[taking[rhs[kept]]]
+        kept = kept[np.argsort(rhs[kept], kind="stable")]
+        # Of the round's, no bit outside makes a general, one a near survivor.
+        beyond = [word[kept] & table[rhs[kept]] for word, table in zip(words, outside)]
+        spread = sum(difference != 0 for difference in beyond)
+        general, near = kept[spread == 0], kept[spread == 1]
+        if not general.size:
+            return 0, 0
+        general_rhs, near_rhs = rhs[general], rhs[near]
+        bits = [difference[spread == 1] for difference in beyond]
+        # Each general meets its own RHS's near survivors: is L - {b} ⊆ g?
+        first = np.searchsorted(near_rhs, general_rhs)
+        mates = np.searchsorted(near_rhs, general_rhs, side="right") - first
+        pair_general = np.repeat(np.arange(general.size), mates)
+        pair_near = np.repeat(first - np.cumsum(mates) + mates, mates)
+        pair_near += np.arange(pair_near.size)
+        generals = [word[general] for word in words]
+        blocks = np.ones(pair_near.size, dtype=bool)
+        for word, bit, values in zip(words, bits, generals):
+            blocks &= ((word[near] & ~bit)[pair_near] & ~values[pair_general]) == 0
+        # The free extensions less the blocked ones, unpacked in one step.
+        free = [table[general_rhs] for table in outside]
+        for mask, bit in zip(free, bits):
+            np.bitwise_and.at(mask, pair_general[blocks], ~bit[pair_near[blocks]])
+        flags = np.stack(free, axis=1).astype("<u8", copy=False).view(np.uint8)
+        flags = np.unpackbits(flags, axis=1, count=n, bitorder="little")
+        parent, extra = np.nonzero(flags)
+        fresh = [values[parent] | unit[extra] for values, unit in zip(generals, units)]
+        if edits is not None:
+            removed, added = iter(_join(generals)), iter(_join(fresh))
+            lost = np.bincount(general_rhs, minlength=n)
+            won = np.bincount(general_rhs[parent], minlength=n)
+            edits.extend(
+                (a, list(islice(removed, lost[a])), list(islice(added, won[a])))
+                for a in np.flatnonzero(lost).tolist()
+            )
+        rhs[general] = n
+        for word in words:
+            word[general] = _WORD_MASK
+        self._size += int(parent.size) - int(general.size)
+        if len(rhs) + parent.size - self._size > self._size:
+            alive = rhs != n
+            words, rhs = [word[alive] for word in words], rhs[alive]
+        self._words = [np.concatenate((word, new)) for word, new in zip(words, fresh)]
+        self._rhs = np.concatenate((rhs, general_rhs[parent]))
+        return int(general.size), int(parent.size)
 
     def __len__(self) -> int:
         return self._size
-
-    def __iter__(self) -> Iterator[FD]:
-        for rhs in range(self.num_attributes):
-            for lhs in self.lhs_masks(rhs):
-                yield FD(lhs, rhs)
-
-    def __contains__(self, fd: FD) -> bool:
-        return fd.lhs in _join(self._words[fd.rhs])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PositiveCover(attributes={self.num_attributes}, size={self._size})"
 
 
 def _split(masks: list[int], width: int) -> list[np.ndarray]:
@@ -304,45 +341,3 @@ def _containing(words: list[np.ndarray], lhs: list[np.ndarray]) -> np.ndarray:
     for word, value in zip(words[1:], lhs[1:]):
         found &= (word & value) == value
     return found
-
-
-def _within(words: list[np.ndarray], outside: list[np.ndarray]) -> np.ndarray:
-    """Per entry: does its LHS miss every bit of ``outside`` (one value per word)?
-
-    That is, is it a subset of ``outside``'s complement.
-
-    Pure: compares into a fresh boolean array.
-    """
-    found = (words[0] & outside[0]) == 0
-    for word, out in zip(words[1:], outside[1:]):
-        found &= (word & out) == 0
-    return found
-
-
-def _single_bit_differences(
-    survivors: list[np.ndarray], generals: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Per general ``g``: the OR of every ``L & ~g`` that is one bit.
-
-    ``L`` ranges over ``survivors``.  No survivor is a subset of ``g``,
-    so every difference is nonzero, and it is a single bit exactly when
-    each of its words holds at most one bit and at most one word is
-    nonzero.  The result has one array per word, one entry per general.
-
-    Pure: reduces fresh (general × survivor) arrays.
-    """
-    differences = [
-        kept[np.newaxis, :] & ~general[:, np.newaxis]
-        for kept, general in zip(survivors, generals)
-    ]
-    first = differences[0]
-    single = (first & (first - _ONE)) == 0
-    occupied = first != 0
-    for difference in differences[1:]:
-        nonzero = difference != 0
-        single &= ((difference & (difference - _ONE)) == 0) & ~(occupied & nonzero)
-        occupied |= nonzero
-    return [
-        np.bitwise_or.reduce(difference, axis=1, where=single)
-        for difference in differences
-    ]
